@@ -15,8 +15,8 @@ from .graph import (EmbeddedStGraph, FaceIndex, build_graph, compute_faces,
                     face_sink, reachable)
 from .io import (drawing_from_text, drawing_to_text, graph_from_json,
                  graph_from_text, graph_to_json, graph_to_text, load_graph)
-from .layout import (GridDrawing, PolylineDrawing, draw_polyline,
-                     draw_straightline, emit_svg)
+from .layout import (GridDrawing, draw_polyline, draw_straightline,
+                     emit_svg)
 from .ordering import (BitonicOrdering, RejectionWitness,
                        exists_bitonic_bruteforce, find_bitonic_ordering,
                        is_bitonic, verify_bitonic_ordering)
@@ -41,7 +41,6 @@ __all__ = [
     "NotPlanarEmbedding",
     "OrderingInvalid",
     "ParallelEdge",
-    "PolylineDrawing",
     "RejectionWitness",
     "SplitPlan",
     "SplitResult",

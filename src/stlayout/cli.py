@@ -123,6 +123,13 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="stlayout",
@@ -148,7 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("graph")
     sp.add_argument("--mode", choices=("straight", "poly"), default="poly")
     sp.add_argument("--svg", help="also write an SVG file")
-    sp.add_argument("--scale", type=int, default=20)
+    sp.add_argument("--scale", type=positive_int, default=20,
+                    help="SVG pixels per grid unit, at least 1")
     sp.set_defaults(func=_cmd_draw)
 
     sp = sub.add_parser("validate", help="verify a drawing file")

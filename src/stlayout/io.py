@@ -18,7 +18,7 @@ import json
 
 from .errors import GraphFormatError
 from .graph import EmbeddedStGraph, build_graph
-from .layout import GridDrawing, PolylineDrawing
+from .layout import GridDrawing
 
 
 def graph_to_text(g: EmbeddedStGraph) -> str:
@@ -59,6 +59,11 @@ def graph_from_text(text: str) -> EmbeddedStGraph:
     if header is None:
         raise GraphFormatError("empty graph file")
     n, s, t = header
+    if n > len(rows) + 1:
+        # every vertex except t has successors, hence a line of its own
+        raise GraphFormatError(
+            f"header declares {n} vertices but only {len(rows)} vertex "
+            f"lines follow")
     if n < 0 or any(u < 0 or u >= n for u in rows):
         raise GraphFormatError("vertex id out of range")
     succ = [rows.get(u, []) for u in range(n)]
@@ -119,7 +124,4 @@ def drawing_from_text(text: str, g: EmbeddedStGraph) -> GridDrawing:
     for e in range(g.m):
         a, c = cs[g.tail[e]], cs[g.head[e]]
         paths.append((a, bends[e], c) if e in bends else (a, c))
-    if bends:
-        return PolylineDrawing(coords=cs, edge_paths=tuple(paths),
-                               shift=(0, 0))
-    return GridDrawing(coords=cs, edge_paths=tuple(paths), shift=(0, 0))
+    return GridDrawing(coords=cs, edge_paths=tuple(paths))

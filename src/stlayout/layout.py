@@ -22,33 +22,16 @@ Point = tuple[int, int]
 
 @dataclass(frozen=True)
 class GridDrawing:
-    """Integer coordinates of an upward planar straight-line drawing."""
+    """Integer coordinates of an upward planar grid drawing.
+
+    Straight-line drawings have no bends.  A poly-line drawing is the
+    straight-line drawing of the split graph folded back onto the original
+    edges: each formerly split edge carries one bend, and ``splits`` lists
+    those edges.  Width and height cover vertices and bends alike.
+    """
 
     coords: tuple[Point, ...]
     edge_paths: tuple[tuple[Point, ...], ...]
-    shift: Point  # translation applied to reach the non-negative quadrant
-
-    @property
-    def width(self) -> int:
-        xs = [p[0] for p in self.coords]
-        return max(xs) - min(xs) if xs else 0
-
-    @property
-    def height(self) -> int:
-        ys = [p[1] for p in self.coords]
-        return max(ys) - min(ys) if ys else 0
-
-    @property
-    def bend_points(self) -> list[tuple[int, Point]]:
-        return [(e, path[1]) for e, path in enumerate(self.edge_paths)
-                if len(path) == 3]
-
-
-@dataclass(frozen=True)
-class PolylineDrawing(GridDrawing):
-    """Straight-line drawing of the split graph folded back onto the
-    original edges; each formerly split edge carries one bend."""
-
     splits: tuple[tuple[int, int], ...] = ()
 
     def _all_points(self) -> list[Point]:
@@ -64,6 +47,11 @@ class PolylineDrawing(GridDrawing):
     def height(self) -> int:
         ys = [p[1] for p in self._all_points()]
         return max(ys) - min(ys) if ys else 0
+
+    @property
+    def bend_points(self) -> list[tuple[int, Point]]:
+        return [(e, path[1]) for e, path in enumerate(self.edge_paths)
+                if len(path) == 3]
 
 
 def draw_straightline(g: EmbeddedStGraph,
@@ -155,12 +143,11 @@ def draw_straightline(g: EmbeddedStGraph,
     coords = tuple((xabs[v] - min_x, yabs[v] - min_y) for v in range(n))
     paths = tuple((coords[g.tail[e]], coords[g.head[e]])
                   for e in range(g.m))
-    return GridDrawing(coords=coords, edge_paths=paths,
-                       shift=(-min_x, -min_y))
+    return GridDrawing(coords=coords, edge_paths=paths)
 
 
 def draw_polyline(g: EmbeddedStGraph, *, all_transitive: bool = False,
-                  drop_collinear_bends: bool = True) -> PolylineDrawing:
+                  drop_collinear_bends: bool = True) -> GridDrawing:
     """Split, order, draw, and substitute dummies by bends."""
     fi = compute_faces(g)
     plan = (transitive_split_plan(g, fi) if all_transitive
@@ -169,10 +156,7 @@ def draw_polyline(g: EmbeddedStGraph, *, all_transitive: bool = False,
         ord = find_bitonic_ordering(g, fi)
         if isinstance(ord, RejectionWitness):
             raise AssertionError("graph without conflicts rejected")
-        base = draw_straightline(g, ord)
-        return PolylineDrawing(coords=base.coords,
-                               edge_paths=base.edge_paths,
-                               shift=base.shift, splits=())
+        return draw_straightline(g, ord)
 
     res = apply_splits(g, plan)
     ord = find_bitonic_ordering(res.graph)
@@ -196,9 +180,8 @@ def draw_polyline(g: EmbeddedStGraph, *, all_transitive: bool = False,
                 paths.append((a, b, c))
         else:
             paths.append((coords[u], coords[v]))
-    return PolylineDrawing(coords=coords, edge_paths=tuple(paths),
-                           shift=base.shift,
-                           splits=tuple(plan.split_edges))
+    return GridDrawing(coords=coords, edge_paths=tuple(paths),
+                       splits=tuple(plan.split_edges))
 
 
 def _collinear(a: Point, b: Point, c: Point) -> bool:

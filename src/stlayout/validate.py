@@ -2,9 +2,9 @@
 
 The checks here never reuse the layout machinery: upwardness is read off
 the edge paths directly and planarity is decided by exact integer segment
-predicates.  Small drawings are checked over all piece pairs; large ones
-by a plane sweep that only ever tests neighbouring pieces, still with the
-same exact predicate.
+predicates.  One plane sweep checks every drawing, whatever its size: it
+only ever tests neighbouring pieces, and it looks each zero-length piece
+up in the sweep status instead of testing it against every other piece.
 """
 
 from __future__ import annotations
@@ -124,25 +124,6 @@ def check_bounds(d: GridDrawing, n: int, mode: str) -> bool:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-_BRUTE_LIMIT = 1200
-
-
-def _find_proper_intersection(pieces):
-    """Index pair of some properly intersecting pieces, or None."""
-    k = len(pieces)
-    if k <= 1:
-        return None
-    if k <= _BRUTE_LIMIT:
-        for i in range(k):
-            a1, a2 = pieces[i]
-            for j in range(i + 1, k):
-                b1, b2 = pieces[j]
-                if segments_properly_intersect(a1, a2, b1, b2):
-                    return i, j
-        return None
-    return _find_proper_intersection_sweep(pieces)
-
-
 class _ActiveSeg:
     """A piece on the sweep status line, ordered by x at the sweep height.
 
@@ -182,9 +163,10 @@ def _proper(a: _ActiveSeg, b: _ActiveSeg):
     return None
 
 
-def _find_proper_intersection_sweep(pieces):
-    """Neighbour-testing plane sweep (intersection existence).
+def _find_proper_intersection(pieces):
+    """Index pair of some properly intersecting pieces, or None.
 
+    Neighbour-testing plane sweep (Shamos & Hoey, intersection existence).
     Pieces are sheared by (x, y) -> (x, y*K + x) with K wider than the
     x-range; the shear is linear and invertible, so proper intersections
     and shared endpoints are preserved, every non-degenerate piece becomes
@@ -192,39 +174,39 @@ def _find_proper_intersection_sweep(pieces):
     distinct sweep heights.  The status line keeps active pieces sorted by
     x; only pieces that become neighbours are tested, which is sufficient
     to detect whether any proper intersection exists at all.
+
+    A zero-length piece is a query at its own sweep height, after the
+    removals and before the insertions there, so every active piece spans
+    that height strictly and passes through the point only in its
+    interior.  Pieces through the point are adjacent in the status, so
+    testing the two neighbours of the point's position is enough.
     """
+    if len(pieces) <= 1:
+        return None
     xs = [p[0] for seg in pieces for p in seg]
     K = max(xs) - min(xs) + 1
-    cur = [0, 1]  # sweep height and phase (+1 insertion, -1 removal)
-    segs = []
-    points = []  # degenerate zero-length pieces
+    cur = [0, 1]  # sweep height and phase (+1 insertion, -1 otherwise)
+    events = []  # (height, kind, idx, piece): 0 removal, 1 query, 2 insert
     for idx, (a, b) in enumerate(pieces):
         sa = (a[0], a[1] * K + a[0])
         sb = (b[0], b[1] * K + b[0])
-        if sa == sb:
-            points.append((idx, sa))
-            continue
         if sa[1] > sb[1]:
             sa, sb = sb, sa
-        segs.append(_ActiveSeg(sa[0], sa[1], sb[0], sb[1], idx, cur))
-
-    for idx, p in points:
-        for s in segs:
-            if (p not in ((s.x1, s.y1), (s.x2, s.y2))
-                    and on_segment((s.x1, s.y1), (s.x2, s.y2), p)):
-                return (min(idx, s.idx), max(idx, s.idx))
-
-    events = []
-    for s in segs:
-        events.append((s.y2, 0, s.idx, s))  # removal first at equal height
-        events.append((s.y1, 1, s.idx, s))
+        if sa == sb:
+            # a unit-high vertical probe compares by x at the query height
+            probe = _ActiveSeg(sa[0], sa[1], sa[0], sa[1] + 1, idx, cur)
+            events.append((sa[1], 1, idx, probe))
+            continue
+        s = _ActiveSeg(sa[0], sa[1], sb[0], sb[1], idx, cur)
+        events.append((sb[1], 0, idx, s))
+        events.append((sa[1], 2, idx, s))
     events.sort(key=lambda ev: ev[:3])
 
     status = SortedList()
     for y, kind, _, s in events:
         cur[0] = y
-        cur[1] = 1 if kind == 1 else -1
-        if kind == 1:
+        cur[1] = 1 if kind == 2 else -1
+        if kind == 2:
             status.add(s)
             i = status.index(s)
             for j in (i - 1, i + 1):
@@ -232,6 +214,12 @@ def _find_proper_intersection_sweep(pieces):
                     bad = _proper(s, status[j])
                     if bad:
                         return bad
+        elif kind == 1:
+            i = status.bisect_left(s)
+            p = (s.x1, s.y1)
+            for t in status[max(i - 1, 0):i + 1]:
+                if on_segment((t.x1, t.y1), (t.x2, t.y2), p):
+                    return min(s.idx, t.idx), max(s.idx, t.idx)
         else:
             i = status.index(s)
             status.remove(s)

@@ -1,6 +1,10 @@
-"""Shared fixtures: hand-built graphs and generated corpora."""
+"""Shared fixtures: hand-built graphs, generated corpora and the
+doubling-ratio timer behind the linear-time gates."""
 
 from __future__ import annotations
+
+import gc
+import time
 
 import pytest
 
@@ -100,3 +104,43 @@ def all_fixture_graphs():
     ]
     graphs += [fan(k) for k in range(4, 13)]
     return graphs
+
+
+LINEAR_GATE = 2.5  # largest median doubling ratio accepted as linear
+
+
+def doubling_ratios(run, inputs, rounds=15):
+    """Per consecutive pair of ``inputs``, the time ratio in every round.
+
+    ``inputs`` are ordered by size, each double the one before.  The noise
+    that swamps a doubling ratio is host speed drift, not the algorithm:
+    on a 2-vCPU host the same fixed piece of work takes anywhere from 16
+    to 37 ms from one moment to the next, in wall and thread CPU time
+    alike, so sizes timed seconds apart are not comparable.  Every input
+    is therefore built before any timing, each round times all sizes back
+    to back, and a ratio is only taken between two timings of the same
+    round.  Rounds alternate ascending and descending order, so a drift
+    within a round favours neither the smaller nor the larger size of a
+    pair.  Callers gate the median ratio across rounds.
+    """
+    per_round = []
+    for r in range(rounds):
+        order = range(len(inputs))
+        times = [0.0] * len(inputs)
+        for i in (order if r % 2 == 0 else reversed(order)):
+            times[i] = timed(run, inputs[i])
+        per_round.append([b / a for a, b in zip(times, times[1:])])
+    return [list(pair) for pair in zip(*per_round)]
+
+
+def timed(run, arg):
+    # the cyclic collector would bill one call for garbage of another;
+    # keep it off while timing and collect between calls
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        run(arg)
+        return time.perf_counter() - t0
+    finally:
+        gc.enable()
+        gc.collect()

@@ -6,8 +6,6 @@ verdicts are visible in any pytest run.
 
 from __future__ import annotations
 
-import gc
-import time
 from statistics import median
 
 from stlayout import (BitonicOrdering, GeneratorConfig, check_bounds,
@@ -20,7 +18,8 @@ from stlayout.generate import add_random_chords
 from stlayout.io import drawing_to_text
 from stlayout.ordering import ordering_to_text
 from stlayout.splitting import plan_to_text
-from conftest import all_fixture_graphs, fan
+from conftest import (LINEAR_GATE, all_fixture_graphs, doubling_ratios, fan,
+                      timed)
 
 
 def report(capsys, num, name, ok, detail=""):
@@ -177,9 +176,6 @@ def test_criterion_6_split_locality(capsys):
     assert ok
 
 
-LINEAR_GATE = 2.5  # largest median doubling ratio accepted as linear
-
-
 def test_criterion_7_linear_time_behavior(capsys):
     sizes = [10_000, 20_000, 40_000, 80_000]
     graphs = [generate_random_st_graph(GeneratorConfig(n_target=n, seed=1))
@@ -188,7 +184,7 @@ def test_criterion_7_linear_time_behavior(capsys):
     del graphs
     medians = [median(r) for r in ratios]
     g = generate_random_st_graph(GeneratorConfig(n_target=100_000, seed=1))
-    t_big = _timed(draw_polyline, g)
+    t_big = timed(draw_polyline, g)
     ok = all(m <= LINEAR_GATE for m in medians) and t_big < 5.0
     pairs = [f"{a // 1000}k->{b // 1000}k {m:.2f} [{min(r):.2f}-{max(r):.2f}]"
              for a, b, m, r in zip(sizes, sizes[1:], medians, ratios)]
@@ -210,43 +206,6 @@ def test_criterion_7_gate_catches_quadratic_growth():
                                                   [100, 200, 400, 800])]
     # a quadratic doubles to about 4x, so the gate must reject it
     assert any(m > LINEAR_GATE for m in medians), medians
-
-
-def doubling_ratios(run, inputs, rounds=15):
-    """Per consecutive pair of ``inputs``, the time ratio in every round.
-
-    ``inputs`` are ordered by size, each double the one before.  The noise
-    that swamps a doubling ratio is host speed drift, not the algorithm:
-    on a 2-vCPU host the same fixed piece of work takes anywhere from 16
-    to 37 ms from one moment to the next, in wall and thread CPU time
-    alike, so sizes timed seconds apart are not comparable.  Every input
-    is therefore built before any timing, each round times all sizes back
-    to back, and a ratio is only taken between two timings of the same
-    round.  Rounds alternate ascending and descending order, so a drift
-    within a round favours neither the smaller nor the larger size of a
-    pair.  Callers gate the median ratio across rounds.
-    """
-    per_round = []
-    for r in range(rounds):
-        order = range(len(inputs))
-        times = [0.0] * len(inputs)
-        for i in (order if r % 2 == 0 else reversed(order)):
-            times[i] = _timed(run, inputs[i])
-        per_round.append([b / a for a, b in zip(times, times[1:])])
-    return [list(pair) for pair in zip(*per_round)]
-
-
-def _timed(run, arg):
-    # the cyclic collector would bill one call for garbage of another;
-    # keep it off while timing and collect between calls
-    gc.disable()
-    try:
-        t0 = time.perf_counter()
-        run(arg)
-        return time.perf_counter() - t0
-    finally:
-        gc.enable()
-        gc.collect()
 
 
 def test_criterion_8_determinism(capsys):

@@ -71,6 +71,15 @@ def test_draw_svg(tri_file, tmp_path, capsys):
     assert svg.read_text().startswith("<svg ")
 
 
+def test_draw_svg_bad_scale_exit_2(tri_file, tmp_path, capsys):
+    svg = tmp_path / "out.svg"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["draw", tri_file, "--svg", str(svg), "--scale", "0"])
+    assert exc.value.code == 2
+    assert "--scale" in capsys.readouterr().err
+    assert not svg.exists()
+
+
 def test_validate_bad_drawing(tri_file, tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("0 0 0\n1 1 1\n2 2 0\n")  # edge 1->2 goes downward

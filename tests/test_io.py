@@ -41,6 +41,7 @@ def test_roundtrip_corpus():
     "3 0 2\n0: 1\n0: 2\n",
     "3 0 2\n0: 7\n",
     "x y z\n",
+    "100000000 0 1\n0: 1\n",  # n far beyond the vertex lines given
 ])
 def test_malformed_text(bad):
     with pytest.raises(GraphFormatError):

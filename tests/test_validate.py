@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import random
+from statistics import median
 
 import pytest
 
-from stlayout import (GridDrawing, MissingCoordinate, check_bounds,
-                      check_upward_planar, draw_polyline,
-                      find_bitonic_ordering, draw_straightline)
-from stlayout.validate import (_BRUTE_LIMIT, _find_proper_intersection,
-                               _find_proper_intersection_sweep)
-from conftest import corpus
+from stlayout import (GeneratorConfig, GridDrawing, MissingCoordinate,
+                      check_bounds, check_upward_planar, draw_polyline,
+                      find_bitonic_ordering, draw_straightline,
+                      generate_random_st_graph)
+from stlayout.geometry import segments_properly_intersect
+from stlayout.validate import _find_proper_intersection
+from conftest import LINEAR_GATE, corpus, doubling_ratios
 
 
 def test_report_fields(triangle):
@@ -25,7 +27,7 @@ def test_report_fields(triangle):
 
 
 def test_missing_coordinate(triangle):
-    d = GridDrawing(coords=((0, 0), (1, 1)), edge_paths=(), shift=(0, 0))
+    d = GridDrawing(coords=((0, 0), (1, 1)), edge_paths=())
     with pytest.raises(MissingCoordinate):
         check_upward_planar(triangle, d)
 
@@ -35,7 +37,7 @@ def test_detects_downward_edge(triangle):
     paths = tuple((coords[triangle.tail[e]], coords[triangle.head[e]])
                   for e in range(3))
     rep = check_upward_planar(
-        triangle, GridDrawing(coords=coords, edge_paths=paths, shift=(0, 0)))
+        triangle, GridDrawing(coords=coords, edge_paths=paths))
     assert not rep.upward
     assert not rep.ok
 
@@ -49,8 +51,7 @@ def test_detects_crossing(f1):
     for e in range(f1.m):
         paths.append((tuple(coords[f1.tail[e]]), tuple(coords[f1.head[e]])))
     rep = check_upward_planar(
-        f1, GridDrawing(coords=tuple(coords), edge_paths=tuple(paths),
-                        shift=(0, 0)))
+        f1, GridDrawing(coords=tuple(coords), edge_paths=tuple(paths)))
     assert not rep.ok
 
 
@@ -59,7 +60,7 @@ def test_detects_coincident_vertices(triangle):
     paths = tuple((coords[triangle.tail[e]], coords[triangle.head[e]])
                   for e in range(3))
     rep = check_upward_planar(
-        triangle, GridDrawing(coords=coords, edge_paths=paths, shift=(0, 0)))
+        triangle, GridDrawing(coords=coords, edge_paths=paths))
     assert not rep.planar
     assert any("share" in v for v in rep.violations)
 
@@ -72,16 +73,55 @@ def test_bounds_modes(triangle):
         check_bounds(d, 3, "curvy")
 
 
+def all_pairs_intersection(pieces):
+    """Oracle: the first properly intersecting index pair over all pairs."""
+    for i in range(len(pieces)):
+        for j in range(i + 1, len(pieces)):
+            if segments_properly_intersect(*pieces[i], *pieces[j]):
+                return i, j
+    return None
+
+
+def _random_pieces(rng, k, side, zero_share, reach=None):
+    """k pieces on a side x side grid, about zero_share of them points.
+
+    With ``reach`` the far end lies within that many units of the near
+    one, which keeps large sparse sets free of crossings often enough.
+    """
+    pieces = []
+    for _ in range(k):
+        a = (rng.randrange(side), rng.randrange(side))
+        if zero_share and rng.random() < zero_share:
+            b = a
+        elif reach is None:
+            b = (rng.randrange(side), rng.randrange(side))
+        else:
+            b = (a[0] + rng.randint(-reach, reach),
+                 a[1] + rng.randint(-reach, reach))
+        pieces.append((a, b))
+    return pieces
+
+
 def test_sweep_matches_bruteforce_on_random_pieces():
     rng = random.Random(42)
-    for _ in range(600):
-        k = rng.randrange(2, 12)
-        pieces = [((rng.randrange(8), rng.randrange(8)),
-                   (rng.randrange(8), rng.randrange(8)))
-                  for _ in range(k)]
-        brute = _find_proper_intersection(pieces)
-        sweep = _find_proper_intersection_sweep(pieces)
+    sets = [_random_pieces(rng, rng.randrange(2, 12), 8, 0.0)
+            for _ in range(600)]
+    sets += [_random_pieces(rng, rng.randrange(2, 12), 8, 1 / 3)
+             for _ in range(600)]
+    for _ in range(40):
+        k = rng.randrange(12, 301)
+        sets.append(_random_pieces(rng, k, k + 2, rng.choice((0, 1 / 3)),
+                                   reach=2))
+    verdicts = set()
+    for pieces in sets:
+        brute = all_pairs_intersection(pieces)
+        sweep = _find_proper_intersection(pieces)
         assert (brute is None) == (sweep is None), pieces
+        if sweep is not None:
+            i, j = sweep
+            assert segments_properly_intersect(*pieces[i], *pieces[j])
+        verdicts.add((len(pieces) >= 12, brute is None))
+    assert len(verdicts) == 4  # both verdicts occur, small and large
 
 
 def test_sweep_path_on_large_drawing():
@@ -89,8 +129,8 @@ def test_sweep_path_on_large_drawing():
     d = draw_polyline(g)
     pieces = [(a, b) for path in d.edge_paths
               for a, b in zip(path, path[1:])]
-    assert len(pieces) > _BRUTE_LIMIT
-    assert _find_proper_intersection_sweep(pieces) is None
+    assert len(pieces) > 1200
+    assert _find_proper_intersection(pieces) is None
     rep = check_upward_planar(g, d)
     assert rep.ok
 
@@ -100,5 +140,23 @@ def test_sweep_finds_single_crossing_in_large_set():
     pieces = [((3 * i, 0), (3 * i, 5)) for i in range(800)]
     pieces.append(((-10, 1), (-4, 4)))
     pieces.append(((-10, 4), (-4, 1)))
-    hit = _find_proper_intersection_sweep(pieces)
+    hit = _find_proper_intersection(pieces)
     assert hit == (800, 801)
+
+
+def test_zero_length_pieces_validate_in_near_linear_time():
+    # a bend on the tail's own point makes a zero-length piece on every
+    # other edge; each one must cost a status lookup, not a scan
+    drawings = []
+    for n in (500, 1000, 2000):
+        g = generate_random_st_graph(GeneratorConfig(n_target=n, seed=1))
+        d = draw_polyline(g)
+        paths = tuple((a, a, c) if e % 2 == 0 else (a, c)
+                      for e, (a, c) in enumerate(d.edge_paths))
+        drawings.append((g, GridDrawing(coords=d.coords, edge_paths=paths)))
+    rep = check_upward_planar(*drawings[0])
+    assert not rep.planar
+    assert any("share a coordinate" in v for v in rep.violations)
+    ratios = doubling_ratios(lambda gd: check_upward_planar(*gd), drawings)
+    medians = [median(r) for r in ratios]
+    assert all(m <= LINEAR_GATE for m in medians), medians
