@@ -8,8 +8,8 @@ drawings on an integer grid, with an independent geometric validator.
 
 from .errors import (EdgeNotFound, FaceWithMultipleSinks, GraphFormatError,
                      MissingCoordinate, MultipleSourcesOrSinks, NotAcyclic,
-                     NotBimodal, NotPlanarEmbedding, OrderingInvalid,
-                     ParallelEdge, StGraphError, StNotOnOuterFace, TooLarge)
+                     NotPlanarEmbedding, OrderingInvalid, ParallelEdge,
+                     StGraphError, StNotOnOuterFace, TooLarge)
 from .generate import GeneratorConfig, generate_random_st_graph
 from .graph import (EmbeddedStGraph, FaceIndex, build_graph, compute_faces,
                     face_sink, reachable)
@@ -37,7 +37,6 @@ __all__ = [
     "MissingCoordinate",
     "MultipleSourcesOrSinks",
     "NotAcyclic",
-    "NotBimodal",
     "NotPlanarEmbedding",
     "OrderingInvalid",
     "ParallelEdge",

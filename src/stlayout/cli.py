@@ -13,7 +13,6 @@ import time
 
 from .errors import StGraphError
 from .generate import RNG_ALGORITHM, GeneratorConfig, generate_random_st_graph
-from .graph import compute_faces
 from .io import (drawing_from_text, drawing_to_text, graph_to_text,
                  load_graph)
 from .layout import draw_polyline, draw_straightline, emit_svg
@@ -26,7 +25,7 @@ from .validate import check_upward_planar
 
 def _cmd_check(args) -> int:
     g = load_graph(args.graph)
-    res = find_bitonic_ordering(g, compute_faces(g))
+    res = find_bitonic_ordering(g)
     if isinstance(res, RejectionWitness):
         sys.stdout.write(witness_to_text(res))
         return 1
@@ -36,7 +35,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_order(args) -> int:
     g = load_graph(args.graph)
-    res = find_bitonic_ordering(g, compute_faces(g))
+    res = find_bitonic_ordering(g)
     if isinstance(res, RejectionWitness):
         sys.stdout.write(witness_to_text(res))
         return 1
@@ -46,9 +45,8 @@ def _cmd_order(args) -> int:
 
 def _cmd_split(args) -> int:
     g = load_graph(args.graph)
-    fi = compute_faces(g)
-    plan = (transitive_split_plan(g, fi) if args.all_transitive
-            else minimum_split_plan(g, fi))
+    plan = (transitive_split_plan(g) if args.all_transitive
+            else minimum_split_plan(g))
     sys.stdout.write(plan_to_text(plan))
     return 0
 
@@ -56,7 +54,7 @@ def _cmd_split(args) -> int:
 def _cmd_draw(args) -> int:
     g = load_graph(args.graph)
     if args.mode == "straight":
-        res = find_bitonic_ordering(g, compute_faces(g))
+        res = find_bitonic_ordering(g)
         if isinstance(res, RejectionWitness):
             sys.stdout.write(witness_to_text(res))
             return 1

@@ -22,10 +22,6 @@ class NotPlanarEmbedding(StGraphError):
     or frontier contiguity fails)."""
 
 
-class NotBimodal(StGraphError):
-    pass
-
-
 class ParallelEdge(StGraphError):
     pass
 

@@ -150,7 +150,7 @@ def add_random_chords(g: EmbeddedStGraph, count: int,
             rng.shuffle(on_face)
             for x in on_face:
                 try:
-                    pos = _corner_pos_at(g, fi, f, x)
+                    pos = _corner_pos_at(g, f, x)
                 except AssertionError:
                     continue  # x has no usable corner on f (face sink)
                 targets = [y for y in on_face

@@ -64,12 +64,6 @@ class EmbeddedStGraph:
     def edges(self) -> list[tuple[VertexId, VertexId]]:
         return list(zip(self.tail, self.head))
 
-    def edge_id(self, u: VertexId, v: VertexId) -> int:
-        for e in self.out_edge_ids[u]:
-            if self.head[e] == v:
-                return e
-        raise KeyError((u, v))
-
     def has_edge(self, u: VertexId, v: VertexId) -> bool:
         return any(self.head[e] == v for e in self.out_edge_ids[u])
 
@@ -88,13 +82,18 @@ class FaceIndex:
     Faces are dart cycles; dart ``2*e`` traverses edge ``e`` from tail to
     head, dart ``2*e + 1`` the other way.  ``corner_face[e]`` is the inner
     face at the corner between out-edge ``e`` and the clockwise-next
-    out-edge of the same tail (``-1`` for the last successor).
+    out-edge ``e + 1`` of the same tail (``-1`` for the last successor).
+    ``corner_dir[e]`` is the path direction across that corner, read off
+    the face's sink: ``+1`` for a path ``head[e] ~> head[e + 1]`` (left to
+    right), ``-1`` for a path ``head[e + 1] ~> head[e]`` (right to left)
+    and ``0`` when there is no path or ``e`` is the last successor.
     """
 
     faces: tuple[tuple[int, ...], ...]
     face_source: tuple[int, ...]
     face_sink: tuple[int, ...]
     corner_face: tuple[int, ...]
+    corner_dir: tuple[int, ...]
     outer_face: int
     face_of_dart: tuple[int, ...]
 
@@ -300,11 +299,23 @@ def _classify_faces(g_n, s, t, faces, face_of_dart, tail, head,
     if t not in outer_vertices or s not in outer_vertices:
         raise StNotOnOuterFace("s and t must lie on the outer face")
 
+    # the sink of the face between two consecutive successors is the right
+    # one iff a path runs left to right, the left one iff right to left
+    corner_dir = [0] * m
+    for e, f in enumerate(corner_face):
+        if f >= 0:
+            w = face_sink[f]
+            if w == head[e + 1]:
+                corner_dir[e] = 1
+            elif w == head[e]:
+                corner_dir[e] = -1
+
     return FaceIndex(
         faces=tuple(faces),
         face_source=tuple(face_source),
         face_sink=tuple(face_sink),
         corner_face=tuple(corner_face),
+        corner_dir=tuple(corner_dir),
         outer_face=outer,
         face_of_dart=tuple(face_of_dart),
     )

@@ -102,7 +102,7 @@ def drawing_to_text(g: EmbeddedStGraph, d: GridDrawing) -> str:
 
 def drawing_from_text(text: str, g: EmbeddedStGraph) -> GridDrawing:
     coords: dict[int, tuple[int, int]] = {}
-    bends: dict[int, tuple[int, int]] = {}
+    bends: dict[tuple[int, int], tuple[int, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -111,17 +111,21 @@ def drawing_from_text(text: str, g: EmbeddedStGraph) -> GridDrawing:
         try:
             if parts[0] == "bend":
                 u, v, x, y = (int(p) for p in parts[1:])
-                bends[g.edge_id(u, v)] = (x, y)
+                bends[(u, v)] = (x, y)
             else:
                 v, x, y = (int(p) for p in parts)
                 coords[v] = (x, y)
-        except (ValueError, KeyError):
+        except ValueError:
             raise GraphFormatError(f"line {lineno}: bad drawing line") from None
     if sorted(coords) != list(range(g.n)):
         raise GraphFormatError("drawing must assign every vertex exactly once")
     cs = tuple(coords[v] for v in range(g.n))
     paths = []
     for e in range(g.m):
-        a, c = cs[g.tail[e]], cs[g.head[e]]
-        paths.append((a, bends[e], c) if e in bends else (a, c))
+        u, v = g.tail[e], g.head[e]
+        bend = bends.pop((u, v), None)
+        paths.append((cs[u], cs[v]) if bend is None else (cs[u], bend, cs[v]))
+    if bends:
+        u, v = next(iter(bends))
+        raise GraphFormatError(f"bend on ({u}, {v}), which is not an edge")
     return GridDrawing(coords=cs, edge_paths=tuple(paths))

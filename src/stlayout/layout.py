@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NonIntegerCoordinate, OrderingInvalid
-from .graph import EmbeddedStGraph, compute_faces
+from .graph import EmbeddedStGraph
 from .ordering import (BitonicOrdering, RejectionWitness,
                        find_bitonic_ordering, verify_bitonic_ordering)
 from .splitting import apply_splits, minimum_split_plan, transitive_split_plan
@@ -149,11 +149,10 @@ def draw_straightline(g: EmbeddedStGraph,
 def draw_polyline(g: EmbeddedStGraph, *, all_transitive: bool = False,
                   drop_collinear_bends: bool = True) -> GridDrawing:
     """Split, order, draw, and substitute dummies by bends."""
-    fi = compute_faces(g)
-    plan = (transitive_split_plan(g, fi) if all_transitive
-            else minimum_split_plan(g, fi))
+    plan = (transitive_split_plan(g) if all_transitive
+            else minimum_split_plan(g))
     if not plan.split_edges:
-        ord = find_bitonic_ordering(g, fi)
+        ord = find_bitonic_ordering(g)
         if isinstance(ord, RejectionWitness):
             raise AssertionError("graph without conflicts rejected")
         return draw_straightline(g, ord)
@@ -164,22 +163,20 @@ def draw_polyline(g: EmbeddedStGraph, *, all_transitive: bool = False,
         raise AssertionError("split graph unexpectedly rejected")
     base = draw_straightline(res.graph, ord)
 
+    # a split edge keeps its successor position, now held by its dummy;
+    # walking the successor lists in order visits the edges in id order
     coords = base.coords[:g.n]
-    bend_at = {res.graph.edge_id(u, d): base.coords[d]
-               for d, (u, v) in res.dummy_of.items()}
-
     paths = []
-    for e in range(g.m):
-        u, v = g.tail[e], g.head[e]
-        se = res.graph.out_edge_ids[u][e - g.out_edge_ids[u][0]]
-        if se in bend_at:
-            a, b, c = coords[u], bend_at[se], coords[v]
-            if drop_collinear_bends and _collinear(a, b, c):
+    for u in range(g.n):
+        a = coords[u]
+        for v, x in zip(g.succ[u], res.graph.succ[u]):
+            c = coords[v]
+            if x == v:
+                paths.append((a, c))
+            elif drop_collinear_bends and _collinear(a, base.coords[x], c):
                 paths.append((a, c))
             else:
-                paths.append((a, b, c))
-        else:
-            paths.append((coords[u], coords[v]))
+                paths.append((a, base.coords[x], c))
     return GridDrawing(coords=coords, edge_paths=tuple(paths),
                        splits=tuple(plan.split_edges))
 

@@ -1,20 +1,20 @@
 """Recognition of bitonic st-orderings and their computation.
 
-The recognition pass walks every successor list once, deciding the path
-direction between consecutive successors from the sink of their common
-face.  Gap edges are collected so that a plain topological sort of the
-augmented graph yields an ordering under which every successor list is
-bitonic.  A graph is rejected exactly when some successor list contains a
+The recognition pass walks every successor list once, reading the path
+direction between consecutive successors from ``FaceIndex.corner_dir``.
+Gap edges are collected so that a plain topological sort of the augmented
+graph yields an ordering under which every successor list is bitonic.
+A graph is rejected exactly when some successor list contains a
 right-to-left path followed by a left-to-right path.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from .errors import TooLarge
-from .graph import EmbeddedStGraph, FaceIndex, build_graph, compute_faces
+from .graph import (EmbeddedStGraph, _topological_order, build_graph,
+                    compute_faces)
 
 
 @dataclass(frozen=True)
@@ -68,75 +68,50 @@ def is_bitonic(seq) -> bool:
     return True
 
 
-def find_bitonic_ordering(g: EmbeddedStGraph, fi: FaceIndex | None = None):
+def find_bitonic_ordering(g: EmbeddedStGraph):
     """Recognize and order: returns a BitonicOrdering or RejectionWitness."""
-    if fi is None:
-        fi = compute_faces(g)
-    face_sink = fi.face_sink
+    fi = compute_faces(g)
+    corner_dir = fi.corner_dir
     corner_face = fi.corner_face
 
     aug: list[tuple[int, int]] = []
     aug_faces: list[int] = []
     for u in range(g.n):
         row = g.succ[u]
-        m = len(row)
-        if m < 2:
+        if len(row) < 2:
             continue
-        edge_ids = g.out_edge_ids[u]
+        e0 = g.out_edge_ids[u][0]
         decreasing = False
         first_desc = 0
-        for i in range(m - 1):
-            f = corner_face[edge_ids[i]]
-            w = face_sink[f]
-            vi, vnext = row[i], row[i + 1]
-            if w == vnext:
+        for i in range(len(row) - 1):
+            d = corner_dir[e0 + i]
+            if d > 0:
                 if decreasing:
                     return RejectionWitness(u=u, i=first_desc, j=i + 1)
-            elif w == vi:
+            elif d < 0:
                 if not decreasing:
                     decreasing = True
                     first_desc = i + 1
             else:
-                if decreasing:
-                    aug.append((vnext, vi))
-                else:
-                    aug.append((vi, vnext))
-                aug_faces.append(f)
+                vi, vnext = row[i], row[i + 1]
+                aug.append((vnext, vi) if decreasing else (vi, vnext))
+                aug_faces.append(corner_face[e0 + i])
 
-    pi = _topological_ranks(g, aug)
+    # rank by the graph's own toposort over G plus the gap edges; the gap
+    # edges are grouped by tail so that each successor list grows once
+    succ = list(g.succ)
+    in_deg = [len(ids) for ids in g.in_edge_ids_ltr]
+    extra: dict[int, list[int]] = {}
+    for a, b in aug:
+        extra.setdefault(a, []).append(b)
+        in_deg[b] += 1
+    for a, bs in extra.items():
+        succ[a] += tuple(bs)
+    pi = [0] * g.n
+    for rank, v in enumerate(_topological_order(g.n, succ, in_deg), 1):
+        pi[v] = rank
     return BitonicOrdering(pi=tuple(pi), augment_edges=tuple(aug),
                            augment_faces=tuple(aug_faces))
-
-
-def _topological_ranks(g: EmbeddedStGraph, extra_edges) -> list[int]:
-    """Deterministic (smallest-ready-vertex-first) ranks of G plus overlay."""
-    n = g.n
-    extra_succ: dict[int, list[int]] = {}
-    in_deg = [0] * n
-    for v in g.head:
-        in_deg[v] += 1
-    for a, b in extra_edges:
-        extra_succ.setdefault(a, []).append(b)
-        in_deg[b] += 1
-    ready = [v for v in range(n) if in_deg[v] == 0]
-    heapq.heapify(ready)
-    pi = [0] * n
-    rank = 0
-    while ready:
-        u = heapq.heappop(ready)
-        rank += 1
-        pi[u] = rank
-        for v in g.succ[u]:
-            in_deg[v] -= 1
-            if in_deg[v] == 0:
-                heapq.heappush(ready, v)
-        for v in extra_succ.get(u, ()):
-            in_deg[v] -= 1
-            if in_deg[v] == 0:
-                heapq.heappush(ready, v)
-    if rank != n:
-        raise AssertionError("augmented graph has a cycle")
-    return pi
 
 
 def verify_bitonic_ordering(g: EmbeddedStGraph, ord: BitonicOrdering) -> bool:
@@ -188,19 +163,17 @@ def exists_bitonic_bruteforce(g: EmbeddedStGraph, max_n: int = 10) -> bool:
     return rec(1)
 
 
-def augmented_graph(g: EmbeddedStGraph, ord: BitonicOrdering,
-                    fi: FaceIndex | None = None) -> EmbeddedStGraph:
+def augmented_graph(g: EmbeddedStGraph,
+                    ord: BitonicOrdering) -> EmbeddedStGraph:
     """Materialize G plus the gap edges in the inherited embedding.
 
     Each gap edge is inserted into the successor rotation of its tail at
     the corner where its face touches the tail.  The result is validated
     by ``build_graph``, which checks st-planarity of the augmentation.
     """
-    if fi is None:
-        fi = compute_faces(g)
     inserts: dict[int, list[tuple[int, int]]] = {}
     for (x, y), f in zip(ord.augment_edges, ord.augment_faces):
-        pos = _corner_pos_at(g, fi, f, x)
+        pos = _corner_pos_at(g, f, x)
         inserts.setdefault(x, []).append((pos, y))
     rows = [list(r) for r in g.succ]
     for x, ins in inserts.items():
@@ -209,10 +182,10 @@ def augmented_graph(g: EmbeddedStGraph, ord: BitonicOrdering,
     return build_graph(g.n, g.s, g.t, rows)
 
 
-def _corner_pos_at(g: EmbeddedStGraph, fi: FaceIndex, f: int, x: int) -> int:
+def _corner_pos_at(g: EmbeddedStGraph, f: int, x: int) -> int:
     """Successor-list position where an edge leaving ``x`` into face ``f``
     must be inserted to preserve the embedding."""
-    cycle = fi.faces[f]
+    cycle = compute_faces(g).faces[f]
     k = len(cycle)
     out_ids = g.out_edge_ids[x]
     for idx in range(k):
@@ -223,13 +196,12 @@ def _corner_pos_at(g: EmbeddedStGraph, fi: FaceIndex, f: int, x: int) -> int:
             continue
         if g.tail[e_in] == x and d_in & 1 == 1:
             # arrived at x along one of its own out-edges: insert after it
-            return out_ids.index(e_in) + 1
+            return e_in - out_ids[0] + 1
         d_out = cycle[(idx + 1) % k]
         e_out = d_out >> 1
         if g.tail[e_out] == x:
             # corner between an in-edge and the first out-edge
-            pos = out_ids.index(e_out)
-            if pos != 0:
+            if e_out != out_ids[0]:
                 raise AssertionError("in-to-out corner must precede the "
                                      "first successor")
             return 0

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import EdgeNotFound, TooLarge
-from .graph import EmbeddedStGraph, FaceIndex, build_graph, compute_faces
+from .graph import EmbeddedStGraph, build_graph, compute_faces
 from .ordering import BitonicOrdering, find_bitonic_ordering
 
 
@@ -39,88 +39,74 @@ class SplitResult:
     origin: EmbeddedStGraph
 
 
-def left_right_counts(g: EmbeddedStGraph, fi: FaceIndex, u: int):
+def _corner_dirs(g: EmbeddedStGraph, u: int) -> tuple[int, ...]:
+    """Path directions between the consecutive successors of ``u``."""
+    ids = g.out_edge_ids[u]
+    return compute_faces(g).corner_dir[ids[0]:ids[-1]] if ids else ()
+
+
+def left_right_counts(g: EmbeddedStGraph, u: int):
     """Prefix path counts over the successor list of ``u``.
 
     Returns ``(L, R)`` with ``L[h-1]`` = number of right-to-left paths and
     ``R[h-1]`` = number of left-to-right paths between consecutive
     successors strictly before position ``h`` (``h`` in ``1..m``).
     """
-    row = g.succ[u]
-    m = len(row)
-    edge_ids = g.out_edge_ids[u]
+    m = len(g.succ[u])
     L, R = [0] * m, [0] * m
-    for i in range(1, m):
-        w = fi.face_sink[fi.corner_face[edge_ids[i - 1]]]
-        L[i] = L[i - 1] + (1 if w == row[i - 1] else 0)
-        R[i] = R[i - 1] + (1 if w == row[i] else 0)
+    for i, d in enumerate(_corner_dirs(g, u), 1):
+        L[i] = L[i - 1] + (d < 0)
+        R[i] = R[i - 1] + (d > 0)
     return L, R
 
 
-def minimum_split_plan(g: EmbeddedStGraph,
-                       fi: FaceIndex | None = None) -> SplitPlan:
+def minimum_split_plan(g: EmbeddedStGraph) -> SplitPlan:
     """Smallest set of edges whose splitting admits a bitonic st-ordering.
 
     Per vertex, a running counter over the consecutive-successor path
     directions picks the apex (first position achieving the minimum), then
     the out-edges conflicting with that apex are collected.
     """
-    if fi is None:
-        fi = compute_faces(g)
-    face_sink = fi.face_sink
-    corner_face = fi.corner_face
-
     apex = [0] * g.n
     split: list[tuple[int, int]] = []
     for u in range(g.n):
         row = g.succ[u]
-        m = len(row)
-        if m == 0:
+        if not row:
             continue
-        edge_ids = g.out_edge_ids[u]
-        sinks = [face_sink[corner_face[edge_ids[i]]] for i in range(m - 1)]
+        dirs = _corner_dirs(g, u)
+        # the counter rises on right-to-left paths, falls on left-to-right
         h = 1
         c = c_min = 0
-        for i in range(2, m + 1):
-            w = sinks[i - 2]
-            if w == row[i - 2]:
-                c += 1
-            elif w == row[i - 1]:
-                c -= 1
+        for i, d in enumerate(dirs, 2):
+            c -= d
             if c < c_min:
                 c_min = c
                 h = i
         apex[u] = h
         for i in range(1, h):
-            if sinks[i - 1] == row[i - 1]:
+            if dirs[i - 1] < 0:
                 split.append((u, row[i - 1]))
-        for i in range(h, m):
-            if sinks[i - 1] == row[i]:
+        for i in range(h, len(row)):
+            if dirs[i - 1] > 0:
                 split.append((u, row[i]))
     return SplitPlan(apex=tuple(apex), split_edges=tuple(split))
 
 
-def transitive_split_plan(g: EmbeddedStGraph,
-                          fi: FaceIndex | None = None) -> SplitPlan:
+def transitive_split_plan(g: EmbeddedStGraph) -> SplitPlan:
     """Baseline: split every transitive edge (reduced-graph strategy).
 
     An out-edge is transitive iff one of its neighbouring consecutive
     successors has a path into its head; bounded by 2n-5 splits.
     """
-    if fi is None:
-        fi = compute_faces(g)
     split = []
     for u in range(g.n):
         row = g.succ[u]
-        m = len(row)
-        edge_ids = g.out_edge_ids[u]
-        sinks = [fi.face_sink[fi.corner_face[edge_ids[i]]]
-                 for i in range(m - 1)]
-        for i in range(m):
-            left = i > 0 and sinks[i - 1] == row[i]
-            right = i < m - 1 and sinks[i] == row[i]
+        dirs = _corner_dirs(g, u)
+        for i, v in enumerate(row):
+            left = i > 0 and dirs[i - 1] > 0
+            right = i < len(row) - 1 and dirs[i] < 0
             if left or right:
-                split.append((u, row[i]))
+                split.append((u, v))
     return SplitPlan(apex=tuple([0] * g.n), split_edges=tuple(split))
 
 
@@ -128,26 +114,24 @@ def apply_splits(g: EmbeddedStGraph, plan: SplitPlan) -> SplitResult:
     """Replace each planned edge (u,v) by (u,d),(d,v) with a fresh dummy.
 
     The dummy takes the split edge's position in the rotation at both
-    endpoints, so the embedding carries over unchanged.
+    endpoints, so the embedding carries over unchanged.  Dummies are
+    numbered from ``g.n`` up in the order of (tail, successor position).
     """
-    pos_of: dict[tuple[int, int], int] = {}
-    for u, v in plan.split_edges:
-        try:
-            e = g.edge_id(u, v)
-        except KeyError:
-            raise EdgeNotFound(f"({u}, {v}) is not an edge") from None
-        pos_of[(u, v)] = e - g.out_edge_ids[u][0]
-
+    planned = set(plan.split_edges)
     rows = [list(r) for r in g.succ]
     dummy_of: dict[int, tuple[int, int]] = {}
-    next_id = g.n
-    for u, v in sorted(pos_of, key=lambda uv: (uv[0], pos_of[uv])):
-        d = next_id
-        next_id += 1
-        rows[u][pos_of[(u, v)]] = d
-        rows.append([v])
-        dummy_of[d] = (u, v)
-    graph = build_graph(next_id, g.s, g.t, rows)
+    for u, row in enumerate(rows):
+        for pos, v in enumerate(row):
+            if (u, v) in planned:
+                d = g.n + len(dummy_of)
+                row[pos] = d
+                dummy_of[d] = (u, v)
+    if len(dummy_of) != len(planned):
+        found = set(dummy_of.values())
+        u, v = next(uv for uv in plan.split_edges if uv not in found)
+        raise EdgeNotFound(f"({u}, {v}) is not an edge")
+    rows += [[v] for _, v in dummy_of.values()]
+    graph = build_graph(len(rows), g.s, g.t, rows)
     return SplitResult(graph=graph, dummy_of=dummy_of, origin=g)
 
 

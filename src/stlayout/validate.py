@@ -68,7 +68,8 @@ def check_upward_planar(g: EmbeddedStGraph,
 
     bends = [p for path in d.edge_paths for p in path[1:-1]]
     nodes = list(d.coords[:g.n]) + bends
-    if len(set(nodes)) != len(nodes):
+    distinct = len(set(nodes)) == len(nodes)
+    if not distinct:
         violations.append("two vertices or bends share a coordinate")
 
     upward = True
@@ -84,7 +85,7 @@ def check_upward_planar(g: EmbeddedStGraph,
     pieces = [(a, b) for path in d.edge_paths
               for a, b in zip(path, path[1:])]
     crossing = _find_proper_intersection(pieces)
-    planar = crossing is None and len(set(nodes)) == len(nodes)
+    planar = crossing is None and distinct
     if crossing is not None:
         i, j = crossing
         violations.append(

@@ -59,6 +59,22 @@ def fan(k: int) -> EmbeddedStGraph:
     return build_graph(k, 0, t, succ)
 
 
+def zig(k: int) -> EmbeddedStGraph:
+    """One vertex whose minimum plan splits (k-1)/2 of its out-edges.
+
+    Vertices: s=0, successors 1..k of s (k odd), t=k+1.  Every even i has
+    S(i) = [i-1, i+1] and every odd i has S(i) = [t], so the paths between
+    the successors of s alternate right to left and left to right.
+    """
+    assert k >= 3 and k % 2 == 1
+    t = k + 1
+    succ = [[] for _ in range(k + 2)]
+    succ[0] = list(range(1, k + 1))
+    for i in range(1, k + 1):
+        succ[i] = [i - 1, i + 1] if i % 2 == 0 else [t]
+    return build_graph(k + 2, 0, t, succ)
+
+
 @pytest.fixture
 def seven() -> EmbeddedStGraph:
     """Frozen 7-vertex shape with chords; rejected with witness (s, 1, 3)."""

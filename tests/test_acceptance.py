@@ -76,6 +76,7 @@ def test_criterion_2_face_sink_correctness(capsys):
         desc = descendants(g)
         for u in range(g.n):
             row = g.succ[u]
+            ids = g.out_edge_ids[u]
             for i in range(1, len(row)):
                 a, b = row[i - 1], row[i]
                 w = face_sink(fi, g, u, i)
@@ -83,6 +84,10 @@ def test_criterion_2_face_sink_correctness(capsys):
                 back = bool(desc[b] >> a & 1)
                 if (w == b) != fwd or (w == a) != back:
                     bad += 1
+                if fi.corner_dir[ids[i - 1]] != fwd - back:
+                    bad += 1
+            if row and fi.corner_dir[ids[-1]] != 0:
+                bad += 1
     ok = bad == 0
     report(capsys, 2, "face-sink path decisions", ok,
            f"{len(graphs)} graphs, {bad} wrong decisions")

@@ -88,6 +88,14 @@ def test_validate_bad_drawing(tri_file, tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_validate_bend_on_non_edge_exit_2(tri_file, tmp_path, capsys):
+    for bend in ("bend 7 1 3 3", "bend -3 1 3 3"):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"0 3 0\n1 0 1\n2 1 2\n{bend}\n")
+        assert cli_main(["validate", tri_file, str(bad)]) == 2
+        assert "GraphFormatError" in capsys.readouterr().err
+
+
 def test_validate_json_report(tri_file, tmp_path, capsys):
     d = tmp_path / "d.txt"
     assert cli_main(["draw", tri_file, "--mode", "straight"]) == 0

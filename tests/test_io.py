@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
-import pytest
+from statistics import median
 
-from stlayout import (GraphFormatError, draw_polyline, drawing_from_text,
-                      drawing_to_text, graph_from_json, graph_from_text,
-                      graph_to_json, graph_to_text, load_graph)
-from conftest import corpus
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stlayout import (GraphFormatError, build_graph, draw_polyline,
+                      drawing_from_text, drawing_to_text, graph_from_json,
+                      graph_from_text, graph_to_json, graph_to_text,
+                      load_graph)
+from conftest import LINEAR_GATE, corpus, doubling_ratios, zig
 
 
 def test_text_roundtrip(f1):
@@ -73,3 +78,41 @@ def test_drawing_roundtrip(f1):
 def test_drawing_requires_all_vertices(f1):
     with pytest.raises(GraphFormatError):
         drawing_from_text("0 0 0\n1 1 1\n", f1)
+    # a bend line must name an edge: out of range, negative, reversed,
+    # and a pair of vertices without an edge
+    vertices = "".join(f"{v} {v} {v}\n" for v in range(f1.n))
+    for bend in ("bend 7 1 3 3", "bend -3 1 3 3", "bend 1 0 3 3",
+                 "bend 0 4 3 3"):
+        with pytest.raises(GraphFormatError):
+            drawing_from_text(vertices + bend + "\n", f1)
+
+
+SMALL = st.integers(-6, 8)
+VERTEX_LINE = st.builds("{} {} {}".format, SMALL, SMALL, SMALL)
+BEND_LINE = st.builds("bend {} {} {} {}".format, SMALL, SMALL, SMALL, SMALL)
+
+
+@settings(derandomize=True, database=None)
+@given(st.lists(st.tuples(SMALL, SMALL), min_size=5, max_size=5),
+       st.lists(st.one_of(VERTEX_LINE, BEND_LINE), max_size=6))
+def test_drawing_lines_parse_or_raise_format_error(coords, extra):
+    # the canonical rejected graph of the f1 fixture
+    g = build_graph(5, 0, 4, [[1, 2, 3], [4], [1, 3], [4], []])
+    lines = [f"{v} {x} {y}" for v, (x, y) in enumerate(coords)] + extra
+    try:
+        d = drawing_from_text("\n".join(lines) + "\n", g)
+    except GraphFormatError:
+        return
+    assert len(d.coords) == g.n and len(d.edge_paths) == g.m
+
+
+def test_drawing_from_text_many_bends_at_one_vertex_linear():
+    graphs = [zig(k) for k in (1001, 2001, 4001, 8001)]
+    inputs = [(drawing_to_text(g, draw_polyline(g,
+                                                drop_collinear_bends=False)),
+               g) for g in graphs]
+    # every one of the (k-1)/2 split out-edges of s carries a bend line
+    assert all(text.count("bend") == (g.n - 3) // 2 for text, g in inputs)
+    ratios = doubling_ratios(lambda arg: drawing_from_text(*arg), inputs)
+    medians = [median(r) for r in ratios]
+    assert all(m <= LINEAR_GATE for m in medians), medians

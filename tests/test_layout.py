@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from statistics import median
+
 import pytest
 
 from stlayout import (BitonicOrdering, OrderingInvalid, check_bounds,
                       check_upward_planar, draw_polyline, draw_straightline,
                       emit_svg, find_bitonic_ordering)
-from conftest import corpus, fan
+from conftest import LINEAR_GATE, corpus, doubling_ratios, fan, zig
 
 
 def test_triangle_coordinates(triangle):
@@ -96,3 +98,11 @@ def test_drawing_is_deterministic(sixteen):
     b = draw_polyline(sixteen)
     assert a.coords == b.coords and a.edge_paths == b.edge_paths
     assert emit_svg(a) == emit_svg(b)
+
+
+def test_many_splits_at_one_vertex_draw_in_linear_time():
+    # the split edges all leave one vertex, so any per-edge scan of its
+    # successor list makes the fold quadratic
+    graphs = [zig(k) for k in (1001, 2001, 4001, 8001)]
+    medians = [median(r) for r in doubling_ratios(draw_polyline, graphs)]
+    assert all(m <= LINEAR_GATE for m in medians), medians

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from stlayout import (BitonicOrdering, EdgeNotFound, apply_splits,
-                      build_graph, compute_faces, find_bitonic_ordering,
+                      build_graph, find_bitonic_ordering,
                       minimum_split_plan, minimum_splits_bruteforce,
                       reachable, transitive_split_plan)
 from stlayout.splitting import SplitPlan, left_right_counts, plan_to_text
@@ -25,8 +25,7 @@ def test_f1_plan(f1):
 
 
 def test_f1_left_right_counts(f1):
-    fi = compute_faces(f1)
-    L, R = left_right_counts(f1, fi, 0)
+    L, R = left_right_counts(f1, 0)
     assert L == [0, 1, 1]
     assert R == [0, 0, 1]
 
@@ -39,9 +38,11 @@ def test_apply_splits_f1(f1):
 
 
 def test_apply_splits_missing_edge(triangle):
-    plan = SplitPlan(apex=(0, 0, 0), split_edges=((1, 0),))
-    with pytest.raises(EdgeNotFound):
-        apply_splits(triangle, plan)
+    # a reversed edge, a negative tail and a tail beyond the last vertex
+    for pair in ((1, 0), (-3, 1), (5, 1)):
+        plan = SplitPlan(apex=(0, 0, 0), split_edges=((0, 1), pair))
+        with pytest.raises(EdgeNotFound):
+            apply_splits(triangle, plan)
 
 
 def test_split_graph_always_accepted():
@@ -69,7 +70,7 @@ def test_minimum_not_larger_than_transitive_baseline():
 def test_transitive_baseline_splits_only_transitive_edges():
     for g in corpus(sizes=(8, 15), seeds=range(8)):
         for u, v in transitive_split_plan(g).split_edges:
-            e = g.edge_id(u, v)
+            assert v in g.succ[u]
             others = [w for w in g.succ[u] if w != v]
             assert any(reachable(g, w, v) for w in others)
 
