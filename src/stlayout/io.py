@@ -111,12 +111,15 @@ def drawing_from_text(text: str, g: EmbeddedStGraph) -> GridDrawing:
         try:
             if parts[0] == "bend":
                 u, v, x, y = (int(p) for p in parts[1:])
-                bends[(u, v)] = (x, y)
+                key, seen, what = (u, v), bends, "bend on"
             else:
                 v, x, y = (int(p) for p in parts)
-                coords[v] = (x, y)
+                key, seen, what = v, coords, "vertex"
         except ValueError:
             raise GraphFormatError(f"line {lineno}: bad drawing line") from None
+        if key in seen:
+            raise GraphFormatError(f"line {lineno}: duplicate {what} {key}")
+        seen[key] = (x, y)
     if sorted(coords) != list(range(g.n)):
         raise GraphFormatError("drawing must assign every vertex exactly once")
     cs = tuple(coords[v] for v in range(g.n))

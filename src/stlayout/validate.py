@@ -2,20 +2,22 @@
 
 The checks here never reuse the layout machinery: upwardness is read off
 the edge paths directly and planarity is decided by exact integer segment
-predicates.  One plane sweep checks every drawing, whatever its size: it
-only ever tests neighbouring pieces, and it looks each zero-length piece
-up in the sweep status instead of testing it against every other piece.
+predicates.  One plane sweep checks every drawing, whatever its size.  It
+visits once each grid point where a piece starts or ends, locates it in
+the sweep status with one bisect on an exact integer key, removes the
+pieces that end there and inserts those that start there as whole
+slices, and tests only the pieces that became neighbours.  A zero-length
+piece costs that lookup and nothing else.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from sortedcontainers import SortedList
-
 from .errors import MissingCoordinate
-from .geometry import on_segment, segments_properly_intersect
+from .geometry import segments_properly_intersect
 from .graph import EmbeddedStGraph
 from .layout import GridDrawing
 
@@ -125,107 +127,145 @@ def check_bounds(d: GridDrawing, n: int, mode: str) -> bool:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-class _ActiveSeg:
-    """A piece on the sweep status line, ordered by x at the sweep height.
-
-    Coordinates are sheared so that the second coordinate strictly
-    increases along every piece; ties on x are broken by slope, then by
-    piece index, which makes the order total.
-    """
-
-    __slots__ = ("x1", "y1", "x2", "y2", "idx", "cur")
-
-    def __init__(self, x1, y1, x2, y2, idx, cur):
-        self.x1, self.y1, self.x2, self.y2 = x1, y1, x2, y2
-        self.idx = idx
-        self.cur = cur  # shared one-element list holding the sweep height
-
-    def __lt__(self, other):
-        y, phase = self.cur
-        da, db = self.y2 - self.y1, other.y2 - other.y1
-        lhs = (self.x1 * da + (self.x2 - self.x1) * (y - self.y1)) * db
-        rhs = (other.x1 * db + (other.x2 - other.x1) * (y - other.y1)) * da
-        if lhs != rhs:
-            return lhs < rhs
-        # pieces meeting the sweep line at the same point: just above it
-        # they fan out by ascending slope, just below by descending slope.
-        # Removal events look downward, insertions upward.
-        sa = (self.x2 - self.x1) * db
-        sb = (other.x2 - other.x1) * da
-        if sa != sb:
-            return sa < sb if phase > 0 else sa > sb
-        return self.idx < other.idx
+_BLOCK = 256  # status block size; a block is split past twice this
 
 
-def _proper(a: _ActiveSeg, b: _ActiveSeg):
-    if segments_properly_intersect((a.x1, a.y1), (a.x2, a.y2),
-                                   (b.x1, b.y1), (b.x2, b.y2)):
-        return (a.idx, b.idx) if a.idx < b.idx else (b.idx, a.idx)
-    return None
+def _chunks(pieces):
+    return [pieces[i:i + _BLOCK] for i in range(0, len(pieces), _BLOCK)]
 
 
 def _find_proper_intersection(pieces):
     """Index pair of some properly intersecting pieces, or None.
 
-    Neighbour-testing plane sweep (Shamos & Hoey, intersection existence).
-    Pieces are sheared by (x, y) -> (x, y*K + x) with K wider than the
-    x-range; the shear is linear and invertible, so proper intersections
-    and shared endpoints are preserved, every non-degenerate piece becomes
-    strictly monotone in the sweep coordinate, and distinct points get
-    distinct sweep heights.  The status line keeps active pieces sorted by
-    x; only pieces that become neighbours are tested, which is sufficient
-    to detect whether any proper intersection exists at all.
+    Neighbour-testing plane sweep (Shamos & Hoey, intersection existence),
+    batched by grid point.  Pieces are sheared by
+    (x, y) -> (x, y*K + x - min x) with K wider than the x-range: the map
+    is linear up to a translation and invertible, so proper intersections
+    and shared endpoints are preserved, every piece of nonzero length is
+    strictly monotone in the sweep coordinate, horizontal ones included,
+    and each sweep height holds at most one grid point, whose x is the
+    height mod K.
 
-    A zero-length piece is a query at its own sweep height, after the
-    removals and before the insertions there, so every active piece spans
-    that height strictly and passes through the point only in its
-    interior.  Pieces through the point are adjacent in the status, so
-    testing the two neighbours of the point's position is enough.
+    The status holds the active pieces in x order at the sweep height.  At
+    each endpoint height Y, with grid point p:
+
+    1. one bisect (over the blocks, then within one) finds the first
+       piece whose x at Y is at least p's x.  Its key, the floor of that
+       x, is an exact integer, and floor(x) >= x(p) exactly when
+       x >= x(p).  The pieces through p follow it as ties, and they are
+       all that p's removals, insertions and zero-length pieces touch,
+       so no other search is needed;
+    2. every tie must end at p: one that does not passes through p's
+       interior and properly meets any piece with an endpoint at p;
+    3. the ties leave the status as one slice;
+    4. the pieces starting at p enter it as one block sorted by slope,
+       and two equal slopes there are a collinear overlap;
+    5. only the pairs that became adjacent are tested: the pieces either
+       side of the removed ties, or either side of the inserted block.
+
+    Pieces starting at one point meet nowhere else unless their slopes
+    are equal, so pairs inside a block need no test.  As long as nothing
+    was reported, the status order is the true order just below Y, and
+    the lowest proper intersection is either a crossing of two pieces
+    that were neighbours since an earlier point, or a point p handled by
+    steps 2 and 4.
+
+    The status is a list of blocks of about ``_BLOCK`` pieces, so a slice
+    removal or insertion moves O(block) entries, not O(status); a plain
+    list would move tens of thousands at every point of a large drawing.
     """
     if len(pieces) <= 1:
         return None
     xs = [p[0] for seg in pieces for p in seg]
-    K = max(xs) - min(xs) + 1
-    cur = [0, 1]  # sweep height and phase (+1 insertion, -1 otherwise)
-    events = []  # (height, kind, idx, piece): 0 removal, 1 query, 2 insert
+    x0 = min(xs)
+    K = max(xs) - x0 + 1
+    starts = {}  # height -> (A, dx, dy, end height, idx) of pieces from it
+    heights = set()
     for idx, (a, b) in enumerate(pieces):
-        sa = (a[0], a[1] * K + a[0])
-        sb = (b[0], b[1] * K + b[0])
-        if sa[1] > sb[1]:
-            sa, sb = sb, sa
-        if sa == sb:
-            # a unit-high vertical probe compares by x at the query height
-            probe = _ActiveSeg(sa[0], sa[1], sa[0], sa[1] + 1, idx, cur)
-            events.append((sa[1], 1, idx, probe))
+        ya = a[1] * K + a[0] - x0
+        yb = b[1] * K + b[0] - x0
+        if ya > yb:
+            a, b, ya, yb = b, a, yb, ya
+        heights.add(ya)
+        if ya == yb:
             continue
-        s = _ActiveSeg(sa[0], sa[1], sb[0], sb[1], idx, cur)
-        events.append((sb[1], 0, idx, s))
-        events.append((sa[1], 2, idx, s))
-    events.sort(key=lambda ev: ev[:3])
+        heights.add(yb)
+        dx, dy = b[0] - a[0], yb - ya
+        # x at height Y is (A + dx*Y) / dy
+        starts.setdefault(ya, []).append(
+            (a[0] * dy - dx * ya, dx, dy, yb, idx))
+    heights = sorted(heights)
+    # slopes dx/dy with dy <= span differ by at least 1/span^2, so this
+    # integer key orders them exactly
+    slope_scale = (heights[-1] - heights[0]) ** 2
 
-    status = SortedList()
-    for y, kind, _, s in events:
-        cur[0] = y
-        cur[1] = 1 if kind == 2 else -1
-        if kind == 2:
-            status.add(s)
-            i = status.index(s)
-            for j in (i - 1, i + 1):
-                if 0 <= j < len(status) and status[j] is not s:
-                    bad = _proper(s, status[j])
-                    if bad:
-                        return bad
-        elif kind == 1:
-            i = status.bisect_left(s)
-            p = (s.x1, s.y1)
-            for t in status[max(i - 1, 0):i + 1]:
-                if on_segment((t.x1, t.y1), (t.x2, t.y2), p):
-                    return min(s.idx, t.idx), max(s.idx, t.idx)
+    def pair(i, j):
+        return (i, j) if i < j else (j, i)
+
+    def floor_x(r):  # floor of r's x at the current sweep height Y
+        return (r[0] + r[1] * Y) // r[2]
+
+    blocks = []
+    for Y in heights:
+        px = x0 + Y % K
+        bi = k = 0
+        if blocks:
+            bi = bisect_left(blocks, px, key=lambda b: floor_x(b[-1]))
+            if bi == len(blocks):
+                bi -= 1
+                k = len(blocks[bi])
+            else:
+                k = bisect_left(blocks[bi], px, key=floor_x)
+        left = (blocks[bi][k - 1] if k else
+                blocks[bi - 1][-1] if bi else None)
+
+        bj, kj = bi, k  # end of the ties, the pieces with x exactly px
+        while bj < len(blocks):
+            blk = blocks[bj]
+            while kj < len(blk):
+                A, dx, dy, end, idx = blk[kj]
+                if A + dx * Y != px * dy:
+                    break
+                if end != Y:
+                    p = (px, Y // K)
+                    return pair(idx, next(i for i, seg in enumerate(pieces)
+                                          if p in seg))
+                kj += 1
+            if kj < len(blk):
+                break
+            bj, kj = bj + 1, 0
+        right = blocks[bj][kj] if bj < len(blocks) else None
+
+        new = starts.get(Y, [])
+        if len(new) > 1:
+            keyed = sorted((r[1] * slope_scale // r[2], r) for r in new)
+            for (ka, ra), (kb, rb) in zip(keyed, keyed[1:]):
+                if ka == kb:
+                    return pair(ra[4], rb[4])
+            new = [r for _, r in keyed]
+
+        if bi == bj < len(blocks):
+            blk = blocks[bi]
+            blk[k:kj] = new
+            if not blk:
+                del blocks[bi]
+            elif len(blk) > 2 * _BLOCK:
+                blocks[bi:bi + 1] = _chunks(blk)
+        else:  # the scan crossed a block end, or the status is empty
+            rest = (blocks[bi][:k] if blocks else []) + new
+            if bj < len(blocks):
+                rest += blocks[bj][kj:]
+            blocks[bi:bj + 1] = _chunks(rest)
+
+        if new:
+            pairs = ((left, new[0]), (new[-1], right))
+        elif (bj, kj) != (bi, k):
+            pairs = ((left, right),)
         else:
-            i = status.index(s)
-            status.remove(s)
-            if 0 < i < len(status):
-                bad = _proper(status[i - 1], status[i])
-                if bad:
-                    return bad
+            pairs = ()
+        for r, s in pairs:
+            if (r is not None and s is not None
+                    and segments_properly_intersect(*pieces[r[4]],
+                                                    *pieces[s[4]])):
+                return pair(r[4], s[4])
     return None

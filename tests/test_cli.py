@@ -96,6 +96,13 @@ def test_validate_bend_on_non_edge_exit_2(tri_file, tmp_path, capsys):
         assert "GraphFormatError" in capsys.readouterr().err
 
 
+def test_validate_repeated_drawing_line_exit_2(tri_file, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0 3 0\n1 0 1\n2 1 2\n0 9 9\n")
+    assert cli_main(["validate", tri_file, str(bad)]) == 2
+    assert "line 4: duplicate vertex 0" in capsys.readouterr().err
+
+
 def test_validate_json_report(tri_file, tmp_path, capsys):
     d = tmp_path / "d.txt"
     assert cli_main(["draw", tri_file, "--mode", "straight"]) == 0

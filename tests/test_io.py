@@ -75,9 +75,14 @@ def test_drawing_roundtrip(f1):
     assert d2.edge_paths == d.edge_paths
 
 
-def test_drawing_requires_all_vertices(f1):
+def test_drawing_requires_all_vertices(f1, triangle):
     with pytest.raises(GraphFormatError):
         drawing_from_text("0 0 0\n1 1 1\n", f1)
+    # each vertex and each bent edge is given exactly once
+    drawn = "0 3 0\n1 0 1\n2 1 2\n"
+    for repeat in ("0 9 9\n", "bend 0 2 2 1\nbend 0 2 2 2\n"):
+        with pytest.raises(GraphFormatError, match="line [45]: duplicate"):
+            drawing_from_text(drawn + repeat, triangle)
     # a bend line must name an edge: out of range, negative, reversed,
     # and a pair of vertices without an edge
     vertices = "".join(f"{v} {v} {v}\n" for v in range(f1.n))

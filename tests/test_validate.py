@@ -6,11 +6,14 @@ import random
 from statistics import median
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stlayout import (GeneratorConfig, GridDrawing, MissingCoordinate,
                       check_bounds, check_upward_planar, draw_polyline,
                       find_bitonic_ordering, draw_straightline,
                       generate_random_st_graph)
+from stlayout import validate
 from stlayout.geometry import segments_properly_intersect
 from stlayout.validate import _find_proper_intersection
 from conftest import LINEAR_GATE, corpus, doubling_ratios
@@ -102,7 +105,11 @@ def _random_pieces(rng, k, side, zero_share, reach=None):
     return pieces
 
 
-def test_sweep_matches_bruteforce_on_random_pieces():
+@pytest.mark.parametrize("block", [validate._BLOCK, 2],
+                         ids=["real-block", "block-2"])
+def test_sweep_matches_bruteforce_on_random_pieces(monkeypatch, block):
+    # at block size 2 most status changes cross a block boundary
+    monkeypatch.setattr(validate, "_BLOCK", block)
     rng = random.Random(42)
     sets = [_random_pieces(rng, rng.randrange(2, 12), 8, 0.0)
             for _ in range(600)]
@@ -122,6 +129,21 @@ def test_sweep_matches_bruteforce_on_random_pieces():
             assert segments_properly_intersect(*pieces[i], *pieces[j])
         verdicts.add((len(pieces) >= 12, brute is None))
     assert len(verdicts) == 4  # both verdicts occur, small and large
+
+
+GRID_POINT = st.tuples(st.integers(0, 5), st.integers(0, 5))
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(st.lists(st.one_of(
+    st.tuples(GRID_POINT, GRID_POINT),
+    GRID_POINT.map(lambda p: (p, p))), max_size=12))  # zero-length too
+def test_sweep_verdict_matches_bruteforce_property(pieces):
+    sweep = _find_proper_intersection(pieces)
+    assert (sweep is None) == (all_pairs_intersection(pieces) is None)
+    if sweep is not None:
+        i, j = sweep
+        assert segments_properly_intersect(*pieces[i], *pieces[j])
 
 
 def test_sweep_path_on_large_drawing():
