@@ -6,23 +6,21 @@ of edges when it does not, and produce straight-line or poly-line
 drawings on an integer grid, with an independent geometric validator.
 """
 
-from .errors import (EdgeNotFound, FaceWithMultipleSinks, GraphFormatError,
-                     MissingCoordinate, MultipleSourcesOrSinks, NotAcyclic,
-                     NotPlanarEmbedding, OrderingInvalid, ParallelEdge,
-                     StGraphError, StNotOnOuterFace, TooLarge)
+from .errors import (EdgeNotFound, GraphFormatError, MissingCoordinate,
+                     MultipleSourcesOrSinks, NotAcyclic, NotPlanarEmbedding,
+                     OrderingInvalid, ParallelEdge, StGraphError)
 from .generate import GeneratorConfig, generate_random_st_graph
 from .graph import (EmbeddedStGraph, FaceIndex, build_graph, compute_faces,
-                    face_sink, reachable)
+                    reachable)
 from .io import (drawing_from_text, drawing_to_text, graph_from_json,
                  graph_from_text, graph_to_json, graph_to_text, load_graph)
 from .layout import (GridDrawing, draw_polyline, draw_straightline,
                      emit_svg)
 from .ordering import (BitonicOrdering, RejectionWitness,
-                       exists_bitonic_bruteforce, find_bitonic_ordering,
-                       is_bitonic, verify_bitonic_ordering)
+                       find_bitonic_ordering, is_bitonic,
+                       verify_bitonic_ordering)
 from .splitting import (SplitPlan, SplitResult, apply_splits,
-                        minimum_split_plan, minimum_splits_bruteforce,
-                        transitive_split_plan)
+                        minimum_split_plan, transitive_split_plan)
 from .validate import ValidationReport, check_bounds, check_upward_planar
 
 __all__ = [
@@ -30,7 +28,6 @@ __all__ = [
     "EdgeNotFound",
     "EmbeddedStGraph",
     "FaceIndex",
-    "FaceWithMultipleSinks",
     "GeneratorConfig",
     "GraphFormatError",
     "GridDrawing",
@@ -44,8 +41,6 @@ __all__ = [
     "SplitPlan",
     "SplitResult",
     "StGraphError",
-    "StNotOnOuterFace",
-    "TooLarge",
     "ValidationReport",
     "apply_splits",
     "build_graph",
@@ -57,8 +52,6 @@ __all__ = [
     "drawing_from_text",
     "drawing_to_text",
     "emit_svg",
-    "exists_bitonic_bruteforce",
-    "face_sink",
     "find_bitonic_ordering",
     "generate_random_st_graph",
     "graph_from_json",
@@ -68,7 +61,6 @@ __all__ = [
     "is_bitonic",
     "load_graph",
     "minimum_split_plan",
-    "minimum_splits_bruteforce",
     "reachable",
     "transitive_split_plan",
     "verify_bitonic_ordering",

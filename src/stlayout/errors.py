@@ -18,30 +18,16 @@ class MultipleSourcesOrSinks(StGraphError):
 
 
 class NotPlanarEmbedding(StGraphError):
-    """The successor lists do not describe a planar embedding (Euler check
-    or frontier contiguity fails)."""
+    """The successor lists do not describe a planar embedding: the incoming
+    edges of some vertex are not contiguous on the sweep's frontier."""
 
 
 class ParallelEdge(StGraphError):
     pass
 
 
-class StNotOnOuterFace(StGraphError):
-    pass
-
-
-class FaceWithMultipleSinks(StGraphError):
-    """An inner face has more than one source or sink, so the embedding is
-    not that of a planar st-graph."""
-
-
 class EdgeNotFound(StGraphError):
     pass
-
-
-class TooLarge(StGraphError):
-    """A brute-force oracle was asked to process an instance beyond its
-    configured size bound."""
 
 
 class OrderingInvalid(StGraphError):

@@ -149,10 +149,9 @@ def add_random_chords(g: EmbeddedStGraph, count: int,
                              | {g.head[d >> 1] for d in fi.faces[f]})
             rng.shuffle(on_face)
             for x in on_face:
-                try:
-                    pos = _corner_pos_at(g, f, x)
-                except AssertionError:
-                    continue  # x has no usable corner on f (face sink)
+                pos = _corner_pos_at(g, f, x)
+                if pos < 0:
+                    continue  # x is the sink of f: no corner to leave from
                 targets = [y for y in on_face
                            if y != x and not g.has_edge(x, y)
                            and not reachable(g, y, x)]

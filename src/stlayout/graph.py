@@ -1,35 +1,30 @@
 """Embedded planar st-graphs: construction, validation and face structure.
 
 A graph is described by its clockwise successor lists alone.  The incoming
-edge order at every vertex (and with it the full rotation system) is derived
-during construction by sweeping the vertices in topological order while
-maintaining the left-to-right frontier of pending edges.  Face cycles are
-then traced from the rotation system and all defining invariants of a planar
-st-graph are checked:
+edge order at every vertex (and with it the full rotation system) and the
+faces are derived in one sweep over the vertices in topological order,
+which maintains the left-to-right frontier of pending edges.  The checks:
 
-  * acyclic, single source ``s``, single sink ``t``
   * no self-loops, no parallel edges
-  * the traced faces satisfy Euler's formula
-  * every inner face has exactly one face-source and one face-sink
-  * ``t`` lies on the outer face (``s`` does by convention: the outer face
-    is the one at the wrap-around corner of ``s``)
+  * single source ``s``, single sink ``t``
+  * acyclic
+  * the incoming edges of every vertex are contiguous on the frontier when
+    it is placed
+
+A passing sweep draws the graph upward and planar, so every inner face has
+exactly one source and one sink, ``s`` and ``t`` lie on the outer face and
+Euler's formula holds; see :func:`_frontier_sweep`.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
 
-from .errors import (
-    FaceWithMultipleSinks,
-    GraphFormatError,
-    MultipleSourcesOrSinks,
-    NotAcyclic,
-    NotPlanarEmbedding,
-    ParallelEdge,
-    StGraphError,
-    StNotOnOuterFace,
-)
+from .errors import (GraphFormatError, MultipleSourcesOrSinks, NotAcyclic,
+                     NotPlanarEmbedding, ParallelEdge)
 
 VertexId = int
 
@@ -79,17 +74,19 @@ class EmbeddedStGraph:
 class FaceIndex:
     """Face structure of an embedded planar st-graph.
 
-    Faces are dart cycles; dart ``2*e`` traverses edge ``e`` from tail to
-    head, dart ``2*e + 1`` the other way.  ``corner_face[e]`` is the inner
-    face at the corner between out-edge ``e`` and the clockwise-next
-    out-edge ``e + 1`` of the same tail (``-1`` for the last successor).
-    ``corner_dir[e]`` is the path direction across that corner, read off
-    the face's sink: ``+1`` for a path ``head[e] ~> head[e + 1]`` (left to
-    right), ``-1`` for a path ``head[e + 1] ~> head[e]`` (right to left)
-    and ``0`` when there is no path or ``e`` is the last successor.
+    Dart ``2*e`` traverses edge ``e`` from tail to head with the face
+    ``face_of_dart[2*e]`` on its left; dart ``2*e + 1`` traverses it back,
+    and ``face_of_dart[2*e + 1]`` is the face right of ``e``.  Faces are
+    numbered in the order of their first dart.  The outer face has no
+    source or sink (``-1``).  ``corner_face[e]`` is the inner face at the
+    corner between out-edge ``e`` and the clockwise-next out-edge ``e + 1``
+    of the same tail (``-1`` for the last successor).  ``corner_dir[e]``
+    is the path direction across that corner, read off the face's sink:
+    ``+1`` for a path ``head[e] ~> head[e + 1]`` (left to right), ``-1``
+    for a path ``head[e + 1] ~> head[e]`` (right to left) and ``0`` when
+    there is no path or ``e`` is the last successor.
     """
 
-    faces: tuple[tuple[int, ...], ...]
     face_source: tuple[int, ...]
     face_sink: tuple[int, ...]
     corner_face: tuple[int, ...]
@@ -97,8 +94,17 @@ class FaceIndex:
     outer_face: int
     face_of_dart: tuple[int, ...]
 
+    @cached_property
+    def faces(self) -> tuple[tuple[int, ...], ...]:
+        """The darts of each face, in increasing id order."""
+        darts = [[] for _ in self.face_source]
+        for d, f in enumerate(self.face_of_dart):
+            darts[f].append(d)
+        return tuple(map(tuple, darts))
+
     def inner_faces(self) -> list[int]:
-        return [f for f in range(len(self.faces)) if f != self.outer_face]
+        return [f for f in range(len(self.face_source))
+                if f != self.outer_face]
 
 
 def _check_basic(n, s, t, out_rotation):
@@ -138,187 +144,92 @@ def _topological_order(n, succ, in_deg):
     return order
 
 
-def _derive_in_order(n, s, out_edge_ids, head, order, in_deg):
-    """Left-to-right incoming edge order per vertex, via a frontier sweep.
+def _frontier_sweep(n, s, tail, head, out_edge_ids, order, in_deg):
+    """Incoming edge order and face structure, in one frontier sweep.
 
     The frontier holds the pending edges (tail placed, head not) from left
-    to right as a doubly linked list over edge ids.  The incoming edges of
-    the next vertex must form a contiguous block; its left-to-right order
-    is the derived predecessor order.
+    to right as a doubly linked list over edge ids.  Each gap between two
+    adjacent frontier edges is an open face; the gap left of the leftmost
+    and right of the rightmost edge is the outer face.  Placing ``v``
+    requires its incoming edges to form one contiguous block, whose
+    left-to-right order is the derived predecessor order.  The gaps inside
+    the block close with sink ``v``; the out-edges of ``v`` replace the
+    block, and the gap between out-edges ``e`` and ``e + 1`` opens with
+    source ``v``.  Out-edges of one tail have consecutive ids, so that gap
+    is named by ``e``, its corner, and the outer face by ``m``.
+
+    A passing sweep yields a planar st-graph embedding.  It builds an
+    upward drawing: every vertex is placed above the frontier line and
+    joined to a contiguous block of it, so no two edges cross.  ``s`` is
+    the only vertex without in-edges and comes first; every other vertex
+    has an out-edge, so the frontier stays non-empty until ``t``, which
+    comes last and closes the whole frontier.  Hence every inner face
+    opens once, at its source corner, and closes once, at its sink; the
+    outer face holds ``s`` and ``t``; and there are ``1 + sum(outdeg - 1)
+    = m - n + 2`` faces, as Euler's formula requires.  The faces of the
+    rotation system (out-edges clockwise, then in-edges right to left)
+    are exactly these gaps: dart ``2e`` runs along the gap left of ``e``,
+    dart ``2e + 1`` along the gap right of it.
     """
     m = len(head)
-    nxt = [-1] * m
-    prv = [-1] * m
+    outer = m
+    # the out-edges of one tail start linked to each other and to their
+    # corner gaps; placing the tail only sets the two ends of the run
+    nxt = list(range(1, m + 1))
+    prv = list(range(-1, m - 1))
+    lgap = list(range(-1, m - 1))
+    rgap = list(range(m))
+    sink = [-1] * (m + 1)
+    corner_dir = [0] * m
     in_ltr = [()] * n
-    some_edge_into = [-1] * n
+    some_edge_into = dict(zip(head, range(m)))
 
-    out = out_edge_ids[s]
-    for a, b in zip(out, out[1:]):
-        nxt[a], prv[b] = b, a
-    for e in out:
-        some_edge_into[head[e]] = e
-
-    for v in order:
-        if v == order[0]:
-            if v != s:
-                raise MultipleSourcesOrSinks(
-                    f"vertex {v} has in-degree 0 but is not s")
-            continue
-        if in_deg[v] == 0:
-            raise MultipleSourcesOrSinks(
-                f"vertex {v} has in-degree 0 but is not s")
-        e0 = some_edge_into[v]
-        lo = e0
-        while prv[lo] >= 0 and head[prv[lo]] == v:
-            lo = prv[lo]
-        hi = e0
-        while nxt[hi] >= 0 and head[nxt[hi]] == v:
-            hi = nxt[hi]
+    ids = out_edge_ids[s]
+    prv[ids[0]] = nxt[ids[-1]] = -1
+    lgap[ids[0]] = rgap[ids[-1]] = outer
+    for v in order[1:]:
+        lo = some_edge_into[v]
+        left = prv[lo]
+        while left >= 0 and head[left] == v:
+            lo = left
+            left = prv[lo]
         block = [lo]
-        while block[-1] != hi:
-            block.append(nxt[block[-1]])
+        right = nxt[lo]
+        while right >= 0 and head[right] == v:
+            g = rgap[block[-1]]
+            sink[g] = v
+            corner_dir[g] = (head[g + 1] == v) - (head[g] == v)
+            block.append(right)
+            right = nxt[right]
         if len(block) != in_deg[v]:
             raise NotPlanarEmbedding(
                 f"incoming edges of {v} are not consecutive on the frontier")
         in_ltr[v] = tuple(block)
-        left, right = prv[lo], nxt[hi]
-        repl = out_edge_ids[v]
-        if repl:
-            f0, f1 = repl[0], repl[-1]
-            for a, b in zip(repl, repl[1:]):
-                nxt[a], prv[b] = b, a
+        ids = out_edge_ids[v]
+        if ids:
+            f0, f1 = ids[0], ids[-1]
             prv[f0], nxt[f1] = left, right
+            lgap[f0], rgap[f1] = lgap[lo], rgap[block[-1]]
             if left >= 0:
                 nxt[left] = f0
             if right >= 0:
                 prv[right] = f1
-            for e in repl:
-                some_edge_into[head[e]] = e
-        else:
-            if left >= 0:
-                nxt[left] = right
-            if right >= 0:
-                prv[right] = left
-    return in_ltr
 
-
-def _trace_faces(n, s, out_edge_ids, in_ltr, tail, head):
-    """Trace all face cycles of the rotation system.
-
-    Full clockwise rotation at ``v`` = out-edges, then incoming edges from
-    right to left.  Following a dart into ``v``, the face continues along
-    the clockwise-next edge at ``v``.
-    """
-    m = len(tail)
-    rot_pos_tail = [0] * m
-    rot_pos_head = [0] * m
-    rot = [None] * n
-    for v in range(n):
-        out = out_edge_ids[v]
-        inc = in_ltr[v][::-1]
-        r = list(out) + list(inc)
-        rot[v] = r
-        for i, e in enumerate(out):
-            rot_pos_tail[e] = i
-        base = len(out)
-        for i, e in enumerate(inc):
-            rot_pos_head[e] = base + i
-
-    face_of_dart = [-1] * (2 * m)
-    faces = []
-    for start in range(2 * m):
-        if face_of_dart[start] >= 0:
-            continue
-        fid = len(faces)
-        cycle = []
-        d = start
-        while face_of_dart[d] < 0:
-            face_of_dart[d] = fid
-            cycle.append(d)
-            e = d >> 1
-            w = head[e] if d & 1 == 0 else tail[e]
-            pos = rot_pos_head[e] if d & 1 == 0 else rot_pos_tail[e]
-            r = rot[w]
-            e2 = r[(pos + 1) % len(r)]
-            d = 2 * e2 if tail[e2] == w else 2 * e2 + 1
-        faces.append(tuple(cycle))
-    return faces, face_of_dart
-
-
-def _classify_faces(g_n, s, t, faces, face_of_dart, tail, head,
-                    out_edge_ids, m):
-    """Outer-face identification, per-face source/sink, corner lookup."""
-    e_last = out_edge_ids[s][-1]
-    outer = face_of_dart[2 * e_last + 1]
-
-    if g_n - m + len(faces) != 2:
-        raise NotPlanarEmbedding(
-            f"Euler check failed: n={g_n} m={m} f={len(faces)}")
-
-    face_source = [-1] * len(faces)
-    face_sink = [-1] * len(faces)
-    corner_face = [-1] * m
-    outer_vertices = set()
-
-    for fid, cycle in enumerate(faces):
-        k = len(cycle)
-        for idx in range(k):
-            d_in = cycle[idx]
-            d_out = cycle[(idx + 1) % k]
-            e_in = d_in >> 1
-            w = head[e_in] if d_in & 1 == 0 else tail[e_in]
-            if fid == outer:
-                outer_vertices.add(w)
-            e_out = d_out >> 1
-            in_points_in = head[e_in] == w  # true directed edge enters w
-            out_points_out = tail[e_out] == w
-            if (not in_points_in) and out_points_out:
-                # corner between two consecutive out-edges of w
-                if fid == outer:
-                    if w != s:
-                        raise StGraphError(
-                            f"corner of vertex {w} lies on the outer face")
-                    # the wrap-around corner of s: not a successor corner
-                elif face_source[fid] >= 0:
-                    raise FaceWithMultipleSinks(
-                        f"inner face {fid} has more than one source")
-                else:
-                    face_source[fid] = w
-                    corner_face[e_in] = fid
-            elif in_points_in and not out_points_out:
-                if fid != outer:
-                    if face_sink[fid] >= 0:
-                        raise FaceWithMultipleSinks(
-                            f"inner face {fid} has more than one sink")
-                    face_sink[fid] = w
-
-    for fid in range(len(faces)):
-        if fid != outer and (face_source[fid] < 0 or face_sink[fid] < 0):
-            raise FaceWithMultipleSinks(
-                f"inner face {fid} lacks a source or sink")
-    if t not in outer_vertices or s not in outer_vertices:
-        raise StNotOnOuterFace("s and t must lie on the outer face")
-
-    # the sink of the face between two consecutive successors is the right
-    # one iff a path runs left to right, the left one iff right to left
-    corner_dir = [0] * m
-    for e, f in enumerate(corner_face):
-        if f >= 0:
-            w = face_sink[f]
-            if w == head[e + 1]:
-                corner_dir[e] = 1
-            elif w == head[e]:
-                corner_dir[e] = -1
-
-    return FaceIndex(
-        faces=tuple(faces),
-        face_source=tuple(face_source),
-        face_sink=tuple(face_sink),
-        corner_face=tuple(corner_face),
+    face_of_dart = [0] * (2 * m)
+    face_of_dart[0::2] = lgap
+    face_of_dart[1::2] = rgap
+    # number the faces in the order of their first dart
+    fid = {g: f for f, g in enumerate(dict.fromkeys(face_of_dart))}
+    source = tail + [-1]
+    fi = FaceIndex(
+        face_source=tuple(map(source.__getitem__, fid)),
+        face_sink=tuple(map(sink.__getitem__, fid)),
+        corner_face=tuple(map(fid.get, range(m), repeat(-1, m))),
         corner_dir=tuple(corner_dir),
-        outer_face=outer,
-        face_of_dart=tuple(face_of_dart),
+        outer_face=fid[outer],
+        face_of_dart=tuple(map(fid.__getitem__, face_of_dart)),
     )
+    return in_ltr, fi
 
 
 def build_graph(n: int, s: VertexId, t: VertexId,
@@ -333,14 +244,10 @@ def build_graph(n: int, s: VertexId, t: VertexId,
     succ = tuple(tuple(row) for row in out_rotation)
     tail, head = [], []
     out_edge_ids = []
-    for u in range(n):
-        ids = []
-        for v in succ[u]:
-            ids.append(len(tail))
-            tail.append(u)
-            head.append(v)
-        out_edge_ids.append(tuple(ids))
-    m = len(tail)
+    for u, row in enumerate(succ):
+        out_edge_ids.append(tuple(range(len(tail), len(tail) + len(row))))
+        tail += repeat(u, len(row))
+        head += row
     in_deg = [0] * n
     for v in head:
         in_deg[v] += 1
@@ -356,10 +263,8 @@ def build_graph(n: int, s: VertexId, t: VertexId,
         raise MultipleSourcesOrSinks("t has outgoing edges")
 
     order = _topological_order(n, succ, in_deg)
-    in_ltr = _derive_in_order(n, s, out_edge_ids, head, order, in_deg)
-    faces, face_of_dart = _trace_faces(n, s, out_edge_ids, in_ltr, tail, head)
-    fi = _classify_faces(n, s, t, faces, face_of_dart, tail, head,
-                         out_edge_ids, m)
+    in_ltr, fi = _frontier_sweep(n, s, tail, head, out_edge_ids, order,
+                                 in_deg)
 
     return EmbeddedStGraph(
         n=n, s=s, t=t, succ=succ,
@@ -372,23 +277,9 @@ def build_graph(n: int, s: VertexId, t: VertexId,
 
 
 def compute_faces(g: EmbeddedStGraph) -> FaceIndex:
-    """Face structure of ``g`` (cached from construction)."""
+    """Face structure of ``g``, computed by the frontier sweep of
+    :func:`build_graph`."""
     return g._face_index
-
-
-def face_sink(fi: FaceIndex, g: EmbeddedStGraph, u: VertexId,
-              i: int) -> VertexId:
-    """Sink of the inner face between successors ``i`` and ``i+1`` of ``u``.
-
-    ``i`` is 1-based: ``1 <= i < len(S(u))``.  The result decides path
-    existence between the two successors: it equals the right successor iff
-    there is a path left-to-right, the left successor iff right-to-left,
-    and any other vertex iff no path exists between them.
-    """
-    row = g.out_edge_ids[u]
-    if not (1 <= i < len(row)):
-        raise IndexError(f"successor position {i} out of range at {u}")
-    return fi.face_sink[fi.corner_face[row[i - 1]]]
 
 
 def reachable(g: EmbeddedStGraph, u: VertexId, v: VertexId) -> bool:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import TooLarge
 from .graph import (EmbeddedStGraph, _topological_order, build_graph,
                     compute_faces)
 
@@ -131,38 +130,6 @@ def verify_bitonic_ordering(g: EmbeddedStGraph, ord: BitonicOrdering) -> bool:
     return True
 
 
-def exists_bitonic_bruteforce(g: EmbeddedStGraph, max_n: int = 10) -> bool:
-    """Enumerate all topological orderings; True iff one is bitonic.
-
-    Testing oracle only; guarded against factorial blowup.
-    """
-    if g.n > max_n:
-        raise TooLarge(f"{g.n} vertices exceeds the oracle bound {max_n}")
-    n = g.n
-    in_deg = [0] * n
-    for v in g.head:
-        in_deg[v] += 1
-    pi = [0] * n
-
-    def rec(rank: int) -> bool:
-        if rank > n:
-            return all(is_bitonic([pi[v] for v in g.succ[u]])
-                       for u in range(n))
-        for u in range(n):
-            if in_deg[u] == 0 and pi[u] == 0:
-                pi[u] = rank
-                for v in g.succ[u]:
-                    in_deg[v] -= 1
-                if rec(rank + 1):
-                    return True
-                for v in g.succ[u]:
-                    in_deg[v] += 1
-                pi[u] = 0
-        return False
-
-    return rec(1)
-
-
 def augmented_graph(g: EmbeddedStGraph,
                     ord: BitonicOrdering) -> EmbeddedStGraph:
     """Materialize G plus the gap edges in the inherited embedding.
@@ -184,28 +151,21 @@ def augmented_graph(g: EmbeddedStGraph,
 
 def _corner_pos_at(g: EmbeddedStGraph, f: int, x: int) -> int:
     """Successor-list position where an edge leaving ``x`` into face ``f``
-    must be inserted to preserve the embedding."""
-    cycle = compute_faces(g).faces[f]
-    k = len(cycle)
+    must be inserted to preserve the embedding; ``-1`` when ``x`` has no
+    corner on ``f`` but its sink (or lies off ``f``).
+
+    ``f`` is right of an out-edge ``e`` of ``x`` when ``x`` is its source or
+    on its left boundary (insert after ``e``), and left of the first
+    out-edge when ``x`` is on its right boundary (insert first).
+    """
+    face_of_dart = compute_faces(g).face_of_dart
     out_ids = g.out_edge_ids[x]
-    for idx in range(k):
-        d_in = cycle[idx]
-        e_in = d_in >> 1
-        w = g.head[e_in] if d_in & 1 == 0 else g.tail[e_in]
-        if w != x:
-            continue
-        if g.tail[e_in] == x and d_in & 1 == 1:
-            # arrived at x along one of its own out-edges: insert after it
-            return e_in - out_ids[0] + 1
-        d_out = cycle[(idx + 1) % k]
-        e_out = d_out >> 1
-        if g.tail[e_out] == x:
-            # corner between an in-edge and the first out-edge
-            if e_out != out_ids[0]:
-                raise AssertionError("in-to-out corner must precede the "
-                                     "first successor")
-            return 0
-    raise AssertionError(f"vertex {x} has no usable corner on face {f}")
+    for e in out_ids:
+        if face_of_dart[2 * e + 1] == f:
+            return e - out_ids[0] + 1
+    if out_ids and face_of_dart[2 * out_ids[0]] == f:
+        return 0
+    return -1
 
 
 def ordering_to_text(g: EmbeddedStGraph, ord: BitonicOrdering) -> str:

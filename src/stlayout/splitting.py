@@ -9,12 +9,10 @@ between original vertices, so the per-vertex choices are globally optimal.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .errors import EdgeNotFound, TooLarge
+from .errors import EdgeNotFound
 from .graph import EmbeddedStGraph, build_graph, compute_faces
-from .ordering import BitonicOrdering, find_bitonic_ordering
 
 
 @dataclass(frozen=True)
@@ -133,25 +131,6 @@ def apply_splits(g: EmbeddedStGraph, plan: SplitPlan) -> SplitResult:
     rows += [[v] for _, v in dummy_of.values()]
     graph = build_graph(len(rows), g.s, g.t, rows)
     return SplitResult(graph=graph, dummy_of=dummy_of, origin=g)
-
-
-def minimum_splits_bruteforce(g: EmbeddedStGraph, budget: int,
-                              max_edges: int = 14) -> int:
-    """Smallest k <= budget of edge splits enabling a bitonic st-ordering.
-
-    Exhaustive over k-subsets of edges; returns ``budget + 1`` if no subset
-    within budget works.  Testing oracle only.
-    """
-    if g.m > max_edges:
-        raise TooLarge(f"{g.m} edges exceeds the oracle bound {max_edges}")
-    all_edges = g.edges
-    for k in range(budget + 1):
-        for subset in itertools.combinations(all_edges, k):
-            res = apply_splits(g, SplitPlan(apex=tuple([0] * g.n),
-                                            split_edges=subset))
-            if isinstance(find_bitonic_ordering(res.graph), BitonicOrdering):
-                return k
-    return budget + 1
 
 
 def plan_to_text(plan: SplitPlan) -> str:

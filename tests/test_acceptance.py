@@ -10,16 +10,17 @@ from statistics import median
 
 from stlayout import (BitonicOrdering, GeneratorConfig, check_bounds,
                       check_upward_planar, apply_splits, compute_faces,
-                      draw_polyline, draw_straightline, emit_svg, face_sink,
-                      find_bitonic_ordering, exists_bitonic_bruteforce,
-                      generate_random_st_graph, graph_to_text,
-                      minimum_split_plan, minimum_splits_bruteforce)
+                      draw_polyline, draw_straightline, emit_svg,
+                      find_bitonic_ordering, generate_random_st_graph,
+                      graph_to_text, minimum_split_plan)
 from stlayout.generate import add_random_chords
 from stlayout.io import drawing_to_text
 from stlayout.ordering import ordering_to_text
 from stlayout.splitting import plan_to_text
 from conftest import (LINEAR_GATE, all_fixture_graphs, doubling_ratios, fan,
                       timed)
+from oracles import (exists_bitonic_bruteforce, face_sink,
+                     minimum_splits_bruteforce)
 
 
 def report(capsys, num, name, ok, detail=""):

@@ -1,0 +1,147 @@
+"""The frontier sweep against independent references for the faces.
+
+``build_graph`` derives the in-edge orders and the faces in one sweep.
+These tests compare it with a dart-by-dart face trace (``oracles``) and
+with networkx's planar-embedding check.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+import pytest
+
+from stlayout import (GeneratorConfig, NotPlanarEmbedding, StGraphError,
+                      build_graph, compute_faces, generate_random_st_graph)
+from stlayout.generate import add_random_chords
+from conftest import all_fixture_graphs, corpus, fan, zig
+from oracles import NotEmbedded, dart_trace_faces, face_index_fields
+
+
+def random_dag(rng):
+    """Random DAG on 3-6 vertices with relabelled vertices and shuffled
+    successor lists; most but not all have one source and one sink."""
+    n = rng.randint(3, 6)
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n)
+             if rng.random() < 0.4}
+    if rng.random() < 0.8:
+        for v in range(1, n):
+            if not any(b == v for _, b in edges):
+                edges.add((rng.randrange(v), v))
+        for u in range(n - 1):
+            if not any(a == u for a, _ in edges):
+                edges.add((u, rng.randrange(u + 1, n)))
+    label = list(range(n))
+    rng.shuffle(label)
+    succ = [[] for _ in range(n)]
+    for u, v in sorted(edges):
+        succ[label[u]].append(label[v])
+    for row in succ:
+        rng.shuffle(row)
+    return n, label[0], label[n - 1], succ
+
+
+def embeddable(n, s, t, succ):
+    """Some choice of in-edge orders makes a planar st-graph embedding."""
+    in_deg = [0] * n
+    for row in succ:
+        for v in row:
+            in_deg[v] += 1
+    if any((in_deg[v] == 0) != (v == s) or (not succ[v]) != (v == t)
+           for v in range(n)):
+        return False
+    into = [[] for _ in range(n)]
+    for e, v in enumerate([v for row in succ for v in row]):
+        into[v].append(e)
+    for in_ltr in itertools.product(*map(itertools.permutations, into)):
+        try:
+            dart_trace_faces(n, s, t, succ, in_ltr)
+            return True
+        except NotEmbedded:
+            pass
+    return False
+
+
+def test_accept_iff_embeddable():
+    rng = random.Random(7)
+    accepted = not_contiguous = 0
+    for _ in range(1500):
+        n, s, t, succ = random_dag(rng)
+        try:
+            build_graph(n, s, t, succ)
+            got = True
+        except NotPlanarEmbedding:
+            got = False
+            not_contiguous += 1
+        except StGraphError:
+            got = False
+        assert got == embeddable(n, s, t, succ), (n, s, t, succ)
+        accepted += got
+    assert 300 < accepted < 1200 and not_contiguous > 100
+
+
+def face_graphs():
+    graphs = list(all_fixture_graphs())
+    sizes = (5, 10, 25, 50, 100)
+    graphs += corpus(sizes=sizes, seeds=range(6))
+    graphs += corpus(sizes=sizes, seeds=range(6), chords=False)
+    graphs += [fan(k) for k in (4, 5, 50, 2000)]
+    graphs += [zig(k) for k in (3, 5, 9, 101, 1001)]
+    return graphs
+
+
+def test_face_index_matches_dart_trace():
+    for g in face_graphs():
+        want = dart_trace_faces(g.n, g.s, g.t, g.succ, g.in_edge_ids_ltr)
+        fi = compute_faces(g)
+        assert face_index_fields(fi) == dict(want, faces=len(want["faces"]))
+        assert fi.faces == tuple(tuple(sorted(c)) for c in want["faces"])
+
+
+def check_with_networkx(g):
+    """The full rotation of ``g`` is a planar embedding with m - n + 2
+    faces, as many as ``compute_faces`` has."""
+    nx = pytest.importorskip("networkx")
+    rotation = {v: list(g.succ[v])
+                + [g.tail[e] for e in reversed(g.in_edge_ids_ltr[v])]
+                for v in range(g.n)}
+    emb = nx.PlanarEmbedding()
+    emb.set_data(rotation)
+    emb.check_structure()
+    seen = set()
+    faces = sum(1 for u, v in emb.edges() if (u, v) not in seen
+                and emb.traverse_face(u, v, mark_half_edges=seen))
+    assert faces == g.m - g.n + 2 == len(compute_faces(g).faces)
+
+
+def swapped(g, rng):
+    """The successor lists of ``g`` with 1-3 random pairs swapped."""
+    rows = [list(r) for r in g.succ]
+    wide = [u for u in range(g.n) if len(rows[u]) > 1]
+    for _ in range(rng.randint(1, 3)):
+        row = rows[rng.choice(wide)]
+        i, j = rng.sample(range(len(row)), 2)
+        row[i], row[j] = row[j], row[i]
+    return rows
+
+
+def test_rotation_system_is_planar_per_networkx():
+    pytest.importorskip("networkx")
+    rng = random.Random(3)
+    graphs = corpus(sizes=(6, 12, 25, 50, 100, 200), seeds=range(4))
+    big = generate_random_st_graph(GeneratorConfig(n_target=1000, seed=2))
+    graphs.append(add_random_chords(big, 40, 3))
+    rejected = 0
+    for g in graphs:
+        check_with_networkx(g)
+        if g.n > 200:
+            continue
+        for _ in range(10):
+            try:
+                h = build_graph(g.n, g.s, g.t, swapped(g, rng))
+            except StGraphError:
+                rejected += 1
+                continue
+            check_with_networkx(h)
+    assert rejected > 0

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from stlayout import (BitonicOrdering, RejectionWitness, TooLarge,
-                      build_graph, compute_faces, exists_bitonic_bruteforce,
-                      find_bitonic_ordering, is_bitonic,
+from stlayout import (BitonicOrdering, RejectionWitness, build_graph,
+                      compute_faces, find_bitonic_ordering, is_bitonic,
                       verify_bitonic_ordering)
-from stlayout.ordering import (augmented_graph, ordering_to_text,
-                               witness_to_text)
+from stlayout.ordering import (_corner_pos_at, augmented_graph,
+                               ordering_to_text, witness_to_text)
 from conftest import corpus
+from oracles import TooLarge, exists_bitonic_bruteforce
 
 
 def test_is_bitonic_basics():
@@ -85,6 +85,23 @@ def test_augmented_graph_on_corpus():
             assert verify_bitonic_ordering(g, res)
             aug = augmented_graph(g, res)
             assert aug.m == g.m + len(res.augment_edges)
+
+
+def test_corner_pos_at_places_chords_into_the_face():
+    # -1 exactly at the face's sink; elsewhere a chord to the sink, drawn
+    # into the face at the returned position, keeps the graph embedded
+    for g in corpus(sizes=(6, 12, 25), seeds=range(6)):
+        fi = compute_faces(g)
+        for f in fi.inner_faces():
+            z = fi.face_sink[f]
+            for x in {g.tail[d >> 1] for d in fi.faces[f]}:
+                pos = _corner_pos_at(g, f, x)
+                assert (pos < 0) == (x == z)
+                if pos >= 0 and z not in g.succ[x]:
+                    rows = [list(r) for r in g.succ]
+                    rows[x].insert(pos, z)
+                    build_graph(g.n, g.s, g.t, rows)
+            assert _corner_pos_at(g, f, z) == -1
 
 
 def test_verify_rejects_wrong_orderings(triangle):

@@ -6,10 +6,10 @@ import pytest
 
 from stlayout import (BitonicOrdering, EdgeNotFound, apply_splits,
                       build_graph, find_bitonic_ordering,
-                      minimum_split_plan, minimum_splits_bruteforce,
-                      reachable, transitive_split_plan)
+                      minimum_split_plan, reachable, transitive_split_plan)
 from stlayout.splitting import SplitPlan, left_right_counts, plan_to_text
 from conftest import corpus, fan
+from oracles import minimum_splits_bruteforce
 
 
 def test_triangle_plan_empty(triangle):
