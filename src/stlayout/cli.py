@@ -23,23 +23,15 @@ from .splitting import (minimum_split_plan, plan_to_text,
 from .validate import check_upward_planar
 
 
-def _cmd_check(args) -> int:
-    g = load_graph(args.graph)
-    res = find_bitonic_ordering(g)
-    if isinstance(res, RejectionWitness):
-        sys.stdout.write(witness_to_text(res))
-        return 1
-    sys.stdout.write("accept\n")
-    return 0
-
-
 def _cmd_order(args) -> int:
+    """``check`` prints accept, ``order`` the ordering; both reject alike."""
     g = load_graph(args.graph)
     res = find_bitonic_ordering(g)
     if isinstance(res, RejectionWitness):
         sys.stdout.write(witness_to_text(res))
         return 1
-    sys.stdout.write(ordering_to_text(g, res))
+    sys.stdout.write(ordering_to_text(g, res) if args.command == "order"
+                     else "accept\n")
     return 0
 
 
@@ -70,7 +62,7 @@ def _cmd_draw(args) -> int:
 
 def _cmd_validate(args) -> int:
     g = load_graph(args.graph)
-    with open(args.drawing) as fh:
+    with open(args.drawing, encoding="utf-8") as fh:
         d = drawing_from_text(fh.read(), g)
     report = check_upward_planar(g, d)
     sys.stdout.write(report.to_json() + "\n" if args.json
@@ -111,8 +103,7 @@ def run_bench(sizes, seed):
 
 
 def _cmd_bench(args) -> int:
-    sizes = [int(x) for x in args.sizes.split(",")]
-    rows = run_bench(sizes, args.seed)
+    rows = run_bench(args.sizes, args.seed)
     sys.stdout.write("n,edges,splits,bends,width,height,ms_total\n")
     for r in rows:
         sys.stdout.write(
@@ -121,11 +112,19 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def int_at_least(lo: int):
+    """An argparse type: an integer no smaller than ``lo``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {lo}, got {value}")
+        return value
+    return integer
+
+
+def size_list(text: str) -> list[int]:
+    return list(map(int_at_least(2), text.split(",")))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="accept/reject bitonic orderability")
     sp.add_argument("graph")
-    sp.set_defaults(func=_cmd_check)
+    sp.set_defaults(func=_cmd_order)
 
     sp = sub.add_parser("order", help="emit a bitonic st-ordering")
     sp.add_argument("graph")
@@ -153,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("graph")
     sp.add_argument("--mode", choices=("straight", "poly"), default="poly")
     sp.add_argument("--svg", help="also write an SVG file")
-    sp.add_argument("--scale", type=positive_int, default=20,
+    sp.add_argument("--scale", type=int_at_least(1), default=20,
                     help="SVG pixels per grid unit, at least 1")
     sp.set_defaults(func=_cmd_draw)
 
@@ -164,13 +163,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_validate)
 
     sp = sub.add_parser("gen", help="generate a random planar st-graph")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=int_at_least(2), required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=_cmd_gen)
 
     sp = sub.add_parser("bench", help="scaling benchmark")
-    sp.add_argument("--sizes", required=True,
-                    help="comma separated vertex counts")
+    sp.add_argument("--sizes", type=size_list, required=True,
+                    help="comma separated vertex counts, each at least 2")
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=_cmd_bench)
     return p
@@ -180,7 +179,7 @@ def cli_main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except StGraphError as exc:

@@ -21,20 +21,18 @@ from dataclasses import dataclass
 from .graph import EmbeddedStGraph, build_graph, compute_faces
 
 RNG_ALGORITHM = "mt19937"
+# probabilities of vertex insertion and chord insertion; the rest splits
+P_VERTEX, P_CHORD = 0.5, 0.3
 
 
 @dataclass(frozen=True)
 class GeneratorConfig:
     n_target: int
     seed: int
-    op_mix: tuple[float, float, float] = (0.5, 0.3, 0.2)
-    # probabilities: (vertex insertion, chord insertion, edge split)
 
     def __post_init__(self):
         if self.n_target < 2:
             raise ValueError("n_target must be >= 2")
-        if abs(sum(self.op_mix) - 1.0) > 1e-9 or min(self.op_mix) < 0:
-            raise ValueError("op_mix must be non-negative and sum to 1")
 
 
 def generate_random_st_graph(cfg: GeneratorConfig) -> EmbeddedStGraph:
@@ -76,10 +74,9 @@ def generate_random_st_graph(cfg: GeneratorConfig) -> EmbeddedStGraph:
             faces.append([u, mid_edge, er, z])
 
     n = 2
-    p_vertex, p_chord, _ = cfg.op_mix
     while n < cfg.n_target:
         roll = rng.random()
-        if roll < p_vertex:
+        if roll < P_VERTEX:
             f = rng.randrange(len(faces))
             u, el, er, z = faces[f]
             w = n
@@ -89,7 +86,7 @@ def generate_random_st_graph(cfg: GeneratorConfig) -> EmbeddedStGraph:
             insert_after(el, e1)
             first.append(e2)
             split_face(f, e1)
-        elif roll < p_vertex + p_chord:
+        elif roll < P_VERTEX + P_CHORD:
             # a few tries to find a face whose source->sink chord is absent
             for _ in range(8):
                 f = rng.randrange(len(faces))

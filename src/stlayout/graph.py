@@ -48,7 +48,6 @@ class EmbeddedStGraph:
     head: tuple[VertexId, ...]
     out_edge_ids: tuple[tuple[int, ...], ...]
     in_edge_ids_ltr: tuple[tuple[int, ...], ...]
-    topo_order: tuple[VertexId, ...]
     _face_index: "FaceIndex" = field(repr=False, compare=False)
 
     @property
@@ -271,7 +270,6 @@ def build_graph(n: int, s: VertexId, t: VertexId,
         tail=tuple(tail), head=tuple(head),
         out_edge_ids=tuple(out_edge_ids),
         in_edge_ids_ltr=tuple(in_ltr),
-        topo_order=tuple(order),
         _face_index=fi,
     )
 

@@ -85,7 +85,7 @@ def graph_from_json(text: str) -> EmbeddedStGraph:
 
 
 def load_graph(path: str) -> EmbeddedStGraph:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):

@@ -15,7 +15,7 @@ from .errors import NonIntegerCoordinate, OrderingInvalid
 from .graph import EmbeddedStGraph
 from .ordering import (BitonicOrdering, RejectionWitness,
                        find_bitonic_ordering, verify_bitonic_ordering)
-from .splitting import apply_splits, minimum_split_plan, transitive_split_plan
+from .splitting import apply_splits, minimum_split_plan
 
 Point = tuple[int, int]
 
@@ -146,39 +146,25 @@ def draw_straightline(g: EmbeddedStGraph,
     return GridDrawing(coords=coords, edge_paths=paths)
 
 
-def draw_polyline(g: EmbeddedStGraph, *, all_transitive: bool = False,
-                  drop_collinear_bends: bool = True) -> GridDrawing:
-    """Split, order, draw, and substitute dummies by bends."""
-    plan = (transitive_split_plan(g) if all_transitive
-            else minimum_split_plan(g))
-    if not plan.split_edges:
-        ord = find_bitonic_ordering(g)
-        if isinstance(ord, RejectionWitness):
-            raise AssertionError("graph without conflicts rejected")
-        return draw_straightline(g, ord)
-
+def draw_polyline(g: EmbeddedStGraph) -> GridDrawing:
+    """Split, order, draw, and fold each dummy vertex into a bend."""
+    plan = minimum_split_plan(g)
     res = apply_splits(g, plan)
     ord = find_bitonic_ordering(res.graph)
     if isinstance(ord, RejectionWitness):
         raise AssertionError("split graph unexpectedly rejected")
     base = draw_straightline(res.graph, ord)
 
-    # a split edge keeps its successor position, now held by its dummy;
-    # walking the successor lists in order visits the edges in id order
+    # a split edge keeps its id and now ends at its dummy
     coords = base.coords[:g.n]
-    paths = []
-    for u in range(g.n):
-        a = coords[u]
-        for v, x in zip(g.succ[u], res.graph.succ[u]):
-            c = coords[v]
-            if x == v:
-                paths.append((a, c))
-            elif drop_collinear_bends and _collinear(a, base.coords[x], c):
-                paths.append((a, c))
-            else:
-                paths.append((a, base.coords[x], c))
+    paths = list(base.edge_paths[:g.m])
+    for d, (_, v) in res.dummy_of.items():
+        e = res.graph.in_edge_ids_ltr[d][0]
+        a, b = paths[e]
+        c = coords[v]
+        paths[e] = (a, c) if _collinear(a, b, c) else (a, b, c)
     return GridDrawing(coords=coords, edge_paths=tuple(paths),
-                       splits=tuple(plan.split_edges))
+                       splits=plan.split_edges)
 
 
 def _collinear(a: Point, b: Point, c: Point) -> bool:

@@ -9,10 +9,10 @@ between original vertices, so the per-vertex choices are globally optimal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import EdgeNotFound
-from .graph import EmbeddedStGraph, build_graph, compute_faces
+from .graph import EmbeddedStGraph, compute_faces
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,6 @@ class SplitResult:
 
     graph: EmbeddedStGraph
     dummy_of: dict[int, tuple[int, int]]
-    origin: EmbeddedStGraph
 
 
 def _corner_dirs(g: EmbeddedStGraph, u: int) -> tuple[int, ...]:
@@ -111,38 +110,53 @@ def transitive_split_plan(g: EmbeddedStGraph) -> SplitPlan:
 def apply_splits(g: EmbeddedStGraph, plan: SplitPlan) -> SplitResult:
     """Replace each planned edge (u,v) by (u,d),(d,v) with a fresh dummy.
 
-    The dummy takes the split edge's position in the rotation at both
-    endpoints, so the embedding carries over unchanged.  Dummies are
-    numbered from ``g.n`` up in the order of (tail, successor position).
+    A split is a subdivision, so the embedding and the faces carry over and
+    the split graph extends the arrays of ``g``.  The ``i``-th split edge,
+    in id order, keeps its id and ends at ``d = g.n + i``; the new edge
+    ``(d, v)`` gets id ``g.m + i``, the split edge's place in the in-order
+    of ``v`` and its two faces.  An empty plan returns ``g`` itself.
     """
+    if not plan.split_edges:
+        return SplitResult(graph=g, dummy_of={})
     planned = set(plan.split_edges)
-    rows = [list(r) for r in g.succ]
-    dummy_of: dict[int, tuple[int, int]] = {}
-    for u, row in enumerate(rows):
-        for pos, v in enumerate(row):
-            if (u, v) in planned:
-                d = g.n + len(dummy_of)
-                row[pos] = d
-                dummy_of[d] = (u, v)
-    if len(dummy_of) != len(planned):
-        found = set(dummy_of.values())
+    split = [e for e, uv in enumerate(zip(g.tail, g.head)) if uv in planned]
+    if len(split) != len(planned):
+        found = {(g.tail[e], g.head[e]) for e in split}
         u, v = next(uv for uv in plan.split_edges if uv not in found)
         raise EdgeNotFound(f"({u}, {v}) is not an edge")
-    rows += [[v] for _, v in dummy_of.values()]
-    graph = build_graph(len(rows), g.s, g.t, rows)
-    return SplitResult(graph=graph, dummy_of=dummy_of, origin=g)
+
+    n, m, k = g.n, g.m, len(split)
+    fi = compute_faces(g)
+    heads = [g.head[e] for e in split]
+    head, corner_dir = list(g.head), list(fi.corner_dir)
+    darts = list(fi.face_of_dart)
+    for i, e in enumerate(split):
+        head[e] = n + i
+        # only u reaches d, so no corner path next to e runs into it; at
+        # e = 0, index -1 is the last edge's corner, which is always 0
+        corner_dir[e - 1] = min(corner_dir[e - 1], 0)
+        corner_dir[e] = max(corner_dir[e], 0)
+        darts += darts[2 * e:2 * e + 2]
+    succ = list(g.succ)
+    for u in dict.fromkeys(g.tail[e] for e in split):
+        succ[u] = tuple(head[e] for e in g.out_edge_ids[u])
+    lower = dict(zip(split, range(m, m + k)))  # split edge -> (d, v)
+    in_ltr = list(g.in_edge_ids_ltr)
+    for v in dict.fromkeys(heads):
+        in_ltr[v] = tuple(lower.get(e, e) for e in in_ltr[v])
+    graph = replace(
+        g, n=n + k, succ=tuple(succ) + tuple((v,) for v in heads),
+        tail=g.tail + tuple(range(n, n + k)), head=tuple(head + heads),
+        out_edge_ids=g.out_edge_ids + tuple((f,) for f in range(m, m + k)),
+        in_edge_ids_ltr=tuple(in_ltr) + tuple((e,) for e in split),
+        _face_index=replace(fi, corner_face=fi.corner_face + (-1,) * k,
+                            corner_dir=tuple(corner_dir) + (0,) * k,
+                            face_of_dart=tuple(darts)))
+    dummy_of = {n + i: (g.tail[e], g.head[e]) for i, e in enumerate(split)}
+    return SplitResult(graph=graph, dummy_of=dummy_of)
 
 
 def plan_to_text(plan: SplitPlan) -> str:
     lines = [f"split {u} {v}" for u, v in plan.split_edges]
     lines.append(f"total {len(plan.split_edges)}")
-    return "\n".join(lines) + "\n"
-
-
-def split_result_to_text(res: SplitResult) -> str:
-    from .io import graph_to_text
-    lines = [graph_to_text(res.graph).rstrip("\n")]
-    for d in sorted(res.dummy_of):
-        u, v = res.dummy_of[d]
-        lines.append(f"dummy {d} {u} {v}")
     return "\n".join(lines) + "\n"

@@ -14,6 +14,7 @@ from stlayout import (BitonicOrdering, GeneratorConfig, check_bounds,
                       find_bitonic_ordering, generate_random_st_graph,
                       graph_to_text, minimum_split_plan)
 from stlayout.generate import add_random_chords
+from stlayout.graph import _topological_order
 from stlayout.io import drawing_to_text
 from stlayout.ordering import ordering_to_text
 from stlayout.splitting import plan_to_text
@@ -43,8 +44,9 @@ def small_corpus(sizes, seeds):
 
 def descendants(g):
     """Reachability bitmasks per vertex (independent of face machinery)."""
+    in_deg = [len(ids) for ids in g.in_edge_ids_ltr]
     desc = [0] * g.n
-    for u in reversed(g.topo_order):
+    for u in reversed(_topological_order(g.n, g.succ, in_deg)):
         mask = 1 << u
         for v in g.succ[u]:
             mask |= desc[v]

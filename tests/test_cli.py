@@ -145,3 +145,36 @@ def test_malformed_file_exit_2(tmp_path, capsys):
     p.write_text("3 0 2\n0: 1 1\n1: 2\n2:\n")
     assert cli_main(["check", str(p)]) == 2
     assert "ParallelEdge" in capsys.readouterr().err
+
+
+def usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+def test_gen_count_below_2_is_usage_error(capsys):
+    for n in ("1", "-5"):
+        assert "argument --n: must be at least 2" in usage_error(
+            ["gen", "--n", n], capsys)
+
+
+def test_bench_bad_sizes_is_usage_error(capsys):
+    for sizes in ("x", "1", "50,1"):
+        assert "argument --sizes" in usage_error(
+            ["bench", "--sizes", sizes], capsys)
+
+
+def test_directory_input_exit_2(tmp_path, capsys):
+    assert cli_main(["check", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_non_utf8_input_exit_2(tmp_path, capsys):
+    p = tmp_path / "latin1.txt"
+    p.write_bytes("3 0 2\n0: 1 2\n1: 2\n2:\n# caf\xe9\n".encode("latin-1"))
+    assert cli_main(["check", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1

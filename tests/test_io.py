@@ -113,9 +113,7 @@ def test_drawing_lines_parse_or_raise_format_error(coords, extra):
 
 def test_drawing_from_text_many_bends_at_one_vertex_linear():
     graphs = [zig(k) for k in (1001, 2001, 4001, 8001)]
-    inputs = [(drawing_to_text(g, draw_polyline(g,
-                                                drop_collinear_bends=False)),
-               g) for g in graphs]
+    inputs = [(drawing_to_text(g, draw_polyline(g)), g) for g in graphs]
     # every one of the (k-1)/2 split out-edges of s carries a bend line
     assert all(text.count("bend") == (g.n - 3) // 2 for text, g in inputs)
     ratios = doubling_ratios(lambda arg: drawing_from_text(*arg), inputs)

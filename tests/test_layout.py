@@ -55,17 +55,6 @@ def test_polyline_f1(f1):
     assert check_bounds(d, 5, "polyline")
 
 
-def test_polyline_keeps_bend_without_collinear_drop(f1):
-    d = draw_polyline(f1, drop_collinear_bends=False)
-    assert sum(len(p) - 2 for p in d.edge_paths) == 1
-
-
-def test_polyline_all_transitive_mode(f1):
-    d = draw_polyline(f1, all_transitive=True)
-    assert check_upward_planar(f1, d).ok
-    assert all(len(p) - 2 <= 1 for p in d.edge_paths)
-
-
 def test_polyline_corpus_valid_and_bounded():
     for g in corpus(sizes=(6, 12, 25, 50), seeds=range(8)):
         d = draw_polyline(g)

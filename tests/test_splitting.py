@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import random
+from dataclasses import fields
+
 import pytest
 
 from stlayout import (BitonicOrdering, EdgeNotFound, apply_splits,
-                      build_graph, find_bitonic_ordering,
+                      build_graph, compute_faces, find_bitonic_ordering,
                       minimum_split_plan, reachable, transitive_split_plan)
 from stlayout.splitting import SplitPlan, left_right_counts, plan_to_text
-from conftest import corpus, fan
+from conftest import all_fixture_graphs, corpus, fan, zig
 from oracles import minimum_splits_bruteforce
 
 
@@ -98,3 +101,50 @@ def test_reachability_preserved_by_splits():
 
 def test_plan_text(f1):
     assert plan_to_text(minimum_split_plan(f1)) == "split 0 3\ntotal 1\n"
+
+
+def rebuilt_split_graph(g, plan):
+    """Reference: the split rows, validated and swept by ``build_graph``."""
+    planned = set(plan.split_edges)
+    rows = [list(r) for r in g.succ]
+    dummy_of = {}
+    for u, row in enumerate(rows):
+        for pos, v in enumerate(row):
+            if (u, v) in planned:
+                d = g.n + len(dummy_of)
+                row[pos] = d
+                dummy_of[d] = (u, v)
+    rows += [[v] for _, v in dummy_of.values()]
+    return build_graph(len(rows), g.s, g.t, rows), dummy_of
+
+
+def test_apply_splits_matches_rebuilt_graph():
+    graphs = all_fixture_graphs() + corpus(sizes=(8, 15, 30, 60),
+                                           seeds=range(10))
+    graphs += [fan(k) for k in (4, 5, 50, 2000)]
+    graphs += [zig(k) for k in (3, 5, 9, 101, 1001)]
+    rng = random.Random(7)
+    compared = 0
+    for g in graphs:
+        plans = [minimum_split_plan(g), transitive_split_plan(g)]
+        for _ in range(3):
+            # in any order: dummies are numbered by edge id regardless
+            edges = rng.sample(g.edges, rng.randint(1, g.m))
+            plans.append(SplitPlan(apex=(0,) * g.n,
+                                   split_edges=tuple(edges)))
+        for plan in plans:
+            res = apply_splits(g, plan)
+            if not plan.split_edges:
+                assert res.graph is g and res.dummy_of == {}
+                continue
+            ref, dummy_of = rebuilt_split_graph(g, plan)
+            assert res.dummy_of == dummy_of
+            for f in fields(ref):
+                if f.name != "_face_index":
+                    assert (getattr(res.graph, f.name)
+                            == getattr(ref, f.name)), f.name
+            got, want = compute_faces(res.graph), compute_faces(ref)
+            for f in fields(want):
+                assert getattr(got, f.name) == getattr(want, f.name), f.name
+            compared += 1
+    assert compared >= 300
