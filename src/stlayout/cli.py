@@ -14,7 +14,7 @@ import time
 from .errors import StGraphError
 from .generate import RNG_ALGORITHM, GeneratorConfig, generate_random_st_graph
 from .io import (drawing_from_text, drawing_to_text, graph_to_text,
-                 load_graph)
+                 load_graph, read_text)
 from .layout import draw_polyline, draw_straightline, emit_svg
 from .ordering import (RejectionWitness, find_bitonic_ordering,
                        ordering_to_text, witness_to_text)
@@ -62,8 +62,7 @@ def _cmd_draw(args) -> int:
 
 def _cmd_validate(args) -> int:
     g = load_graph(args.graph)
-    with open(args.drawing, encoding="utf-8") as fh:
-        d = drawing_from_text(fh.read(), g)
+    d = drawing_from_text(read_text(args.drawing), g)
     report = check_upward_planar(g, d)
     sys.stdout.write(report.to_json() + "\n" if args.json
                      else report.to_text())
@@ -179,7 +178,7 @@ def cli_main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except StGraphError as exc:

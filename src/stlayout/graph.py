@@ -13,7 +13,8 @@ which maintains the left-to-right frontier of pending edges.  The checks:
 
 A passing sweep draws the graph upward and planar, so every inner face has
 exactly one source and one sink, ``s`` and ``t`` lie on the outer face and
-Euler's formula holds; see :func:`_frontier_sweep`.
+Euler's formula holds; see :func:`_frontier_sweep`.  The graph is
+stored once, in flat arrays; see :class:`EmbeddedStGraph`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import accumulate, repeat
 
 from .errors import (GraphFormatError, MultipleSourcesOrSinks, NotAcyclic,
                      NotPlanarEmbedding, ParallelEdge)
@@ -31,23 +32,24 @@ VertexId = int
 
 @dataclass(frozen=True)
 class EmbeddedStGraph:
-    """Immutable embedded planar st-graph.
+    """Immutable embedded planar st-graph in flat arrays.
 
-    ``succ[u]`` is the clockwise successor list of ``u`` (leftmost first).
-    Edges carry dense ids: edge ``e`` is ``(tail[e], head[e])`` and equals
-    the ``pos``-th outgoing edge of its tail.  ``pred_ltr[v]`` lists the
-    predecessors of ``v`` from left to right; the clockwise incoming
-    rotation is its reverse.
+    Edges carry dense ids, numbered by tail and then clockwise: the
+    out-edges of ``u`` are ``out_start[u] .. out_start[u + 1] - 1``, so
+    ``head`` read in id order is every successor list, leftmost first.
+    ``in_edges[in_start[v]:in_start[v + 1]]`` lists the in-edges of ``v``
+    from left to right; the clockwise incoming rotation is its reverse.
+    ``succ`` is a derived view, built on first use.
     """
 
     n: int
     s: VertexId
     t: VertexId
-    succ: tuple[tuple[VertexId, ...], ...]
     tail: tuple[VertexId, ...]
     head: tuple[VertexId, ...]
-    out_edge_ids: tuple[tuple[int, ...], ...]
-    in_edge_ids_ltr: tuple[tuple[int, ...], ...]
+    out_start: tuple[int, ...]
+    in_edges: tuple[int, ...]
+    in_start: tuple[int, ...]
     _face_index: "FaceIndex" = field(repr=False, compare=False)
 
     @property
@@ -58,15 +60,18 @@ class EmbeddedStGraph:
     def edges(self) -> list[tuple[VertexId, VertexId]]:
         return list(zip(self.tail, self.head))
 
+    @cached_property
+    def succ(self) -> tuple[tuple[VertexId, ...], ...]:
+        """``succ[u]`` is the clockwise successor list of ``u``."""
+        head, starts = self.head, self.out_start
+        return tuple(head[a:b] for a, b in zip(starts, starts[1:]))
+
     def has_edge(self, u: VertexId, v: VertexId) -> bool:
-        return any(self.head[e] == v for e in self.out_edge_ids[u])
+        return v in self.head[self.out_start[u]:self.out_start[u + 1]]
 
     def pred_ltr(self, v: VertexId) -> list[VertexId]:
-        return [self.tail[e] for e in self.in_edge_ids_ltr[v]]
-
-    def in_rotation(self, v: VertexId) -> list[int]:
-        """Incoming edge ids in clockwise order around ``v``."""
-        return list(reversed(self.in_edge_ids_ltr[v]))
+        ids = self.in_edges[self.in_start[v]:self.in_start[v + 1]]
+        return [self.tail[e] for e in ids]
 
 
 @dataclass(frozen=True)
@@ -75,20 +80,19 @@ class FaceIndex:
 
     Dart ``2*e`` traverses edge ``e`` from tail to head with the face
     ``face_of_dart[2*e]`` on its left; dart ``2*e + 1`` traverses it back,
-    and ``face_of_dart[2*e + 1]`` is the face right of ``e``.  Faces are
-    numbered in the order of their first dart.  The outer face has no
-    source or sink (``-1``).  ``corner_face[e]`` is the inner face at the
-    corner between out-edge ``e`` and the clockwise-next out-edge ``e + 1``
-    of the same tail (``-1`` for the last successor).  ``corner_dir[e]``
-    is the path direction across that corner, read off the face's sink:
+    and ``face_of_dart[2*e + 1]`` is the face right of ``e``.  When ``e``
+    is not the last out-edge of its tail, that face is the inner face at
+    the corner between ``e`` and the clockwise-next out-edge ``e + 1``.
+    Faces are numbered in the order of their first dart.  The outer face
+    has no source or sink (``-1``).  ``corner_dir[e]`` is the path
+    direction across the corner after ``e``, read off the face's sink:
     ``+1`` for a path ``head[e] ~> head[e + 1]`` (left to right), ``-1``
     for a path ``head[e + 1] ~> head[e]`` (right to left) and ``0`` when
-    there is no path or ``e`` is the last successor.
+    there is no path or ``e`` is the last out-edge.
     """
 
     face_source: tuple[int, ...]
     face_sink: tuple[int, ...]
-    corner_face: tuple[int, ...]
     corner_dir: tuple[int, ...]
     outer_face: int
     face_of_dart: tuple[int, ...]
@@ -125,25 +129,35 @@ def _check_basic(n, s, t, out_rotation):
             seen.add(v)
 
 
-def _topological_order(n, succ, in_deg):
-    """Smallest-ready-vertex-id-first topological order (deterministic)."""
+def _topological_order(out_start, head, in_deg, extra=None):
+    """Smallest-ready-vertex-id-first topological order (deterministic).
+
+    The successors of ``u`` are ``head[out_start[u]:out_start[u + 1]]``
+    plus ``extra[u]``, if ``u`` is a key of ``extra``.
+    """
+    extra = extra or {}
     deg = list(in_deg)
-    ready = [v for v in range(n) if deg[v] == 0]
+    ready = [v for v, d in enumerate(deg) if d == 0]
     heapq.heapify(ready)
     order = []
     while ready:
         u = heapq.heappop(ready)
         order.append(u)
-        for v in succ[u]:
+        # two loops: joining the two lists would cost a copy per vertex
+        for v in head[out_start[u]:out_start[u + 1]]:
             deg[v] -= 1
             if deg[v] == 0:
                 heapq.heappush(ready, v)
-    if len(order) != n:
+        for v in extra.get(u, ()):
+            deg[v] -= 1
+            if deg[v] == 0:
+                heapq.heappush(ready, v)
+    if len(order) != len(deg):
         raise NotAcyclic("successor lists contain a directed cycle")
     return order
 
 
-def _frontier_sweep(n, s, tail, head, out_edge_ids, order, in_deg):
+def _frontier_sweep(s, tail, head, out_start, order, in_start):
     """Incoming edge order and face structure, in one frontier sweep.
 
     The frontier holds the pending edges (tail placed, head not) from left
@@ -151,7 +165,7 @@ def _frontier_sweep(n, s, tail, head, out_edge_ids, order, in_deg):
     adjacent frontier edges is an open face; the gap left of the leftmost
     and right of the rightmost edge is the outer face.  Placing ``v``
     requires its incoming edges to form one contiguous block, whose
-    left-to-right order is the derived predecessor order.  The gaps inside
+    left-to-right order is the derived in-edge order.  The gaps inside
     the block close with sink ``v``; the out-edges of ``v`` replace the
     block, and the gap between out-edges ``e`` and ``e + 1`` opens with
     source ``v``.  Out-edges of one tail have consecutive ids, so that gap
@@ -180,12 +194,12 @@ def _frontier_sweep(n, s, tail, head, out_edge_ids, order, in_deg):
     rgap = list(range(m))
     sink = [-1] * (m + 1)
     corner_dir = [0] * m
-    in_ltr = [()] * n
+    in_edges = [0] * m
     some_edge_into = dict(zip(head, range(m)))
 
-    ids = out_edge_ids[s]
-    prv[ids[0]] = nxt[ids[-1]] = -1
-    lgap[ids[0]] = rgap[ids[-1]] = outer
+    f0, f1 = out_start[s], out_start[s + 1] - 1
+    prv[f0] = nxt[f1] = -1
+    lgap[f0] = rgap[f1] = outer
     for v in order[1:]:
         lo = some_edge_into[v]
         left = prv[lo]
@@ -200,13 +214,13 @@ def _frontier_sweep(n, s, tail, head, out_edge_ids, order, in_deg):
             corner_dir[g] = (head[g + 1] == v) - (head[g] == v)
             block.append(right)
             right = nxt[right]
-        if len(block) != in_deg[v]:
+        a, b = in_start[v], in_start[v + 1]
+        if len(block) != b - a:
             raise NotPlanarEmbedding(
                 f"incoming edges of {v} are not consecutive on the frontier")
-        in_ltr[v] = tuple(block)
-        ids = out_edge_ids[v]
-        if ids:
-            f0, f1 = ids[0], ids[-1]
+        in_edges[a:b] = block
+        f0, f1 = out_start[v], out_start[v + 1] - 1
+        if f0 <= f1:
             prv[f0], nxt[f1] = left, right
             lgap[f0], rgap[f1] = lgap[lo], rgap[block[-1]]
             if left >= 0:
@@ -223,12 +237,11 @@ def _frontier_sweep(n, s, tail, head, out_edge_ids, order, in_deg):
     fi = FaceIndex(
         face_source=tuple(map(source.__getitem__, fid)),
         face_sink=tuple(map(sink.__getitem__, fid)),
-        corner_face=tuple(map(fid.get, range(m), repeat(-1, m))),
         corner_dir=tuple(corner_dir),
         outer_face=fid[outer],
         face_of_dart=tuple(map(fid.__getitem__, face_of_dart)),
     )
-    return in_ltr, fi
+    return in_edges, fi
 
 
 def build_graph(n: int, s: VertexId, t: VertexId,
@@ -240,13 +253,11 @@ def build_graph(n: int, s: VertexId, t: VertexId,
     """
     _check_basic(n, s, t, out_rotation)
 
-    succ = tuple(tuple(row) for row in out_rotation)
-    tail, head = [], []
-    out_edge_ids = []
-    for u, row in enumerate(succ):
-        out_edge_ids.append(tuple(range(len(tail), len(tail) + len(row))))
+    tail, head, out_start = [], [], [0]
+    for u, row in enumerate(out_rotation):
         tail += repeat(u, len(row))
         head += row
+        out_start.append(len(head))
     in_deg = [0] * n
     for v in head:
         in_deg[v] += 1
@@ -254,23 +265,22 @@ def build_graph(n: int, s: VertexId, t: VertexId,
     for v in range(n):
         if in_deg[v] == 0 and v != s:
             raise MultipleSourcesOrSinks(f"vertex {v} is a second source")
-        if not succ[v] and v != t:
+        if out_start[v] == out_start[v + 1] and v != t:
             raise MultipleSourcesOrSinks(f"vertex {v} is a second sink")
     if in_deg[s] != 0:
         raise MultipleSourcesOrSinks("s has incoming edges")
-    if succ[t]:
+    if out_start[t] != out_start[t + 1]:
         raise MultipleSourcesOrSinks("t has outgoing edges")
 
-    order = _topological_order(n, succ, in_deg)
-    in_ltr, fi = _frontier_sweep(n, s, tail, head, out_edge_ids, order,
-                                 in_deg)
+    order = _topological_order(out_start, head, in_deg)
+    in_start = list(accumulate(in_deg, initial=0))
+    in_edges, fi = _frontier_sweep(s, tail, head, out_start, order,
+                                   in_start)
 
     return EmbeddedStGraph(
-        n=n, s=s, t=t, succ=succ,
-        tail=tuple(tail), head=tuple(head),
-        out_edge_ids=tuple(out_edge_ids),
-        in_edge_ids_ltr=tuple(in_ltr),
-        _face_index=fi,
+        n=n, s=s, t=t, tail=tuple(tail), head=tuple(head),
+        out_start=tuple(out_start), in_edges=tuple(in_edges),
+        in_start=tuple(in_start), _face_index=fi,
     )
 
 

@@ -15,6 +15,7 @@ lines for the bent edges.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from .errors import GraphFormatError
 from .graph import EmbeddedStGraph, build_graph
@@ -78,17 +79,36 @@ def graph_to_json(g: EmbeddedStGraph) -> str:
 def graph_from_json(text: str) -> EmbeddedStGraph:
     try:
         obj = json.loads(text)
-        return build_graph(int(obj["n"]), int(obj["s"]), int(obj["t"]),
-                           [[int(v) for v in row] for row in obj["succ"]])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GraphFormatError(f"bad JSON graph: {exc}") from None
+        n, s, t, succ = obj["n"], obj["s"], obj["t"], obj["succ"]
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise GraphFormatError(
+            f"bad JSON graph: {type(exc).__name__}: {exc}") from None
+    if not (isinstance(succ, list)
+            and all(isinstance(row, list) for row in succ)):
+        raise GraphFormatError("bad JSON graph: succ must be a list of lists")
+    for value in (n, s, t, *chain.from_iterable(succ)):
+        if type(value) is not int:  # a bool, float, string or null
+            raise GraphFormatError(
+                f"bad JSON graph: n, s, t and successors must be integers, "
+                f"got {type(value).__name__}")
+    return build_graph(n, s, t, succ)
+
+
+def read_text(path: str) -> str:
+    """The contents of the UTF-8 file ``path``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise GraphFormatError(
+            f"{path}, line {line}: not UTF-8 ({exc.reason})") from None
 
 
 def load_graph(path: str) -> EmbeddedStGraph:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    text = read_text(path)
+    if text.lstrip().startswith("{"):
         return graph_from_json(text)
     return graph_from_text(text)
 

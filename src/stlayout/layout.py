@@ -4,7 +4,7 @@ Straight-line drawing: incremental contour construction with two sentinel
 vertices that stay left- and rightmost on every contour, relative x-offsets
 along the contour, and a shift tree resolved by two final accumulation
 passes.  Poly-line drawing: split conflicting edges first, draw the split
-graph straight-line, then turn each dummy vertex into (at most) one bend.
+graph straight-line, then turn each dummy vertex into one bend.
 """
 
 from __future__ import annotations
@@ -77,23 +77,19 @@ def draw_straightline(g: EmbeddedStGraph,
     xoff[VR], yabs[VR] = 1, 0
     nxt[VL], nxt[v1], prv[v1], prv[VR] = v1, VR, VL, v1
 
-    succ = g.succ
-    out_ids = g.out_edge_ids
-    in_ltr = g.in_edge_ids_ltr
-    tail = g.tail
+    head, tail = g.head, g.tail
+    out_start, in_edges, in_start = g.out_start, g.in_edges, g.in_start
 
     for k in range(2, n + 1):
         vk = order[k - 1]
-        preds = in_ltr[vk]
-        wl = tail[preds[0]]
-        wr = tail[preds[-1]]
+        first = in_edges[in_start[vk]]
+        wl = tail[first]
+        wr = tail[in_edges[in_start[vk + 1] - 1]]
         if wl == wr:
             w = wl
-            pos = preds[0] - out_ids[w][0]
-            row = succ[w]
-            if pos == 0 or pi[row[pos - 1]] <= k:
+            if first == out_start[w] or pi[head[first - 1]] <= k:
                 wl = prv[w]
-            if pos == len(row) - 1 or pi[row[pos + 1]] <= k:
+            if first == out_start[w + 1] - 1 or pi[head[first + 1]] <= k:
                 wr = nxt[w]
             if wl == wr:
                 raise OrderingInvalid(
@@ -155,20 +151,14 @@ def draw_polyline(g: EmbeddedStGraph) -> GridDrawing:
         raise AssertionError("split graph unexpectedly rejected")
     base = draw_straightline(res.graph, ord)
 
-    # a split edge keeps its id and now ends at its dummy
+    # a split edge keeps its id and now ends at its dummy; the dummies'
+    # in-edges come last in the split graph's in_edges, in dummy order
     coords = base.coords[:g.n]
     paths = list(base.edge_paths[:g.m])
-    for d, (_, v) in res.dummy_of.items():
-        e = res.graph.in_edge_ids_ltr[d][0]
-        a, b = paths[e]
-        c = coords[v]
-        paths[e] = (a, c) if _collinear(a, b, c) else (a, b, c)
+    for e, (_, v) in zip(res.graph.in_edges[g.m:], res.dummy_of.values()):
+        paths[e] += (coords[v],)
     return GridDrawing(coords=coords, edge_paths=tuple(paths),
                        splits=plan.split_edges)
-
-
-def _collinear(a: Point, b: Point, c: Point) -> bool:
-    return (b[0] - a[0]) * (c[1] - a[1]) == (b[1] - a[1]) * (c[0] - a[0])
 
 
 def emit_svg(d: GridDrawing, scale: int = 20) -> str:

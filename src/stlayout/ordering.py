@@ -70,44 +70,39 @@ def is_bitonic(seq) -> bool:
 def find_bitonic_ordering(g: EmbeddedStGraph):
     """Recognize and order: returns a BitonicOrdering or RejectionWitness."""
     fi = compute_faces(g)
-    corner_dir = fi.corner_dir
-    corner_face = fi.corner_face
+    corner_dir, face_of_dart = fi.corner_dir, fi.face_of_dart
+    head, starts = g.head, g.out_start
 
     aug: list[tuple[int, int]] = []
     aug_faces: list[int] = []
     for u in range(g.n):
-        row = g.succ[u]
-        if len(row) < 2:
-            continue
-        e0 = g.out_edge_ids[u][0]
+        e0, e1 = starts[u], starts[u + 1]
         decreasing = False
         first_desc = 0
-        for i in range(len(row) - 1):
-            d = corner_dir[e0 + i]
+        for e in range(e0, e1 - 1):
+            d = corner_dir[e]
             if d > 0:
                 if decreasing:
-                    return RejectionWitness(u=u, i=first_desc, j=i + 1)
+                    return RejectionWitness(u=u, i=first_desc, j=e - e0 + 1)
             elif d < 0:
                 if not decreasing:
                     decreasing = True
-                    first_desc = i + 1
+                    first_desc = e - e0 + 1
             else:
-                vi, vnext = row[i], row[i + 1]
+                vi, vnext = head[e], head[e + 1]
                 aug.append((vnext, vi) if decreasing else (vi, vnext))
-                aug_faces.append(corner_face[e0 + i])
+                # the inner face at the corner after e is right of e
+                aug_faces.append(face_of_dart[2 * e + 1])
 
-    # rank by the graph's own toposort over G plus the gap edges; the gap
-    # edges are grouped by tail so that each successor list grows once
-    succ = list(g.succ)
-    in_deg = [len(ids) for ids in g.in_edge_ids_ltr]
+    # rank by the graph's own toposort over G plus the gap edges
+    in_deg = [b - a for a, b in zip(g.in_start, g.in_start[1:])]
     extra: dict[int, list[int]] = {}
     for a, b in aug:
         extra.setdefault(a, []).append(b)
         in_deg[b] += 1
-    for a, bs in extra.items():
-        succ[a] += tuple(bs)
     pi = [0] * g.n
-    for rank, v in enumerate(_topological_order(g.n, succ, in_deg), 1):
+    for rank, v in enumerate(_topological_order(starts, head, in_deg,
+                                                extra), 1):
         pi[v] = rank
     return BitonicOrdering(pi=tuple(pi), augment_edges=tuple(aug),
                            augment_faces=tuple(aug_faces))
@@ -121,13 +116,12 @@ def verify_bitonic_ordering(g: EmbeddedStGraph, ord: BitonicOrdering) -> bool:
     pi = ord.pi
     if sorted(pi) != list(range(1, g.n + 1)):
         return False
+    ranks = [pi[v] for v in g.head]
     for e in range(g.m):
-        if pi[g.tail[e]] >= pi[g.head[e]]:
+        if pi[g.tail[e]] >= ranks[e]:
             return False
-    for u in range(g.n):
-        if not is_bitonic([pi[v] for v in g.succ[u]]):
-            return False
-    return True
+    starts = g.out_start
+    return all(is_bitonic(ranks[a:b]) for a, b in zip(starts, starts[1:]))
 
 
 def augmented_graph(g: EmbeddedStGraph,
@@ -159,11 +153,11 @@ def _corner_pos_at(g: EmbeddedStGraph, f: int, x: int) -> int:
     out-edge when ``x`` is on its right boundary (insert first).
     """
     face_of_dart = compute_faces(g).face_of_dart
-    out_ids = g.out_edge_ids[x]
-    for e in out_ids:
+    e0, e1 = g.out_start[x], g.out_start[x + 1]
+    for e in range(e0, e1):
         if face_of_dart[2 * e + 1] == f:
-            return e - out_ids[0] + 1
-    if out_ids and face_of_dart[2 * out_ids[0]] == f:
+            return e - e0 + 1
+    if e0 < e1 and face_of_dart[2 * e0] == f:
         return 0
     return -1
 

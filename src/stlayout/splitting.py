@@ -36,12 +36,6 @@ class SplitResult:
     dummy_of: dict[int, tuple[int, int]]
 
 
-def _corner_dirs(g: EmbeddedStGraph, u: int) -> tuple[int, ...]:
-    """Path directions between the consecutive successors of ``u``."""
-    ids = g.out_edge_ids[u]
-    return compute_faces(g).corner_dir[ids[0]:ids[-1]] if ids else ()
-
-
 def left_right_counts(g: EmbeddedStGraph, u: int):
     """Prefix path counts over the successor list of ``u``.
 
@@ -49,9 +43,9 @@ def left_right_counts(g: EmbeddedStGraph, u: int):
     ``R[h-1]`` = number of left-to-right paths between consecutive
     successors strictly before position ``h`` (``h`` in ``1..m``).
     """
-    m = len(g.succ[u])
-    L, R = [0] * m, [0] * m
-    for i, d in enumerate(_corner_dirs(g, u), 1):
+    e0, e1 = g.out_start[u], g.out_start[u + 1]
+    L, R = [0] * (e1 - e0), [0] * (e1 - e0)
+    for i, d in enumerate(compute_faces(g).corner_dir[e0:e1 - 1], 1):
         L[i] = L[i - 1] + (d < 0)
         R[i] = R[i - 1] + (d > 0)
     return L, R
@@ -64,28 +58,29 @@ def minimum_split_plan(g: EmbeddedStGraph) -> SplitPlan:
     directions picks the apex (first position achieving the minimum), then
     the out-edges conflicting with that apex are collected.
     """
+    corner_dir = compute_faces(g).corner_dir
+    head, starts = g.head, g.out_start
     apex = [0] * g.n
     split: list[tuple[int, int]] = []
     for u in range(g.n):
-        row = g.succ[u]
-        if not row:
+        e0, e1 = starts[u], starts[u + 1]
+        if e0 == e1:
             continue
-        dirs = _corner_dirs(g, u)
         # the counter rises on right-to-left paths, falls on left-to-right
-        h = 1
+        top = e0
         c = c_min = 0
-        for i, d in enumerate(dirs, 2):
-            c -= d
+        for e in range(e0, e1 - 1):
+            c -= corner_dir[e]
             if c < c_min:
                 c_min = c
-                h = i
-        apex[u] = h
-        for i in range(1, h):
-            if dirs[i - 1] < 0:
-                split.append((u, row[i - 1]))
-        for i in range(h, len(row)):
-            if dirs[i - 1] > 0:
-                split.append((u, row[i]))
+                top = e + 1
+        apex[u] = top - e0 + 1
+        for e in range(e0, top):
+            if corner_dir[e] < 0:
+                split.append((u, head[e]))
+        for e in range(top + 1, e1):
+            if corner_dir[e - 1] > 0:
+                split.append((u, head[e]))
     return SplitPlan(apex=tuple(apex), split_edges=tuple(split))
 
 
@@ -93,18 +88,14 @@ def transitive_split_plan(g: EmbeddedStGraph) -> SplitPlan:
     """Baseline: split every transitive edge (reduced-graph strategy).
 
     An out-edge is transitive iff one of its neighbouring consecutive
-    successors has a path into its head; bounded by 2n-5 splits.
+    successors has a path into its head; bounded by 2n-5 splits.  The
+    corner after the last out-edge of a tail always has direction 0, so
+    ``corner_dir[e - 1]`` is 0 for a first out-edge ``e``.
     """
-    split = []
-    for u in range(g.n):
-        row = g.succ[u]
-        dirs = _corner_dirs(g, u)
-        for i, v in enumerate(row):
-            left = i > 0 and dirs[i - 1] > 0
-            right = i < len(row) - 1 and dirs[i] < 0
-            if left or right:
-                split.append((u, v))
-    return SplitPlan(apex=tuple([0] * g.n), split_edges=tuple(split))
+    corner_dir = compute_faces(g).corner_dir
+    split = tuple((g.tail[e], g.head[e]) for e in range(g.m)
+                  if corner_dir[e - 1] > 0 or corner_dir[e] < 0)
+    return SplitPlan(apex=tuple([0] * g.n), split_edges=split)
 
 
 def apply_splits(g: EmbeddedStGraph, plan: SplitPlan) -> SplitResult:
@@ -137,20 +128,14 @@ def apply_splits(g: EmbeddedStGraph, plan: SplitPlan) -> SplitResult:
         corner_dir[e - 1] = min(corner_dir[e - 1], 0)
         corner_dir[e] = max(corner_dir[e], 0)
         darts += darts[2 * e:2 * e + 2]
-    succ = list(g.succ)
-    for u in dict.fromkeys(g.tail[e] for e in split):
-        succ[u] = tuple(head[e] for e in g.out_edge_ids[u])
     lower = dict(zip(split, range(m, m + k)))  # split edge -> (d, v)
-    in_ltr = list(g.in_edge_ids_ltr)
-    for v in dict.fromkeys(heads):
-        in_ltr[v] = tuple(lower.get(e, e) for e in in_ltr[v])
+    one_each = tuple(range(m + 1, m + k + 1))  # a dummy has one edge each way
     graph = replace(
-        g, n=n + k, succ=tuple(succ) + tuple((v,) for v in heads),
-        tail=g.tail + tuple(range(n, n + k)), head=tuple(head + heads),
-        out_edge_ids=g.out_edge_ids + tuple((f,) for f in range(m, m + k)),
-        in_edge_ids_ltr=tuple(in_ltr) + tuple((e,) for e in split),
-        _face_index=replace(fi, corner_face=fi.corner_face + (-1,) * k,
-                            corner_dir=tuple(corner_dir) + (0,) * k,
+        g, n=n + k, tail=g.tail + tuple(range(n, n + k)),
+        head=tuple(head + heads), out_start=g.out_start + one_each,
+        in_edges=tuple(lower.get(e, e) for e in g.in_edges) + tuple(split),
+        in_start=g.in_start + one_each,
+        _face_index=replace(fi, corner_dir=tuple(corner_dir) + (0,) * k,
                             face_of_dart=tuple(darts)))
     dummy_of = {n + i: (g.tail[e], g.head[e]) for i, e in enumerate(split)}
     return SplitResult(graph=graph, dummy_of=dummy_of)

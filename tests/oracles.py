@@ -129,8 +129,8 @@ def dart_trace_faces(n, s, t, succ, in_ltr):
             w = face_sink[f]
             corner_dir[e] = (w == head[e + 1]) - (w == head[e])
     return dict(faces=tuple(faces), face_source=tuple(face_source),
-                face_sink=tuple(face_sink), corner_face=tuple(corner_face),
-                corner_dir=tuple(corner_dir), outer_face=outer,
+                face_sink=tuple(face_sink), corner_dir=tuple(corner_dir),
+                outer_face=outer,
                 face_of_dart=tuple(face_of_dart))
 
 
@@ -138,8 +138,8 @@ def face_index_fields(fi: FaceIndex) -> dict:
     """``fi`` in the form ``dart_trace_faces`` returns, face count for
     faces (the trace keeps cycle order, ``FaceIndex`` keeps id order)."""
     return dict(faces=len(fi.faces), face_source=fi.face_source,
-                face_sink=fi.face_sink, corner_face=fi.corner_face,
-                corner_dir=fi.corner_dir, outer_face=fi.outer_face,
+                face_sink=fi.face_sink, corner_dir=fi.corner_dir,
+                outer_face=fi.outer_face,
                 face_of_dart=fi.face_of_dart)
 
 
@@ -151,10 +151,10 @@ def face_sink(fi: FaceIndex, g: EmbeddedStGraph, u: int, i: int) -> int:
     there is a path left-to-right, the left successor iff right-to-left,
     and any other vertex iff no path exists between them.
     """
-    row = g.out_edge_ids[u]
-    if not (1 <= i < len(row)):
+    e = g.out_start[u] + i - 1  # the corner after e is right of e
+    if not (1 <= i < g.out_start[u + 1] - g.out_start[u]):
         raise IndexError(f"successor position {i} out of range at {u}")
-    return fi.face_sink[fi.corner_face[row[i - 1]]]
+    return fi.face_sink[fi.face_of_dart[2 * e + 1]]
 
 
 def exists_bitonic_bruteforce(g: EmbeddedStGraph, max_n: int = 10) -> bool:

@@ -44,9 +44,9 @@ def small_corpus(sizes, seeds):
 
 def descendants(g):
     """Reachability bitmasks per vertex (independent of face machinery)."""
-    in_deg = [len(ids) for ids in g.in_edge_ids_ltr]
+    in_deg = [len(g.pred_ltr(v)) for v in range(g.n)]
     desc = [0] * g.n
-    for u in reversed(_topological_order(g.n, g.succ, in_deg)):
+    for u in reversed(_topological_order(g.out_start, g.head, in_deg)):
         mask = 1 << u
         for v in g.succ[u]:
             mask |= desc[v]
@@ -79,7 +79,7 @@ def test_criterion_2_face_sink_correctness(capsys):
         desc = descendants(g)
         for u in range(g.n):
             row = g.succ[u]
-            ids = g.out_edge_ids[u]
+            ids = range(g.out_start[u], g.out_start[u + 1])
             for i in range(1, len(row)):
                 a, b = row[i - 1], row[i]
                 w = face_sink(fi, g, u, i)

@@ -173,8 +173,30 @@ def test_directory_input_exit_2(tmp_path, capsys):
 
 
 def test_non_utf8_input_exit_2(tmp_path, capsys):
+    # the message names the file and the line, also for either file of
+    # validate
+    text = "3 0 2\n0: 1 2\n1: 2\n2:\n"
+    good = tmp_path / "g.txt"
+    good.write_text(text)
     p = tmp_path / "latin1.txt"
-    p.write_bytes("3 0 2\n0: 1 2\n1: 2\n2:\n# caf\xe9\n".encode("latin-1"))
+    p.write_bytes((text + "# caf\xe9\n").encode("latin-1"))
+    drawing = tmp_path / "drawing.txt"
+    drawing.write_bytes("0 0 0\n# caf\xe9\n".encode("latin-1"))
+    for argv, bad, line in ((["check", str(p)], p, 5),
+                            (["validate", str(p), str(good)], p, 5),
+                            (["validate", str(good), str(drawing)],
+                             drawing, 2)):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"GraphFormatError: {bad}, line {line}: not UTF-8 (")
+        assert err.count("\n") == 1
+
+
+def test_json_successor_that_is_not_an_integer_exit_2(tmp_path, capsys):
+    p = tmp_path / "g.json"
+    p.write_text('{"n": 3, "s": 0, "t": 2, "succ": [[1, 2], [true], []]}')
     assert cli_main(["check", str(p)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert capsys.readouterr().err == (
+        "GraphFormatError: bad JSON graph: n, s, t and successors must be "
+        "integers, got bool\n")

@@ -91,9 +91,14 @@ def face_graphs():
     return graphs
 
 
+def in_ltr(g):
+    """The left-to-right in-edge ids of every vertex, one row each."""
+    return [g.in_edges[a:b] for a, b in zip(g.in_start, g.in_start[1:])]
+
+
 def test_face_index_matches_dart_trace():
     for g in face_graphs():
-        want = dart_trace_faces(g.n, g.s, g.t, g.succ, g.in_edge_ids_ltr)
+        want = dart_trace_faces(g.n, g.s, g.t, g.succ, in_ltr(g))
         fi = compute_faces(g)
         assert face_index_fields(fi) == dict(want, faces=len(want["faces"]))
         assert fi.faces == tuple(tuple(sorted(c)) for c in want["faces"])
@@ -103,8 +108,7 @@ def check_with_networkx(g):
     """The full rotation of ``g`` is a planar embedding with m - n + 2
     faces, as many as ``compute_faces`` has."""
     nx = pytest.importorskip("networkx")
-    rotation = {v: list(g.succ[v])
-                + [g.tail[e] for e in reversed(g.in_edge_ids_ltr[v])]
+    rotation = {v: list(g.succ[v]) + g.pred_ltr(v)[::-1]
                 for v in range(g.n)}
     emb = nx.PlanarEmbedding()
     emb.set_data(rotation)

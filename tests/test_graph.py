@@ -98,16 +98,20 @@ def test_mirrored_rotations_still_embed():
 
 
 def test_topo_order_is_smallest_ready_first(sixteen):
-    in_deg = [len(ids) for ids in sixteen.in_edge_ids_ltr]
-    order = _topological_order(sixteen.n, sixteen.succ, in_deg)
+    in_deg = [len(sixteen.pred_ltr(v)) for v in range(sixteen.n)]
+    order = _topological_order(sixteen.out_start, sixteen.head, in_deg)
     pos = {v: i for i, v in enumerate(order)}
     for u, v in sixteen.edges:
         assert pos[u] < pos[v]
     assert order[0] == sixteen.s and order[-1] == sixteen.t
 
 
-def test_in_rotation_reverses_pred_order(f1):
-    assert f1.in_rotation(4) == list(reversed(f1.in_edge_ids_ltr[4]))
+def test_flat_arrays_of_f1(f1):
+    assert f1.out_start == (0, 3, 4, 6, 7, 7)
+    assert f1.head == tuple(v for row in f1.succ for v in row)
+    assert f1.in_start == (0, 0, 2, 3, 5, 7)
+    # in-edges of 4 from left to right: (1, 4), then (3, 4)
+    assert f1.in_edges[5:7] == (3, 6) and f1.pred_ltr(4) == [1, 3]
 
 
 def test_generated_graphs_validate():

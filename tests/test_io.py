@@ -53,9 +53,28 @@ def test_malformed_text(bad):
         graph_from_text(bad)
 
 
+MALFORMED_JSON = {
+    "missing keys": '{"n": 3}',
+    "not an object": '[3, 0, 2]',
+    "string rows": '{"n": 3, "s": 0, "t": 2, "succ": ["12", "2", ""]}',
+    "rows not a list": '{"n": 2, "s": 0, "t": 1, "succ": 5}',
+    "float n": '{"n": 2.9, "s": 0, "t": 1, "succ": [[1], []]}',
+    "float successor": '{"n": 2, "s": 0, "t": 1, "succ": [[1.7], []]}',
+    "bool t": '{"n": 2, "s": 0, "t": true, "succ": [[1], []]}',
+    "string n": '{"n": "2", "s": 0, "t": 1, "succ": [[1], []]}',
+    "null s": '{"n": 2, "s": null, "t": 1, "succ": [[1], []]}',
+    "infinite n": '{"n": Infinity, "s": 0, "t": 1, "succ": [[1], []]}',
+    "overflowing successor": '{"n": 2, "s": 0, "t": 1, "succ": [[1e400], []]}',
+    "deep array": ('{"n": 2, "s": 0, "t": 1, "succ": '
+                   + "[" * 200_000 + "]" * 200_000 + "}"),
+}
+
+
 def test_malformed_json():
-    with pytest.raises(GraphFormatError):
-        graph_from_json('{"n": 3}')
+    # each case in turn, so that the test keeps one name
+    for case, text in MALFORMED_JSON.items():
+        with pytest.raises(GraphFormatError, match="^bad JSON graph: "):
+            graph_from_json(text)
 
 
 def test_load_graph_dispatch(tmp_path, triangle):

@@ -6,8 +6,9 @@ from statistics import median
 
 import pytest
 
-from stlayout import (BitonicOrdering, OrderingInvalid, check_bounds,
-                      check_upward_planar, draw_polyline, draw_straightline,
+from stlayout import (BitonicOrdering, EmbeddedStGraph, OrderingInvalid,
+                      RejectionWitness, check_bounds, check_upward_planar,
+                      draw_polyline, draw_straightline, drawing_to_text,
                       emit_svg, find_bitonic_ordering)
 from conftest import LINEAR_GATE, corpus, doubling_ratios, fan, zig
 
@@ -69,6 +70,25 @@ def test_fan_family_bends():
         g = fan(k)
         d = draw_polyline(g)
         assert sum(len(p) - 2 for p in d.edge_paths) == k - 3
+
+
+def test_draw_path_never_reads_succ(monkeypatch, f1):
+    # succ is a derived view for io and tests; planning, splitting,
+    # ordering, verifying, the contour, the fold and emitting read the
+    # flat arrays
+    graphs = [f1, fan(50), zig(101)] + corpus(sizes=(12, 40), seeds=range(3))
+
+    def no_succ(g):
+        raise AssertionError("the draw path read succ")
+
+    monkeypatch.setattr(EmbeddedStGraph, "succ", property(no_succ))
+    for g in graphs:
+        d = draw_polyline(g)
+        drawing_to_text(g, d)
+        ord = find_bitonic_ordering(g)
+        if not isinstance(ord, RejectionWitness):
+            d = draw_straightline(g, ord)
+        assert check_upward_planar(g, d).ok
 
 
 def test_svg_output(f1):
