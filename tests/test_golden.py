@@ -10,21 +10,24 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
-from stlayout import (GeneratorConfig, RejectionWitness, apply_splits,
-                      check_upward_planar, compute_faces, draw_polyline,
+from stlayout import (GeneratorConfig, GridDrawing, RejectionWitness,
+                      apply_splits, check_upward_planar, compute_faces,
+                      draw_polyline,
                       draw_straightline, drawing_to_text,
                       find_bitonic_ordering, generate_random_st_graph,
                       graph_to_json, graph_to_text, minimum_split_plan,
                       transitive_split_plan)
 from stlayout.ordering import ordering_to_text, witness_to_text
 from stlayout.splitting import plan_to_text
+from stlayout.validate import _find_proper_intersection
 from conftest import all_fixture_graphs, corpus, fan, zig
 
 GOLDEN = Path(__file__).with_name("golden.json")
 FAMILIES = ("graph", "ordering", "plan", "split", "faces", "straightline",
-            "polyline", "validation")
+            "polyline", "validation", "sweep")
 
 
 def golden_graphs():
@@ -51,12 +54,44 @@ def faces_text(g):
                  fi.outer_face, fi.face_of_dart))
 
 
+def sweep_piece_sets(count=20_000, side=5):
+    """Seeded sets of 2-8 pieces on a small grid, so that shared
+    endpoints, touches, overlaps and crossings are all common."""
+    rng = random.Random(9)
+    for _ in range(count):
+        pieces = []
+        for _ in range(rng.randint(2, 8)):
+            a = (rng.randrange(side), rng.randrange(side))
+            kind = rng.random()
+            if kind < 0.2:
+                b = a
+            elif kind < 0.35:
+                b = (rng.randrange(side), a[1])
+            else:
+                b = (rng.randrange(side), rng.randrange(side))
+            pieces.append((a, b))
+        yield pieces
+
+
+def perturbed(g, d, rng):
+    """``d`` with 1-3 vertices moved by a few units; every path still
+    starts and ends at its edge's vertices."""
+    coords = list(d.coords)
+    for v in rng.sample(range(g.n), min(g.n, rng.randint(1, 3))):
+        x, y = coords[v]
+        coords[v] = (x + rng.randint(-3, 3), y + rng.randint(-3, 3))
+    paths = tuple((coords[g.tail[e]], *path[1:-1], coords[g.head[e]])
+                  for e, path in enumerate(d.edge_paths))
+    return GridDrawing(coords=tuple(coords), edge_paths=paths)
+
+
 def digests() -> dict[str, str]:
     h = {name: hashlib.sha256() for name in FAMILIES}
 
     def put(family, text):
         h[family].update(text.encode() + b"\0")
 
+    rng = random.Random(9)
     for g in golden_graphs():
         put("graph", graph_to_text(g) + graph_to_json(g))
         put("faces", faces_text(g))
@@ -81,6 +116,12 @@ def digests() -> dict[str, str]:
         poly = draw_polyline(g)
         put("polyline", drawing_to_text(g, poly))
         put("validation", check_upward_planar(g, poly).to_json())
+        if g.n <= 100:
+            for _ in range(3):
+                put("sweep", check_upward_planar(
+                    g, perturbed(g, poly, rng)).to_json())
+    for pieces in sweep_piece_sets():
+        put("sweep", repr(_find_proper_intersection(pieces)))
     return {name: h[name].hexdigest() for name in FAMILIES}
 
 
