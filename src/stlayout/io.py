@@ -30,13 +30,24 @@ def graph_to_text(g: EmbeddedStGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_from_text(text: str) -> EmbeddedStGraph:
-    header = None
-    rows: dict[int, list[int]] = {}
+def _content_lines(text: str):
+    """(line number, line) for each line not blank once its comment is
+    cut.  ``int`` also reads ``+2``, ``0_2`` and non-ASCII digits, so such
+    lines are rejected here, once per line rather than per token."""
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        if not line.isascii() or "+" in line or "_" in line:
+            raise GraphFormatError(
+                f"line {lineno}: numbers must be ASCII decimal integers")
+        yield lineno, line
+
+
+def graph_from_text(text: str) -> EmbeddedStGraph:
+    header = None
+    rows: dict[int, list[int]] = {}
+    for lineno, line in _content_lines(text):
         if header is None:
             parts = line.split()
             if len(parts) != 3:
@@ -123,10 +134,7 @@ def drawing_to_text(g: EmbeddedStGraph, d: GridDrawing) -> str:
 def drawing_from_text(text: str, g: EmbeddedStGraph) -> GridDrawing:
     coords: dict[int, tuple[int, int]] = {}
     bends: dict[tuple[int, int], tuple[int, int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         parts = line.split()
         try:
             if parts[0] == "bend":

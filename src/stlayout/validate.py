@@ -1,13 +1,13 @@
 """Independent geometric verification of drawings.
 
 The checks here never reuse the layout machinery: upwardness is read off
-the edge paths directly and planarity is decided by exact integer segment
-predicates.  One plane sweep checks every drawing, whatever its size.  It
-visits once each grid point where a piece starts or ends, locates it in
-the sweep status with one bisect on an exact integer key, removes the
-pieces that end there and inserts those that start there as whole
-slices, and tests only the pieces that became neighbours.  A zero-length
-piece costs that lookup and nothing else.
+the edge paths directly and planarity is decided by one plane sweep over
+exact integers, whatever the drawing's size.  It visits once each grid
+point where a piece starts or ends, locates it in the sweep status with
+one bisect on an exact integer test, removes the pieces that end there
+and inserts those that start there as whole slices, and decides each pair
+of pieces that became neighbours with one comparison of their integer
+keys.  A zero-length piece costs that lookup and nothing else.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import MissingCoordinate
-from .geometry import segments_properly_intersect
 from .graph import EmbeddedStGraph
 from .layout import GridDrawing
 
@@ -61,10 +60,15 @@ class ValidationReport:
 
 def check_upward_planar(g: EmbeddedStGraph,
                         d: GridDrawing) -> ValidationReport:
-    """Strict y-monotonicity per edge piece plus pairwise crossing test."""
+    """Each edge's path runs from its tail's point to its head's, every
+    piece rises strictly, no two vertices or bends share a point, and no
+    two pieces meet except at a shared endpoint."""
     if len(d.coords) < g.n:
         raise MissingCoordinate(
             f"drawing has {len(d.coords)} coordinates for {g.n} vertices")
+    if len(d.edge_paths) != g.m:
+        raise MissingCoordinate(
+            f"drawing has {len(d.edge_paths)} edge paths for {g.m} edges")
 
     violations = []
 
@@ -76,12 +80,16 @@ def check_upward_planar(g: EmbeddedStGraph,
 
     upward = True
     for e, path in enumerate(d.edge_paths):
+        u, v = g.tail[e], g.head[e]
+        if (len(path) < 2 or path[0] != d.coords[u]
+                or path[-1] != d.coords[v]):
+            violations.append(f"edge {u}->{v} path must run from "
+                              f"{d.coords[u]} to {d.coords[v]}")
         for a, b in zip(path, path[1:]):
             if b[1] <= a[1]:
                 upward = False
                 violations.append(
-                    f"edge {g.tail[e]}->{g.head[e]} piece {a}->{b} "
-                    f"is not strictly upward")
+                    f"edge {u}->{v} piece {a}->{b} is not strictly upward")
                 break
 
     pieces = [(a, b) for path in d.edge_paths
@@ -150,18 +158,22 @@ def _find_proper_intersection(pieces):
     each endpoint height Y, with grid point p:
 
     1. one bisect (over the blocks, then within one) finds the first
-       piece whose x at Y is at least p's x.  Its key, the floor of that
-       x, is an exact integer, and floor(x) >= x(p) exactly when
-       x >= x(p).  The pieces through p follow it as ties, and they are
-       all that p's removals, insertions and zero-length pieces touch,
-       so no other search is needed;
+       piece whose x at Y is at least p's x, that is with
+       A + dx*Y >= px*dy.  The pieces through p follow it as ties, and
+       they are all that p's removals, insertions and zero-length pieces
+       touch, so no other search is needed;
     2. every tie must end at p: one that does not passes through p's
        interior and properly meets any piece with an endpoint at p;
     3. the ties leave the status as one slice;
     4. the pieces starting at p enter it as one block sorted by slope,
        and two equal slopes there are a collinear overlap;
-    5. only the pairs that became adjacent are tested: the pieces either
-       side of the removed ties, or either side of the inserted block.
+    5. the pieces either side of the removed ties, or of the inserted
+       block, are tested: with r left of s at Y and h the lower of their
+       ends, they meet properly iff r is right of s at h, or level there
+       with a different end (equal ends are a shared endpoint, as a
+       height holds one grid point).  Nothing reported before Y means no
+       proper intersection below Y, so they can only meet in (Y, h], and
+       this one comparison is exact.
 
     Pieces starting at one point meet nowhere else unless their slopes
     are equal, so pairs inside a block need no test.  As long as nothing
@@ -202,20 +214,20 @@ def _find_proper_intersection(pieces):
     def pair(i, j):
         return (i, j) if i < j else (j, i)
 
-    def floor_x(r):  # floor of r's x at the current sweep height Y
-        return (r[0] + r[1] * Y) // r[2]
+    def at_or_right(r):  # r's x at the current sweep height Y is >= px
+        return r[0] + r[1] * Y >= px * r[2]
 
     blocks = []
     for Y in heights:
         px = x0 + Y % K
         bi = k = 0
         if blocks:
-            bi = bisect_left(blocks, px, key=lambda b: floor_x(b[-1]))
+            bi = bisect_left(blocks, True, key=lambda b: at_or_right(b[-1]))
             if bi == len(blocks):
                 bi -= 1
                 k = len(blocks[bi])
             else:
-                k = bisect_left(blocks[bi], px, key=floor_x)
+                k = bisect_left(blocks[bi], True, key=at_or_right)
         left = (blocks[bi][k - 1] if k else
                 blocks[bi - 1][-1] if bi else None)
 
@@ -257,15 +269,14 @@ def _find_proper_intersection(pieces):
                 rest += blocks[bj][kj:]
             blocks[bi:bj + 1] = _chunks(rest)
 
-        if new:
-            pairs = ((left, new[0]), (new[-1], right))
-        elif (bj, kj) != (bi, k):
-            pairs = ((left, right),)
-        else:
-            pairs = ()
+        # a point with only zero-length pieces retests two neighbours; the
+        # test is exact at any height, so that cannot change the answer
+        pairs = ((left, new[0]), (new[-1], right)) if new else ((left, right),)
         for r, s in pairs:
-            if (r is not None and s is not None
-                    and segments_properly_intersect(*pieces[r[4]],
-                                                    *pieces[s[4]])):
+            if r is None or s is None:
+                continue
+            h = min(r[3], s[3])
+            d = (r[0] + r[1] * h) * s[2] - (s[0] + s[1] * h) * r[2]
+            if d > 0 or d == 0 and r[3] != s[3]:
                 return pair(r[4], s[4])
     return None

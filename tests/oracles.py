@@ -6,6 +6,11 @@
 * ``exists_bitonic_bruteforce``: all topological orderings.
 * ``minimum_splits_bruteforce``: all edge subsets up to a budget.
 * ``face_sink``: the sink of the face between two consecutive successors.
+* ``orientation``, ``on_segment`` and ``segments_properly_intersect``:
+  exact integer predicates for segments on the grid, with no floating
+  point in any decision.
+* ``all_pairs_intersection``: the first properly intersecting pair of
+  pieces over all pairs, the reference for the validator's sweep.
 """
 
 from __future__ import annotations
@@ -206,3 +211,64 @@ def minimum_splits_bruteforce(g: EmbeddedStGraph, budget: int,
             if isinstance(find_bitonic_ordering(res.graph), BitonicOrdering):
                 return k
     return budget + 1
+
+
+Point = tuple[int, int]
+
+
+def orientation(a: Point, b: Point, c: Point) -> int:
+    """Sign of the cross product (b - a) x (c - a): +1 left turn, -1 right
+    turn, 0 collinear."""
+    d = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return (d > 0) - (d < 0)
+
+
+def on_segment(a: Point, b: Point, p: Point) -> bool:
+    """p lies on the closed segment ab (collinearity included)."""
+    if orientation(a, b, p) != 0:
+        return False
+    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+
+
+def segments_properly_intersect(p1: Point, p2: Point,
+                                q1: Point, q2: Point) -> bool:
+    """True iff the closed segments share a point that is not a shared
+    endpoint.
+
+    Touching at a common endpoint is allowed; an endpoint in the interior
+    of the other segment, interior crossings, and collinear overlap are
+    all proper.
+    """
+    shared = {p1, p2} & {q1, q2}
+    if len(shared) == 2:
+        return True  # identical or reversed segments overlap fully
+    o1 = orientation(p1, p2, q1)
+    o2 = orientation(p1, p2, q2)
+    o3 = orientation(q1, q2, p1)
+    o4 = orientation(q1, q2, p2)
+
+    if shared:
+        (c,) = shared
+        # only the shared endpoint may lie on both segments
+        for p in (p1, p2):
+            if p != c and on_segment(q1, q2, p):
+                return True
+        for q in (q1, q2):
+            if q != c and on_segment(p1, p2, q):
+                return True
+        return False
+
+    if o1 * o2 < 0 and o3 * o4 < 0:
+        return True
+    return (on_segment(p1, p2, q1) or on_segment(p1, p2, q2)
+            or on_segment(q1, q2, p1) or on_segment(q1, q2, p2))
+
+
+def all_pairs_intersection(pieces):
+    """Oracle: the first properly intersecting index pair over all pairs."""
+    for i in range(len(pieces)):
+        for j in range(i + 1, len(pieces)):
+            if segments_properly_intersect(*pieces[i], *pieces[j]):
+                return i, j
+    return None

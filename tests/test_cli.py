@@ -147,6 +147,14 @@ def test_malformed_file_exit_2(tmp_path, capsys):
     assert "ParallelEdge" in capsys.readouterr().err
 
 
+def test_number_that_is_not_ascii_decimal_exit_2(tmp_path, capsys):
+    p = tmp_path / "g.txt"
+    p.write_text("3 0 2\n0: 1 +2\n1: 2\n")
+    assert cli_main(["check", str(p)]) == 2
+    assert capsys.readouterr().err == (
+        "GraphFormatError: line 2: numbers must be ASCII decimal integers\n")
+
+
 def usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli_main(argv)

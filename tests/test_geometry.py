@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from stlayout.geometry import (on_segment, orientation,
-                               segments_properly_intersect)
+from oracles import on_segment, orientation, segments_properly_intersect
 
 
 def test_orientation_signs():

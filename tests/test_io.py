@@ -47,6 +47,11 @@ def test_roundtrip_corpus():
     "3 0 2\n0: 7\n",
     "x y z\n",
     "100000000 0 1\n0: 1\n",  # n far beyond the vertex lines given
+    # numbers that int() reads but that are not ASCII decimal integers
+    "3 0 2\n0: 1 +2\n1: 2\n",
+    "3 0 2\n0: 1 0_2\n1: 2\n",
+    "3 0 2\n0: 1 2\n1: \u0662\n",
+    "+3 0 2\n0: 1 2\n1: 2\n",
 ])
 def test_malformed_text(bad):
     with pytest.raises(GraphFormatError):
@@ -102,6 +107,13 @@ def test_drawing_requires_all_vertices(f1, triangle):
     for repeat in ("0 9 9\n", "bend 0 2 2 1\nbend 0 2 2 2\n"):
         with pytest.raises(GraphFormatError, match="line [45]: duplicate"):
             drawing_from_text(drawn + repeat, triangle)
+    # numbers are ASCII decimal integers, though int() takes more
+    for bad, line in (("0 3 0\n+1 0 1\n2 1 2\n", 2),
+                      ("0 3 0\n1 0 1\n2 \uff12 2\n", 3),
+                      ("0 0_0 0\n1 0 1\n2 1 2\n", 1)):
+        with pytest.raises(GraphFormatError,
+                           match=f"line {line}: numbers must be ASCII"):
+            drawing_from_text(bad, triangle)
     # a bend line must name an edge: out of range, negative, reversed,
     # and a pair of vertices without an edge
     vertices = "".join(f"{v} {v} {v}\n" for v in range(f1.n))

@@ -14,9 +14,9 @@ from stlayout import (GeneratorConfig, GridDrawing, MissingCoordinate,
                       find_bitonic_ordering, draw_straightline,
                       generate_random_st_graph)
 from stlayout import validate
-from stlayout.geometry import segments_properly_intersect
 from stlayout.validate import _find_proper_intersection
 from conftest import LINEAR_GATE, corpus, doubling_ratios
+from oracles import all_pairs_intersection, segments_properly_intersect
 
 
 def test_report_fields(triangle):
@@ -33,6 +33,12 @@ def test_missing_coordinate(triangle):
     d = GridDrawing(coords=((0, 0), (1, 1)), edge_paths=())
     with pytest.raises(MissingCoordinate):
         check_upward_planar(triangle, d)
+    # every edge needs a path
+    d = draw_straightline(triangle, find_bitonic_ordering(triangle))
+    for paths in ((), d.edge_paths[:2], d.edge_paths + d.edge_paths[:1]):
+        with pytest.raises(MissingCoordinate, match=r"\d edge paths for 3"):
+            check_upward_planar(
+                triangle, GridDrawing(coords=d.coords, edge_paths=paths))
 
 
 def test_detects_downward_edge(triangle):
@@ -43,6 +49,16 @@ def test_detects_downward_edge(triangle):
         triangle, GridDrawing(coords=coords, edge_paths=paths))
     assert not rep.upward
     assert not rep.ok
+    # upward paths that never touch the vertices, placed downward, and a
+    # path of one point
+    coords = ((0, 5), (1, 3), (0, 0))
+    paths = (((5, 0), (5, 1)), ((6, 0), (6, 1)), ((1, 3),))
+    rep = check_upward_planar(
+        triangle, GridDrawing(coords=coords, edge_paths=paths))
+    assert not rep.ok
+    assert rep.violations == ["edge 0->1 path must run from (0, 5) to (1, 3)",
+                              "edge 0->2 path must run from (0, 5) to (0, 0)",
+                              "edge 1->2 path must run from (1, 3) to (0, 0)"]
 
 
 def test_detects_crossing(f1):
@@ -74,15 +90,6 @@ def test_bounds_modes(triangle):
     assert check_bounds(d, 3, "polyline")
     with pytest.raises(ValueError):
         check_bounds(d, 3, "curvy")
-
-
-def all_pairs_intersection(pieces):
-    """Oracle: the first properly intersecting index pair over all pairs."""
-    for i in range(len(pieces)):
-        for j in range(i + 1, len(pieces)):
-            if segments_properly_intersect(*pieces[i], *pieces[j]):
-                return i, j
-    return None
 
 
 def _random_pieces(rng, k, side, zero_share, reach=None):
