@@ -14,7 +14,8 @@ import random
 from pathlib import Path
 
 from stlayout import (GeneratorConfig, GridDrawing, RejectionWitness,
-                      apply_splits, check_upward_planar, compute_faces,
+                      apply_splits, check_bounds, check_upward_planar,
+                      compute_faces,
                       draw_polyline,
                       draw_straightline, drawing_to_text,
                       find_bitonic_ordering, generate_random_st_graph,
@@ -27,7 +28,7 @@ from conftest import all_fixture_graphs, corpus, fan, zig
 
 GOLDEN = Path(__file__).with_name("golden.json")
 FAMILIES = ("graph", "ordering", "plan", "split", "faces", "straightline",
-            "polyline", "validation", "sweep")
+            "polyline", "validation", "sweep", "bounds")
 
 
 def golden_graphs():
@@ -85,6 +86,11 @@ def perturbed(g, d, rng):
     return GridDrawing(coords=tuple(coords), edge_paths=paths)
 
 
+def bounds_text(d, n):
+    return repr([check_bounds(d, n, mode)
+                 for mode in ("straightline", "polyline")])
+
+
 def digests() -> dict[str, str]:
     h = {name: hashlib.sha256() for name in FAMILIES}
 
@@ -113,13 +119,16 @@ def digests() -> dict[str, str]:
         straight = draw_straightline(h_graph, ord)
         put("straightline", drawing_to_text(h_graph, straight))
         put("validation", check_upward_planar(h_graph, straight).to_json())
+        put("bounds", bounds_text(straight, h_graph.n))
         poly = draw_polyline(g)
         put("polyline", drawing_to_text(g, poly))
         put("validation", check_upward_planar(g, poly).to_json())
+        put("bounds", bounds_text(poly, g.n))
         if g.n <= 100:
             for _ in range(3):
-                put("sweep", check_upward_planar(
-                    g, perturbed(g, poly, rng)).to_json())
+                moved = perturbed(g, poly, rng)
+                put("sweep", check_upward_planar(g, moved).to_json())
+                put("bounds", bounds_text(moved, g.n))
     for pieces in sweep_piece_sets():
         put("sweep", repr(_find_proper_intersection(pieces)))
     return {name: h[name].hexdigest() for name in FAMILIES}
