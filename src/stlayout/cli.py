@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: check, order, split, draw, validate, gen, bench.
-Exit codes: 0 success, 1 rejection (check of a non-bitonic graph),
+Exit codes: 0 success, 1 rejection (check of a non-bitonic graph, a
+drawing that fails validation or a bench drawing that fails its checks),
 2 malformed input.
 """
 
@@ -20,7 +21,7 @@ from .ordering import (RejectionWitness, find_bitonic_ordering,
                        ordering_to_text, witness_to_text)
 from .splitting import (minimum_split_plan, plan_to_text,
                         transitive_split_plan)
-from .validate import check_upward_planar
+from .validate import check_bounds, check_upward_planar
 
 
 def _cmd_order(args) -> int:
@@ -79,35 +80,49 @@ def _cmd_gen(args) -> int:
 
 
 def run_bench(sizes, seed):
-    """Generate, draw poly-line, and collect per-size statistics.
+    """Generate, draw poly-line, check, and collect per-size statistics.
 
-    Returns CSV rows (dicts); timing covers the drawing pipeline only.
+    Returns CSV rows (dicts): ``ms_total`` times the drawing,
+    ``ms_validate`` the upward-planarity and bound checks, and ``ok``
+    says whether the drawing passed them.
     """
     rows = []
     for n in sizes:
         g = generate_random_st_graph(GeneratorConfig(n_target=n, seed=seed))
         t0 = time.perf_counter()
         d = draw_polyline(g)
-        ms = (time.perf_counter() - t0) * 1000.0
+        t1 = time.perf_counter()
+        ok = (check_upward_planar(g, d).ok
+              and check_bounds(d, g.n, "polyline"))
+        t2 = time.perf_counter()
         rows.append({
             "n": n,
             "edges": g.m,
             "splits": len(d.splits),
-            "bends": len(d.bend_points),
+            "bends": len(d.bends),
             "width": d.width,
             "height": d.height,
-            "ms_total": ms,
+            "ms_total": (t1 - t0) * 1000.0,
+            "ms_validate": (t2 - t1) * 1000.0,
+            "ok": ok,
         })
     return rows
 
 
 def _cmd_bench(args) -> int:
     rows = run_bench(args.sizes, args.seed)
-    sys.stdout.write("n,edges,splits,bends,width,height,ms_total\n")
+    sys.stdout.write("n,edges,splits,bends,width,height,ms_total,"
+                     "ms_validate\n")
     for r in rows:
         sys.stdout.write(
             f"{r['n']},{r['edges']},{r['splits']},{r['bends']},"
-            f"{r['width']},{r['height']},{r['ms_total']:.1f}\n")
+            f"{r['width']},{r['height']},{r['ms_total']:.1f},"
+            f"{r['ms_validate']:.1f}\n")
+    failed = [str(r["n"]) for r in rows if not r["ok"]]
+    if failed:
+        sys.stderr.write(f"error: the drawing fails its checks for "
+                         f"n = {', '.join(failed)}\n")
+        return 1
     return 0
 
 

@@ -15,7 +15,7 @@ lines for the bent edges.
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, compress, repeat
 
 from .errors import GraphFormatError
 from .graph import EmbeddedStGraph, build_graph
@@ -33,8 +33,18 @@ def graph_to_text(g: EmbeddedStGraph) -> str:
 def _content_lines(text: str):
     """(line number, line) for each line not blank once its comment is
     cut.  ``int`` also reads ``+2``, ``0_2`` and non-ASCII digits, so such
-    lines are rejected here, once per line rather than per token."""
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    lines are rejected here, once per line rather than per token.  A text
+    with no ``#``, ``+``, ``_`` or non-ASCII character, such as every text
+    this module writes, has nothing to cut or reject: one test covers it."""
+    lines = enumerate(text.splitlines(), 1)
+    if text.isascii() and not ("#" in text or "+" in text or "_" in text):
+        return ((lineno, line) for lineno, raw in lines
+                if (line := raw.strip()))
+    return _cut_and_checked(lines)
+
+
+def _cut_and_checked(lines):
+    for lineno, raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -126,8 +136,14 @@ def load_graph(path: str) -> EmbeddedStGraph:
 
 def drawing_to_text(g: EmbeddedStGraph, d: GridDrawing) -> str:
     lines = [f"{v} {x} {y}" for v, (x, y) in enumerate(d.coords[:g.n])]
-    for e, (bx, by) in d.bend_points:
-        lines.append(f"bend {g.tail[e]} {g.head[e]} {bx} {by}")
+    for e, path in enumerate(d.edge_paths):
+        if len(path) > 2:
+            u, v = g.tail[e], g.head[e]
+            if len(path) > 3:
+                raise ValueError(f"edge {u}->{v} has {len(path) - 2} bends; "
+                                 f"the drawing text holds one per edge")
+            bx, by = path[1]
+            lines.append(f"bend {u} {v} {bx} {by}")
     return "\n".join(lines) + "\n"
 
 
@@ -138,10 +154,10 @@ def drawing_from_text(text: str, g: EmbeddedStGraph) -> GridDrawing:
         parts = line.split()
         try:
             if parts[0] == "bend":
-                u, v, x, y = (int(p) for p in parts[1:])
+                u, v, x, y = map(int, parts[1:])
                 key, seen, what = (u, v), bends, "bend on"
             else:
-                v, x, y = (int(p) for p in parts)
+                v, x, y = map(int, parts)
                 key, seen, what = v, coords, "vertex"
         except ValueError:
             raise GraphFormatError(f"line {lineno}: bad drawing line") from None
@@ -150,13 +166,14 @@ def drawing_from_text(text: str, g: EmbeddedStGraph) -> GridDrawing:
         seen[key] = (x, y)
     if sorted(coords) != list(range(g.n)):
         raise GraphFormatError("drawing must assign every vertex exactly once")
-    cs = tuple(coords[v] for v in range(g.n))
-    paths = []
-    for e in range(g.m):
-        u, v = g.tail[e], g.head[e]
-        bend = bends.pop((u, v), None)
-        paths.append((cs[u], cs[v]) if bend is None else (cs[u], bend, cs[v]))
+    cs = tuple(map(coords.__getitem__, range(g.n)))
+    point = cs.__getitem__
+    paths = list(zip(map(point, g.tail), map(point, g.head)))
     if bends:
-        u, v = next(iter(bends))
-        raise GraphFormatError(f"bend on ({u}, {v}), which is not an edge")
+        bend_of = list(map(bends.pop, zip(g.tail, g.head), repeat(None)))
+        if bends:
+            u, v = next(iter(bends))
+            raise GraphFormatError(f"bend on ({u}, {v}), which is not an edge")
+        for e in compress(range(g.m), bend_of):
+            paths[e] = (paths[e][0], bend_of[e], paths[e][1])
     return GridDrawing(coords=cs, edge_paths=tuple(paths))

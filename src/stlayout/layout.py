@@ -10,6 +10,8 @@ graph straight-line, then turn each dummy vertex into one bend.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 
 from .errors import NonIntegerCoordinate, OrderingInvalid
 from .graph import EmbeddedStGraph
@@ -27,31 +29,40 @@ class GridDrawing:
     Straight-line drawings have no bends.  A poly-line drawing is the
     straight-line drawing of the split graph folded back onto the original
     edges: each formerly split edge carries one bend, and ``splits`` lists
-    those edges.  Width and height cover vertices and bends alike.
+    those edges.  Width and height cover vertices and bends alike; the
+    bends and the box are computed once, on first use.
     """
 
     coords: tuple[Point, ...]
     edge_paths: tuple[tuple[Point, ...], ...]
     splits: tuple[tuple[int, int], ...] = ()
 
-    def _all_points(self) -> list[Point]:
-        return list(self.coords) + [p for path in self.edge_paths
-                                    for p in path[1:-1]]
+    @property
+    def bend_points(self) -> list[tuple[int, Point]]:
+        """``(e, p)`` for every interior point ``p`` of each edge path."""
+        return [(e, p) for e, path in enumerate(self.edge_paths)
+                if len(path) > 2 for p in path[1:-1]]
+
+    @cached_property
+    def bends(self) -> list[Point]:
+        """The points of :attr:`bend_points`."""
+        return list(map(itemgetter(1), self.bend_points))
+
+    @cached_property
+    def _extent(self) -> tuple[int, int]:
+        points = [*self.coords, *self.bends]
+        if not points:
+            return 0, 0
+        xs, ys = zip(*points)
+        return max(xs) - min(xs), max(ys) - min(ys)
 
     @property
     def width(self) -> int:
-        xs = [p[0] for p in self._all_points()]
-        return max(xs) - min(xs) if xs else 0
+        return self._extent[0]
 
     @property
     def height(self) -> int:
-        ys = [p[1] for p in self._all_points()]
-        return max(ys) - min(ys) if ys else 0
-
-    @property
-    def bend_points(self) -> list[tuple[int, Point]]:
-        return [(e, path[1]) for e, path in enumerate(self.edge_paths)
-                if len(path) == 3]
+        return self._extent[1]
 
 
 def draw_straightline(g: EmbeddedStGraph,
@@ -183,11 +194,10 @@ def emit_svg(d: GridDrawing, scale: int = 20) -> str:
         pts = " ".join(f"{x},{y}" for x, y in map(pt, path))
         lines.append(f'<polyline points="{pts}" fill="none" '
                      f'stroke="black" stroke-width="1"/>')
-    for path in d.edge_paths:
-        if len(path) == 3:
-            x, y = pt(path[1])
-            lines.append(f'<rect x="{x - r}" y="{y - r}" width="{2 * r}" '
-                         f'height="{2 * r}" fill="white" stroke="black"/>')
+    for p in d.bends:
+        x, y = pt(p)
+        lines.append(f'<rect x="{x - r}" y="{y - r}" width="{2 * r}" '
+                     f'height="{2 * r}" fill="white" stroke="black"/>')
     for p in d.coords:
         x, y = pt(p)
         lines.append(f'<circle cx="{x}" cy="{y}" r="{r}" '

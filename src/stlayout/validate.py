@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain, pairwise
+from operator import eq, itemgetter, lt
 
 from .errors import MissingCoordinate
 from .graph import EmbeddedStGraph
@@ -70,30 +72,39 @@ def check_upward_planar(g: EmbeddedStGraph,
         raise MissingCoordinate(
             f"drawing has {len(d.edge_paths)} edge paths for {g.m} edges")
 
+    if len(d.coords) > g.n:  # only the graph's own vertices are drawn
+        d = GridDrawing(coords=d.coords[:g.n], edge_paths=d.edge_paths)
+    coords, paths = d.coords, d.edge_paths
+
     violations = []
 
-    bends = [p for path in d.edge_paths for p in path[1:-1]]
-    nodes = list(d.coords[:g.n]) + bends
+    nodes = [*coords, *d.bends]
     distinct = len(set(nodes)) == len(nodes)
     if not distinct:
         violations.append("two vertices or bends share a coordinate")
 
-    upward = True
-    for e, path in enumerate(d.edge_paths):
-        u, v = g.tail[e], g.head[e]
-        if (len(path) < 2 or path[0] != d.coords[u]
-                or path[-1] != d.coords[v]):
-            violations.append(f"edge {u}->{v} path must run from "
-                              f"{d.coords[u]} to {d.coords[v]}")
-        for a, b in zip(path, path[1:]):
-            if b[1] <= a[1]:
-                upward = False
-                violations.append(
-                    f"edge {u}->{v} piece {a}->{b} is not strictly upward")
-                break
+    pieces = list(chain.from_iterable(map(pairwise, paths)))
+    y = itemgetter(1)
+    upward = all(map(lt, map(y, map(itemgetter(0), pieces)),
+                     map(y, map(y, pieces))))
+    # one whole-list test for the usual case; the loop words what failed
+    point = coords.__getitem__
+    if not (upward and min(map(len, paths), default=2) >= 2
+            and all(map(eq, map(itemgetter(0), paths), map(point, g.tail)))
+            and all(map(eq, map(itemgetter(-1), paths),
+                        map(point, g.head)))):
+        for e, path in enumerate(paths):
+            u, v = g.tail[e], g.head[e]
+            if (len(path) < 2 or path[0] != coords[u]
+                    or path[-1] != coords[v]):
+                violations.append(f"edge {u}->{v} path must run from "
+                                  f"{coords[u]} to {coords[v]}")
+            for a, b in pairwise(path):
+                if b[1] <= a[1]:
+                    violations.append(f"edge {u}->{v} piece {a}->{b} is "
+                                      f"not strictly upward")
+                    break
 
-    pieces = [(a, b) for path in d.edge_paths
-              for a, b in zip(path, path[1:])]
     crossing = _find_proper_intersection(pieces)
     planar = crossing is None and distinct
     if crossing is not None:
@@ -101,16 +112,13 @@ def check_upward_planar(g: EmbeddedStGraph,
         violations.append(
             f"edge pieces {pieces[i]} and {pieces[j]} properly intersect")
 
-    xs = [p[0] for p in nodes] or [0]
-    ys = [p[1] for p in nodes] or [0]
-    per_edge = [len(path) - 2 for path in d.edge_paths]
     return ValidationReport(
         upward=upward,
         planar=planar,
-        width=max(xs) - min(xs),
-        height=max(ys) - min(ys),
-        bends_total=sum(per_edge),
-        bends_max_per_edge=max(per_edge, default=0),
+        width=d.width,
+        height=d.height,
+        bends_total=len(nodes) - g.n,
+        bends_max_per_edge=max(max(map(len, paths), default=0) - 2, 0),
         violations=violations,
     )
 
@@ -122,16 +130,15 @@ def check_bounds(d: GridDrawing, n: int, mode: str) -> bool:
     and at most n-3 bends, one per edge; for n < 3 the straight-line box
     applies since no edge is ever split.
     """
-    bends = d.bend_points
+    bends = len(d.bends)  # every interior point of every path
     if mode == "straightline":
         return (not bends and d.width <= 2 * n - 2
                 and d.height <= n - 1)
     if mode == "polyline":
-        per_edge = max((len(p) - 2 for p in d.edge_paths), default=0)
         return (d.width <= max(4 * n - 8, 2 * n - 2)
                 and d.height <= max(2 * n - 4, n - 1)
-                and len(bends) <= max(n - 3, 0)
-                and per_edge <= 1)
+                and bends <= max(n - 3, 0)
+                and max(map(len, d.edge_paths), default=0) <= 3)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -217,12 +224,16 @@ def _find_proper_intersection(pieces):
     def at_or_right(r):  # r's x at the current sweep height Y is >= px
         return r[0] + r[1] * Y >= px * r[2]
 
+    def last_at_or_right(blk):  # at_or_right(blk[-1]) in one call
+        r = blk[-1]
+        return r[0] + r[1] * Y >= px * r[2]
+
     blocks = []
     for Y in heights:
         px = x0 + Y % K
         bi = k = 0
         if blocks:
-            bi = bisect_left(blocks, True, key=lambda b: at_or_right(b[-1]))
+            bi = bisect_left(blocks, True, key=last_at_or_right)
             if bi == len(blocks):
                 bi -= 1
                 k = len(blocks[bi])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from stlayout import graph_to_text
+from stlayout import cli
 from stlayout.cli import cli_main
 
 
@@ -130,9 +131,17 @@ def test_gen_output_parses(tmp_path, capsys):
 def test_bench_csv(capsys):
     assert cli_main(["bench", "--sizes", "50,100", "--seed", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "n,edges,splits,bends,width,height,ms_total"
+    assert lines[0] == "n,edges,splits,bends,width,height,ms_total,ms_validate"
     assert len(lines) == 3
     assert lines[1].startswith("50,") and lines[2].startswith("100,")
+
+
+def test_bench_exit_1_when_a_drawing_fails_its_checks(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "check_bounds", lambda d, n, mode: n != 100)
+    assert cli_main(["bench", "--sizes", "50,100", "--seed", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 3
+    assert err == "error: the drawing fails its checks for n = 100\n"
 
 
 def test_missing_file_exit_2(capsys):

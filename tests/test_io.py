@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stlayout import (GraphFormatError, build_graph, draw_polyline,
-                      drawing_from_text, drawing_to_text, graph_from_json,
-                      graph_from_text, graph_to_json, graph_to_text,
-                      load_graph)
+from stlayout import (GraphFormatError, StGraphError, build_graph,
+                      draw_polyline, drawing_from_text, drawing_to_text,
+                      graph_from_json, graph_from_text, graph_to_json,
+                      graph_to_text, load_graph)
 from conftest import LINEAR_GATE, corpus, doubling_ratios, zig
 
 
@@ -99,6 +99,11 @@ def test_drawing_roundtrip(f1):
     assert d2.edge_paths == d.edge_paths
 
 
+def test_drawing_text_refuses_two_bends_on_one_edge(two_bends):
+    with pytest.raises(ValueError, match="^edge 0->3 has 2 bends"):
+        drawing_to_text(*two_bends)
+
+
 def test_drawing_requires_all_vertices(f1, triangle):
     with pytest.raises(GraphFormatError):
         drawing_from_text("0 0 0\n1 1 1\n", f1)
@@ -140,6 +145,57 @@ def test_drawing_lines_parse_or_raise_format_error(coords, extra):
     except GraphFormatError:
         return
     assert len(d.coords) == g.n and len(d.edge_paths) == g.m
+
+
+TRIANGLE = build_graph(3, 0, 2, [[1, 2], [2], []])
+DOCUMENTS = (["3 0 2", "0: 1 2", "1: 2", "2:"],
+             ["0 3 0", "1 0 1", "2 1 2", "bend 0 2 2 1"])
+TOKEN = st.sampled_from(["0", "1", "2", "-1", "0:", ":", "bend", "#",
+                         "# note"])
+ODD_NUMBER = st.sampled_from(["+2", "0_2", "\u0662", "\uff12"])
+
+
+@st.composite
+def texts(draw):
+    """A graph or drawing text of the triangle, with a few lines added or
+    one number written oddly, whitespace varied and any of the line
+    breaks ``splitlines`` knows."""
+    lines = list(draw(st.sampled_from(DOCUMENTS)))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     " ".join(draw(st.lists(TOKEN, max_size=4))))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = lines[i].replace("2", draw(ODD_NUMBER), 1)
+    out = []
+    for line in lines:
+        space = draw(st.sampled_from([" ", "\t", " \x0c "]))
+        out += [draw(st.sampled_from(["", " ", "\t"])),
+                line.replace(" ", space),
+                draw(st.sampled_from(["", "", "", " ", " # note"])),
+                draw(st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x1c"]))]
+    return "".join(out)
+
+
+def parse_outcome(text):
+    """What each parser makes of ``text``: its result or its error."""
+    outcome = []
+    for parse in (lambda: graph_from_text(text).succ,
+                  lambda: drawing_from_text(text, TRIANGLE).edge_paths):
+        try:
+            outcome.append(parse())
+        except StGraphError as exc:
+            outcome.append((type(exc).__name__, str(exc)))
+    return outcome
+
+
+@settings(derandomize=True, database=None, max_examples=400)
+@given(texts())
+def test_text_tested_once_parses_as_line_by_line(text):
+    # a text without '#', '+', '_' and non-ASCII characters is checked as
+    # a whole; a last line "#" is blank once cut, so it changes no result,
+    # and it sends the text down the line-by-line path
+    assert parse_outcome(text) == parse_outcome(text + "\n#")
 
 
 def test_drawing_from_text_many_bends_at_one_vertex_linear():

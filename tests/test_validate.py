@@ -92,6 +92,24 @@ def test_bounds_modes(triangle):
         check_bounds(d, 3, "curvy")
 
 
+def test_bounds_count_every_interior_point(two_bends):
+    g, d = two_bends
+    rep = check_upward_planar(g, d)
+    assert rep.ok and rep.bends_total == 2 and rep.bends_max_per_edge == 2
+    assert d.width <= 2 * g.n - 2 and d.height <= g.n - 1
+    assert not check_bounds(d, g.n, "straightline")
+    assert not check_bounds(d, g.n, "polyline")
+
+
+def test_short_paths_count_no_bends(triangle):
+    coords = ((0, 0), (1, 1), (0, 2))
+    for paths in (((), (), ()), (((0, 0),), (), ((1, 1),))):
+        rep = check_upward_planar(
+            triangle, GridDrawing(coords=coords, edge_paths=paths))
+        assert not rep.ok and len(rep.violations) == 3
+        assert (rep.bends_total, rep.bends_max_per_edge) == (0, 0)
+
+
 def _random_pieces(rng, k, side, zero_share, reach=None):
     """k pieces on a side x side grid, about zero_share of them points.
 
