@@ -19,15 +19,48 @@ stored once, in flat arrays; see :class:`EmbeddedStGraph`.
 
 from __future__ import annotations
 
+import gc
 import heapq
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import accumulate, repeat
+from operator import itemgetter
 
 from .errors import (GraphFormatError, MultipleSourcesOrSinks, NotAcyclic,
                      NotPlanarEmbedding, ParallelEdge)
 
 VertexId = int
+
+
+def _gc_paused(fn):
+    """Run ``fn`` with the cyclic garbage collector paused.
+
+    The pipeline builds hundreds of thousands of long-lived tuples and
+    lists but no reference cycles, so collections during a call free
+    nothing; refcounting frees every temporary.  The caller's state is
+    restored on return and on exceptions, and a call made with the
+    collector already off (a nested call, or a caller's own pause)
+    leaves it alone.
+    """
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
+
+
+def _gather(seq, ids) -> tuple:
+    """``tuple(seq[i] for i in ids)``, in one C-level call when ``ids``
+    holds two or more indices (``itemgetter`` returns a bare item for one
+    index and takes no call for none)."""
+    if len(ids) > 1:
+        return itemgetter(*ids)(seq)
+    return tuple(map(seq.__getitem__, ids))
 
 
 @dataclass(frozen=True)
@@ -56,10 +89,6 @@ class EmbeddedStGraph:
     def m(self) -> int:
         return len(self.tail)
 
-    @property
-    def edges(self) -> list[tuple[VertexId, VertexId]]:
-        return list(zip(self.tail, self.head))
-
     @cached_property
     def succ(self) -> tuple[tuple[VertexId, ...], ...]:
         """``succ[u]`` is the clockwise successor list of ``u``."""
@@ -68,10 +97,6 @@ class EmbeddedStGraph:
 
     def has_edge(self, u: VertexId, v: VertexId) -> bool:
         return v in self.head[self.out_start[u]:self.out_start[u + 1]]
-
-    def pred_ltr(self, v: VertexId) -> list[VertexId]:
-        ids = self.in_edges[self.in_start[v]:self.in_start[v + 1]]
-        return [self.tail[e] for e in ids]
 
 
 @dataclass(frozen=True)
@@ -157,7 +182,7 @@ def _topological_order(out_start, head, in_deg, extra=None):
     return order
 
 
-def _frontier_sweep(s, tail, head, out_start, order, in_start):
+def _frontier_sweep(s, tail, head, out_start, in_deg, in_start):
     """Incoming edge order and face structure, in one frontier sweep.
 
     The frontier holds the pending edges (tail placed, head not) from left
@@ -170,6 +195,15 @@ def _frontier_sweep(s, tail, head, out_start, order, in_start):
     block, and the gap between out-edges ``e`` and ``e + 1`` opens with
     source ``v``.  Out-edges of one tail have consecutive ids, so that gap
     is named by ``e``, its corner, and the outer face by ``m``.
+
+    Vertices are placed in a topological order: ``v`` is ready once its
+    last in-edge reaches the frontier, and ready vertices are placed last
+    in, first out.  In a planar st-graph the in-edge order and the faces
+    do not depend on which topological order the sweep follows.  A vertex
+    that never becomes ready lies on or after a directed cycle.  When an
+    in-block is not contiguous, a full toposort first looks for a cycle,
+    so that a cycle is reported first, as :func:`build_graph` promises;
+    this runs on the failure path only.
 
     A passing sweep yields a planar st-graph embedding.  It builds an
     upward drawing: every vertex is placed above the frontier line and
@@ -195,38 +229,51 @@ def _frontier_sweep(s, tail, head, out_start, order, in_start):
     sink = [-1] * (m + 1)
     corner_dir = [0] * m
     in_edges = [0] * m
-    some_edge_into = dict(zip(head, range(m)))
+    waiting = in_deg[:]  # in-edges of each vertex not yet on the frontier
+    ready = []  # per ready vertex, the in-edge that reached the frontier last
 
     f0, f1 = out_start[s], out_start[s + 1] - 1
     prv[f0] = nxt[f1] = -1
     lgap[f0] = rgap[f1] = outer
-    for v in order[1:]:
-        lo = some_edge_into[v]
+    while True:
+        for f in range(f0, f1 + 1):
+            w = head[f]
+            waiting[w] -= 1
+            if not waiting[w]:
+                ready.append(f)
+        if not ready:
+            break
+        lo = ready.pop()
+        v = head[lo]
         left = prv[lo]
         while left >= 0 and head[left] == v:
             lo = left
             left = prv[lo]
-        block = [lo]
+        # the block runs from lo to last; it fills v's slots of in_edges
+        k = in_start[v]
+        in_edges[k] = last = lo
         right = nxt[lo]
         while right >= 0 and head[right] == v:
-            g = rgap[block[-1]]
+            g = rgap[last]
             sink[g] = v
             corner_dir[g] = (head[g + 1] == v) - (head[g] == v)
-            block.append(right)
+            k += 1
+            in_edges[k] = last = right
             right = nxt[right]
-        a, b = in_start[v], in_start[v + 1]
-        if len(block) != b - a:
+        if k + 1 != in_start[v + 1]:
+            _topological_order(out_start, head, in_deg)  # raises on a cycle
             raise NotPlanarEmbedding(
                 f"incoming edges of {v} are not consecutive on the frontier")
-        in_edges[a:b] = block
         f0, f1 = out_start[v], out_start[v + 1] - 1
         if f0 <= f1:
             prv[f0], nxt[f1] = left, right
-            lgap[f0], rgap[f1] = lgap[lo], rgap[block[-1]]
+            lgap[f0], rgap[f1] = lgap[lo], rgap[last]
             if left >= 0:
                 nxt[left] = f0
             if right >= 0:
                 prv[right] = f1
+    if any(waiting):
+        raise NotAcyclic("successor lists contain a directed cycle")
 
     face_of_dart = [0] * (2 * m)
     face_of_dart[0::2] = lgap
@@ -235,15 +282,16 @@ def _frontier_sweep(s, tail, head, out_start, order, in_start):
     fid = {g: f for f, g in enumerate(dict.fromkeys(face_of_dart))}
     source = tail + [-1]
     fi = FaceIndex(
-        face_source=tuple(map(source.__getitem__, fid)),
-        face_sink=tuple(map(sink.__getitem__, fid)),
+        face_source=_gather(source, fid),
+        face_sink=_gather(sink, fid),
         corner_dir=tuple(corner_dir),
         outer_face=fid[outer],
-        face_of_dart=tuple(map(fid.__getitem__, face_of_dart)),
+        face_of_dart=_gather(fid, face_of_dart),
     )
     return in_edges, fi
 
 
+@_gc_paused
 def build_graph(n: int, s: VertexId, t: VertexId,
                 out_rotation) -> EmbeddedStGraph:
     """Validate successor lists and return the embedded graph.
@@ -272,9 +320,8 @@ def build_graph(n: int, s: VertexId, t: VertexId,
     if out_start[t] != out_start[t + 1]:
         raise MultipleSourcesOrSinks("t has outgoing edges")
 
-    order = _topological_order(out_start, head, in_deg)
     in_start = list(accumulate(in_deg, initial=0))
-    in_edges, fi = _frontier_sweep(s, tail, head, out_start, order,
+    in_edges, fi = _frontier_sweep(s, tail, head, out_start, in_deg,
                                    in_start)
 
     return EmbeddedStGraph(

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import json
 from itertools import chain, compress, repeat
+from operator import eq
 
 from .errors import GraphFormatError
-from .graph import EmbeddedStGraph, build_graph
+from .graph import EmbeddedStGraph, _gather, _gc_paused, build_graph
 from .layout import GridDrawing
+from .validate import _ends_at_vertices
 
 
 def graph_to_text(g: EmbeddedStGraph) -> str:
@@ -54,6 +56,7 @@ def _cut_and_checked(lines):
         yield lineno, line
 
 
+@_gc_paused
 def graph_from_text(text: str) -> EmbeddedStGraph:
     header = None
     rows: dict[int, list[int]] = {}
@@ -72,7 +75,7 @@ def graph_from_text(text: str) -> EmbeddedStGraph:
         left, right = line.split(":", 1)
         try:
             u = int(left)
-            row = [int(x) for x in right.split()]
+            row = list(map(int, right.split()))
         except ValueError:
             raise GraphFormatError(f"line {lineno}: bad vertex line") from None
         if u in rows:
@@ -97,6 +100,7 @@ def graph_to_json(g: EmbeddedStGraph) -> str:
                        "succ": [list(r) for r in g.succ]})
 
 
+@_gc_paused
 def graph_from_json(text: str) -> EmbeddedStGraph:
     try:
         obj = json.loads(text)
@@ -135,18 +139,43 @@ def load_graph(path: str) -> EmbeddedStGraph:
 
 
 def drawing_to_text(g: EmbeddedStGraph, d: GridDrawing) -> str:
-    lines = [f"{v} {x} {y}" for v, (x, y) in enumerate(d.coords[:g.n])]
-    for e, path in enumerate(d.edge_paths):
-        if len(path) > 2:
-            u, v = g.tail[e], g.head[e]
-            if len(path) > 3:
-                raise ValueError(f"edge {u}->{v} has {len(path) - 2} bends; "
-                                 f"the drawing text holds one per edge")
-            bx, by = path[1]
-            lines.append(f"bend {u} {v} {bx} {by}")
+    """The drawing text of ``d``.
+
+    Raises ``ValueError`` for a drawing the text cannot hold: one without
+    a point per vertex and a path per edge, or with a path of fewer than
+    two or more than three points, or one that does not run from its
+    tail's point to its head's.
+    """
+    coords, paths = d.coords[:g.n], d.edge_paths
+    sizes = list(map(len, paths))
+    # one whole-list test for the usual case; the loop words what failed
+    if not (len(coords) == g.n
+            and sizes.count(2) + sizes.count(3) == len(paths) == g.m
+            and _ends_at_vertices(g, coords, paths)):
+        raise ValueError(_unwritable(g, coords, paths))
+    lines = [f"{v} {x} {y}" for v, (x, y) in enumerate(coords)]
+    for e in compress(range(g.m), map(eq, sizes, repeat(3))):
+        bx, by = paths[e][1]
+        lines.append(f"bend {g.tail[e]} {g.head[e]} {bx} {by}")
     return "\n".join(lines) + "\n"
 
 
+def _unwritable(g, coords, paths) -> str:
+    """Why the drawing text cannot hold ``coords`` and ``paths``."""
+    if len(coords) != g.n or len(paths) != g.m:
+        return (f"drawing has {len(coords)} points for {g.n} vertices and "
+                f"{len(paths)} paths for {g.m} edges")
+    for e, path in enumerate(paths):
+        u, v = g.tail[e], g.head[e]
+        if len(path) > 3:
+            return (f"edge {u}->{v} has {len(path) - 2} bends; "
+                    f"the drawing text holds one per edge")
+        if len(path) < 2 or path[0] != coords[u] or path[-1] != coords[v]:
+            return (f"edge {u}->{v} path must run from {coords[u]} "
+                    f"to {coords[v]}")
+
+
+@_gc_paused
 def drawing_from_text(text: str, g: EmbeddedStGraph) -> GridDrawing:
     coords: dict[int, tuple[int, int]] = {}
     bends: dict[tuple[int, int], tuple[int, int]] = {}
@@ -166,9 +195,8 @@ def drawing_from_text(text: str, g: EmbeddedStGraph) -> GridDrawing:
         seen[key] = (x, y)
     if sorted(coords) != list(range(g.n)):
         raise GraphFormatError("drawing must assign every vertex exactly once")
-    cs = tuple(map(coords.__getitem__, range(g.n)))
-    point = cs.__getitem__
-    paths = list(zip(map(point, g.tail), map(point, g.head)))
+    cs = _gather(coords, range(g.n))
+    paths = list(zip(_gather(cs, g.tail), _gather(cs, g.head)))
     if bends:
         bend_of = list(map(bends.pop, zip(g.tail, g.head), repeat(None)))
         if bends:

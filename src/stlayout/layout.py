@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from itertools import repeat
+from operator import itemgetter, sub
 
 from .errors import NonIntegerCoordinate, OrderingInvalid
-from .graph import EmbeddedStGraph
+from .graph import EmbeddedStGraph, _gather, _gc_paused
 from .ordering import (BitonicOrdering, RejectionWitness,
                        find_bitonic_ordering, verify_bitonic_ordering)
 from .splitting import apply_splits, minimum_split_plan
@@ -65,6 +66,7 @@ class GridDrawing:
         return self._extent[1]
 
 
+@_gc_paused
 def draw_straightline(g: EmbeddedStGraph,
                       ord: BitonicOrdering) -> GridDrawing:
     """Run the contour shifting method for a verified bitonic ordering."""
@@ -106,12 +108,12 @@ def draw_straightline(g: EmbeddedStGraph,
                 raise OrderingInvalid(
                     f"vertex {vk} has neither left nor right support")
 
+        # walk the run strictly between wl and wr twice: once to sum its
+        # offsets, once to make them relative to vk
         d = 0
         node = nxt[wl]
-        covered = []
         while node != wr:
             d += xoff[node]
-            covered.append(node)
             node = nxt[node]
         d += xoff[wr] + 2
 
@@ -123,10 +125,12 @@ def draw_straightline(g: EmbeddedStGraph,
         yabs[vk] = (d + yabs[wr] + yabs[wl]) // 2
 
         acc = 1 - x_vk
-        for w in covered:
-            parent[w] = vk
-            acc += xoff[w]
-            xoff[w] = acc
+        node = nxt[wl]
+        while node != wr:
+            parent[node] = vk
+            acc += xoff[node]
+            xoff[node] = acc
+            node = nxt[node]
         xoff[vk] = x_vk
         xoff[wr] = d - x_vk
         nxt[wl], prv[vk] = vk, wl
@@ -145,14 +149,14 @@ def draw_straightline(g: EmbeddedStGraph,
         if parent[vk] != -1:
             xabs[vk] = xoff[vk] + xabs[parent[vk]]
 
-    min_x = min(xabs[v] for v in range(n))
-    min_y = min(yabs[v] for v in range(n))
-    coords = tuple((xabs[v] - min_x, yabs[v] - min_y) for v in range(n))
-    paths = tuple((coords[g.tail[e]], coords[g.head[e]])
-                  for e in range(g.m))
+    xs, ys = xabs[:n], yabs[:n]
+    coords = tuple(zip(map(sub, xs, repeat(min(xs), n)),
+                       map(sub, ys, repeat(min(ys), n))))
+    paths = tuple(zip(_gather(coords, tail), _gather(coords, head)))
     return GridDrawing(coords=coords, edge_paths=paths)
 
 
+@_gc_paused
 def draw_polyline(g: EmbeddedStGraph) -> GridDrawing:
     """Split, order, draw, and fold each dummy vertex into a bend."""
     plan = minimum_split_plan(g)
@@ -163,11 +167,11 @@ def draw_polyline(g: EmbeddedStGraph) -> GridDrawing:
     base = draw_straightline(res.graph, ord)
 
     # a split edge keeps its id and now ends at its dummy; the dummies'
-    # in-edges come last in the split graph's in_edges, in dummy order
+    # in-edges, the split edges, come last in the split graph's in_edges
     coords = base.coords[:g.n]
     paths = list(base.edge_paths[:g.m])
-    for e, (_, v) in zip(res.graph.in_edges[g.m:], res.dummy_of.values()):
-        paths[e] += (coords[v],)
+    for e in res.graph.in_edges[g.m:]:
+        paths[e] += (coords[g.head[e]],)
     return GridDrawing(coords=coords, edge_paths=tuple(paths),
                        splits=plan.split_edges)
 

@@ -11,9 +11,10 @@ right-to-left path followed by a left-to-right path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lt
 
-from .graph import (EmbeddedStGraph, _topological_order, build_graph,
-                    compute_faces)
+from .graph import (EmbeddedStGraph, _gather, _topological_order,
+                    build_graph, compute_faces)
 
 
 @dataclass(frozen=True)
@@ -116,12 +117,13 @@ def verify_bitonic_ordering(g: EmbeddedStGraph, ord: BitonicOrdering) -> bool:
     pi = ord.pi
     if sorted(pi) != list(range(1, g.n + 1)):
         return False
-    ranks = [pi[v] for v in g.head]
-    for e in range(g.m):
-        if pi[g.tail[e]] >= ranks[e]:
-            return False
+    ranks = _gather(pi, g.head)
+    if not all(map(lt, _gather(pi, g.tail), ranks)):
+        return False
+    # a row of at most two distinct ranks is always bitonic
     starts = g.out_start
-    return all(is_bitonic(ranks[a:b]) for a, b in zip(starts, starts[1:]))
+    return all(is_bitonic(ranks[a:b]) for a, b in zip(starts, starts[1:])
+               if b - a > 2)
 
 
 def augmented_graph(g: EmbeddedStGraph,

@@ -10,9 +10,10 @@ between original vertices, so the per-vertex choices are globally optimal.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress
 
 from .errors import EdgeNotFound
-from .graph import EmbeddedStGraph, compute_faces
+from .graph import EmbeddedStGraph, _gather, compute_faces
 
 
 @dataclass(frozen=True)
@@ -34,21 +35,6 @@ class SplitResult:
 
     graph: EmbeddedStGraph
     dummy_of: dict[int, tuple[int, int]]
-
-
-def left_right_counts(g: EmbeddedStGraph, u: int):
-    """Prefix path counts over the successor list of ``u``.
-
-    Returns ``(L, R)`` with ``L[h-1]`` = number of right-to-left paths and
-    ``R[h-1]`` = number of left-to-right paths between consecutive
-    successors strictly before position ``h`` (``h`` in ``1..m``).
-    """
-    e0, e1 = g.out_start[u], g.out_start[u + 1]
-    L, R = [0] * (e1 - e0), [0] * (e1 - e0)
-    for i, d in enumerate(compute_faces(g).corner_dir[e0:e1 - 1], 1):
-        L[i] = L[i - 1] + (d < 0)
-        R[i] = R[i - 1] + (d > 0)
-    return L, R
 
 
 def minimum_split_plan(g: EmbeddedStGraph) -> SplitPlan:
@@ -110,7 +96,8 @@ def apply_splits(g: EmbeddedStGraph, plan: SplitPlan) -> SplitResult:
     if not plan.split_edges:
         return SplitResult(graph=g, dummy_of={})
     planned = set(plan.split_edges)
-    split = [e for e, uv in enumerate(zip(g.tail, g.head)) if uv in planned]
+    split = list(compress(range(g.m), map(planned.__contains__,
+                                          zip(g.tail, g.head))))
     if len(split) != len(planned):
         found = {(g.tail[e], g.head[e]) for e in split}
         u, v = next(uv for uv in plan.split_edges if uv not in found)
@@ -118,26 +105,28 @@ def apply_splits(g: EmbeddedStGraph, plan: SplitPlan) -> SplitResult:
 
     n, m, k = g.n, g.m, len(split)
     fi = compute_faces(g)
-    heads = [g.head[e] for e in split]
+    heads = _gather(g.head, split)
     head, corner_dir = list(g.head), list(fi.corner_dir)
-    darts = list(fi.face_of_dart)
     for i, e in enumerate(split):
         head[e] = n + i
         # only u reaches d, so no corner path next to e runs into it; at
         # e = 0, index -1 is the last edge's corner, which is always 0
         corner_dir[e - 1] = min(corner_dir[e - 1], 0)
         corner_dir[e] = max(corner_dir[e], 0)
-        darts += darts[2 * e:2 * e + 2]
+    # the edge (d, v) copies the two darts of its split edge
+    darts = list(fi.face_of_dart) + [0] * (2 * k)
+    darts[2 * m::2] = _gather(fi.face_of_dart[0::2], split)
+    darts[2 * m + 1::2] = _gather(fi.face_of_dart[1::2], split)
     lower = dict(zip(split, range(m, m + k)))  # split edge -> (d, v)
     one_each = tuple(range(m + 1, m + k + 1))  # a dummy has one edge each way
     graph = replace(
         g, n=n + k, tail=g.tail + tuple(range(n, n + k)),
-        head=tuple(head + heads), out_start=g.out_start + one_each,
-        in_edges=tuple(lower.get(e, e) for e in g.in_edges) + tuple(split),
+        head=tuple(head) + heads, out_start=g.out_start + one_each,
+        in_edges=tuple(map(lower.get, g.in_edges, g.in_edges)) + tuple(split),
         in_start=g.in_start + one_each,
         _face_index=replace(fi, corner_dir=tuple(corner_dir) + (0,) * k,
                             face_of_dart=tuple(darts)))
-    dummy_of = {n + i: (g.tail[e], g.head[e]) for i, e in enumerate(split)}
+    dummy_of = dict(zip(range(n, n + k), zip(_gather(g.tail, split), heads)))
     return SplitResult(graph=graph, dummy_of=dummy_of)
 
 

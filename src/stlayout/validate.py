@@ -16,10 +16,10 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, pairwise
-from operator import eq, itemgetter, lt
+from operator import itemgetter, lt
 
 from .errors import MissingCoordinate
-from .graph import EmbeddedStGraph
+from .graph import EmbeddedStGraph, _gather, _gc_paused
 from .layout import GridDrawing
 
 
@@ -60,6 +60,15 @@ class ValidationReport:
         }, indent=2)
 
 
+def _ends_at_vertices(g: EmbeddedStGraph, coords, paths) -> bool:
+    """Whether each path, of at least one point, starts at its edge's
+    tail point and ends at its head point, in whole-list passes; tuple
+    equality skips the points that are the vertices' own."""
+    return (_gather(coords, g.tail) == tuple(map(itemgetter(0), paths))
+            and _gather(coords, g.head) == tuple(map(itemgetter(-1), paths)))
+
+
+@_gc_paused
 def check_upward_planar(g: EmbeddedStGraph,
                         d: GridDrawing) -> ValidationReport:
     """Each edge's path runs from its tail's point to its head's, every
@@ -88,11 +97,8 @@ def check_upward_planar(g: EmbeddedStGraph,
     upward = all(map(lt, map(y, map(itemgetter(0), pieces)),
                      map(y, map(y, pieces))))
     # one whole-list test for the usual case; the loop words what failed
-    point = coords.__getitem__
     if not (upward and min(map(len, paths), default=2) >= 2
-            and all(map(eq, map(itemgetter(0), paths), map(point, g.tail)))
-            and all(map(eq, map(itemgetter(-1), paths),
-                        map(point, g.head)))):
+            and _ends_at_vertices(g, coords, paths)):
         for e, path in enumerate(paths):
             u, v = g.tail[e], g.head[e]
             if (len(path) < 2 or path[0] != coords[u]

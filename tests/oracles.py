@@ -6,6 +6,8 @@
 * ``exists_bitonic_bruteforce``: all topological orderings.
 * ``minimum_splits_bruteforce``: all edge subsets up to a budget.
 * ``face_sink``: the sink of the face between two consecutive successors.
+* ``edges``, ``pred_ltr`` and ``left_right_counts``: readable views of a
+  graph's arrays and corner directions, for assertions.
 * ``orientation``, ``on_segment`` and ``segments_properly_intersect``:
   exact integer predicates for segments on the grid, with no floating
   point in any decision.
@@ -18,8 +20,8 @@ from __future__ import annotations
 import itertools
 
 from stlayout import (BitonicOrdering, EmbeddedStGraph, FaceIndex,
-                      StGraphError, apply_splits, find_bitonic_ordering,
-                      is_bitonic)
+                      StGraphError, apply_splits, compute_faces,
+                      find_bitonic_ordering, is_bitonic)
 from stlayout.splitting import SplitPlan
 
 
@@ -162,6 +164,32 @@ def face_sink(fi: FaceIndex, g: EmbeddedStGraph, u: int, i: int) -> int:
     return fi.face_sink[fi.face_of_dart[2 * e + 1]]
 
 
+def edges(g: EmbeddedStGraph) -> list[tuple[int, int]]:
+    """``(tail, head)`` of every edge, in id order."""
+    return list(zip(g.tail, g.head))
+
+
+def pred_ltr(g: EmbeddedStGraph, v: int) -> list[int]:
+    """The predecessors of ``v``, from left to right."""
+    ids = g.in_edges[g.in_start[v]:g.in_start[v + 1]]
+    return [g.tail[e] for e in ids]
+
+
+def left_right_counts(g: EmbeddedStGraph, u: int):
+    """Prefix path counts over the successor list of ``u``.
+
+    Returns ``(L, R)`` with ``L[h-1]`` = number of right-to-left paths and
+    ``R[h-1]`` = number of left-to-right paths between consecutive
+    successors strictly before position ``h`` (``h`` in ``1..m``).
+    """
+    e0, e1 = g.out_start[u], g.out_start[u + 1]
+    L, R = [0] * (e1 - e0), [0] * (e1 - e0)
+    for i, d in enumerate(compute_faces(g).corner_dir[e0:e1 - 1], 1):
+        L[i] = L[i - 1] + (d < 0)
+        R[i] = R[i - 1] + (d > 0)
+    return L, R
+
+
 def exists_bitonic_bruteforce(g: EmbeddedStGraph, max_n: int = 10) -> bool:
     """Enumerate all topological orderings; True iff one is bitonic.
 
@@ -203,7 +231,7 @@ def minimum_splits_bruteforce(g: EmbeddedStGraph, budget: int,
     """
     if g.m > max_edges:
         raise TooLarge(f"{g.m} edges exceeds the oracle bound {max_edges}")
-    all_edges = g.edges
+    all_edges = edges(g)
     for k in range(budget + 1):
         for subset in itertools.combinations(all_edges, k):
             res = apply_splits(g, SplitPlan(apex=tuple([0] * g.n),

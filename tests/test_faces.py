@@ -16,7 +16,8 @@ from stlayout import (GeneratorConfig, NotPlanarEmbedding, StGraphError,
                       build_graph, compute_faces, generate_random_st_graph)
 from stlayout.generate import add_random_chords
 from conftest import all_fixture_graphs, corpus, fan, zig
-from oracles import NotEmbedded, dart_trace_faces, face_index_fields
+from oracles import (NotEmbedded, dart_trace_faces, face_index_fields,
+                     pred_ltr)
 
 
 def random_dag(rng):
@@ -108,7 +109,7 @@ def check_with_networkx(g):
     """The full rotation of ``g`` is a planar embedding with m - n + 2
     faces, as many as ``compute_faces`` has."""
     nx = pytest.importorskip("networkx")
-    rotation = {v: list(g.succ[v]) + g.pred_ltr(v)[::-1]
+    rotation = {v: list(g.succ[v]) + pred_ltr(g, v)[::-1]
                 for v in range(g.n)}
     emb = nx.PlanarEmbedding()
     emb.set_data(rotation)

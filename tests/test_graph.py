@@ -9,13 +9,13 @@ from stlayout import (GraphFormatError, MultipleSourcesOrSinks, NotAcyclic,
                       compute_faces, reachable)
 from stlayout.graph import _topological_order
 from conftest import corpus
-from oracles import face_sink
+from oracles import edges, face_sink, pred_ltr
 
 
 def test_triangle_structure(triangle):
     assert triangle.n == 3 and triangle.m == 3
-    assert triangle.edges == [(0, 1), (0, 2), (1, 2)]
-    assert triangle.pred_ltr(2) == [1, 0]
+    assert edges(triangle) == [(0, 1), (0, 2), (1, 2)]
+    assert pred_ltr(triangle, 2) == [1, 0]
 
 
 def test_single_edge(single_edge):
@@ -90,6 +90,18 @@ def test_rejects_crossing_chords():
         build_graph(6, 0, 5, [[1, 2], [3, 4], [4, 3], [5], [5], []])
 
 
+def test_cycle_takes_precedence_over_a_split_in_block():
+    # the crossing chords of 1 and 2 plus the cycle 6 -> 7 -> 6: the sweep
+    # meets the split in-block of 3 first, yet the cycle is reported, as
+    # the first violated invariant in build_graph's order
+    succ = [[1, 2, 6], [3, 4], [4, 3], [5], [5], [], [7, 5], [6]]
+    with pytest.raises(NotAcyclic):
+        build_graph(8, 0, 5, succ)
+    succ[7], succ[6] = [5], [7]  # 6 -> 7 -> 5 has no cycle
+    with pytest.raises(NotPlanarEmbedding):
+        build_graph(8, 0, 5, succ)
+
+
 def test_mirrored_rotations_still_embed():
     # the incoming rotations are derived, so any consistent successor
     # order is accepted; [2,1] is the mirror image of the diamond
@@ -98,10 +110,10 @@ def test_mirrored_rotations_still_embed():
 
 
 def test_topo_order_is_smallest_ready_first(sixteen):
-    in_deg = [len(sixteen.pred_ltr(v)) for v in range(sixteen.n)]
+    in_deg = [len(pred_ltr(sixteen, v)) for v in range(sixteen.n)]
     order = _topological_order(sixteen.out_start, sixteen.head, in_deg)
     pos = {v: i for i, v in enumerate(order)}
-    for u, v in sixteen.edges:
+    for u, v in edges(sixteen):
         assert pos[u] < pos[v]
     assert order[0] == sixteen.s and order[-1] == sixteen.t
 
@@ -111,7 +123,7 @@ def test_flat_arrays_of_f1(f1):
     assert f1.head == tuple(v for row in f1.succ for v in row)
     assert f1.in_start == (0, 0, 2, 3, 5, 7)
     # in-edges of 4 from left to right: (1, 4), then (3, 4)
-    assert f1.in_edges[5:7] == (3, 6) and f1.pred_ltr(4) == [1, 3]
+    assert f1.in_edges[5:7] == (3, 6) and pred_ltr(f1, 4) == [1, 3]
 
 
 def test_generated_graphs_validate():

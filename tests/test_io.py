@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stlayout import (GraphFormatError, StGraphError, build_graph,
-                      draw_polyline, drawing_from_text, drawing_to_text,
-                      graph_from_json, graph_from_text, graph_to_json,
-                      graph_to_text, load_graph)
+from stlayout import (GraphFormatError, GridDrawing, StGraphError,
+                      build_graph, check_upward_planar, draw_polyline,
+                      drawing_from_text, drawing_to_text, graph_from_json,
+                      graph_from_text, graph_to_json, graph_to_text,
+                      load_graph)
 from conftest import LINEAR_GATE, corpus, doubling_ratios, zig
 
 
@@ -102,6 +103,29 @@ def test_drawing_roundtrip(f1):
 def test_drawing_text_refuses_two_bends_on_one_edge(two_bends):
     with pytest.raises(ValueError, match="^edge 0->3 has 2 bends"):
         drawing_to_text(*two_bends)
+
+
+def test_drawing_text_refuses_paths_it_cannot_hold(triangle):
+    coords = ((3, 0), (0, 1), (1, 2))
+    good = ((coords[0], coords[1]), (coords[0], coords[2]),
+            (coords[1], coords[2]))
+    assert check_upward_planar(
+        triangle, GridDrawing(coords=coords, edge_paths=good)).ok
+    # edge 0->2 as one point, or detached at either end: the text would
+    # write it as a straight edge, and the drawing read back would pass
+    for path in (((5, 5),), ((5, 5), coords[2]),
+                 (coords[0], (2, 1), (5, 5))):
+        d = GridDrawing(coords=coords,
+                        edge_paths=(good[0], path, good[2]))
+        assert not check_upward_planar(triangle, d).ok
+        with pytest.raises(ValueError,
+                           match=r"^edge 0->2 path must run from \(3, 0\) "
+                                 r"to \(1, 2\)$"):
+            drawing_to_text(triangle, d)
+    with pytest.raises(ValueError, match="^drawing has 3 points for 3 "
+                                         "vertices and 2 paths for 3 edges"):
+        drawing_to_text(triangle, GridDrawing(coords=coords,
+                                              edge_paths=good[:2]))
 
 
 def test_drawing_requires_all_vertices(f1, triangle):

@@ -10,9 +10,9 @@ import pytest
 from stlayout import (BitonicOrdering, EdgeNotFound, apply_splits,
                       build_graph, compute_faces, find_bitonic_ordering,
                       minimum_split_plan, reachable, transitive_split_plan)
-from stlayout.splitting import SplitPlan, left_right_counts, plan_to_text
+from stlayout.splitting import SplitPlan, plan_to_text
 from conftest import all_fixture_graphs, corpus, fan, zig
-from oracles import minimum_splits_bruteforce
+from oracles import edges, left_right_counts, minimum_splits_bruteforce
 
 
 def test_triangle_plan_empty(triangle):
@@ -129,9 +129,9 @@ def test_apply_splits_matches_rebuilt_graph():
         plans = [minimum_split_plan(g), transitive_split_plan(g)]
         for _ in range(3):
             # in any order: dummies are numbered by edge id regardless
-            edges = rng.sample(g.edges, rng.randint(1, g.m))
+            chosen = rng.sample(edges(g), rng.randint(1, g.m))
             plans.append(SplitPlan(apex=(0,) * g.n,
-                                   split_edges=tuple(edges)))
+                                   split_edges=tuple(chosen)))
         for plan in plans:
             res = apply_splits(g, plan)
             if not plan.split_edges:
