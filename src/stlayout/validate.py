@@ -7,7 +7,9 @@ point where a piece starts or ends, locates it in the sweep status with
 one bisect on an exact integer test, removes the pieces that end there
 and inserts those that start there as whole slices, and decides each pair
 of pieces that became neighbours with one comparison of their integer
-keys.  A zero-length piece costs that lookup and nothing else.
+keys.  A zero-length piece costs that lookup and nothing else.  Where one
+piece ends and one starts, as at a bend or a vertex of a path, the new
+piece takes over the old one's status entry and needs no lookup at all.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain, pairwise
+from itertools import pairwise
 from operator import itemgetter, lt
 
 from .errors import MissingCoordinate
@@ -92,7 +94,12 @@ def check_upward_planar(g: EmbeddedStGraph,
     if not distinct:
         violations.append("two vertices or bends share a coordinate")
 
-    pieces = list(chain.from_iterable(map(pairwise, paths)))
+    pieces = []  # a two-point path is its own piece, not a copy
+    for path in paths:
+        if len(path) == 2:
+            pieces.append(path)
+        else:
+            pieces += pairwise(path)
     y = itemgetter(1)
     upward = all(map(lt, map(y, map(itemgetter(0), pieces)),
                      map(y, map(y, pieces))))
@@ -195,6 +202,21 @@ def _find_proper_intersection(pieces):
     that were neighbours since an earlier point, or a point p handled by
     steps 2 and 4.
 
+    Each status entry also links to its two neighbours, and steps 3 and 4
+    update the links around the slice they change.  A point p where
+    exactly one piece r of nonzero length ends and exactly one piece q
+    starts skips steps 1 to 4: q's values are written into r's entry in
+    place, its end is noted, and q is tested against the entry's linked
+    neighbours in step 5's order.  This is exact.  Two entries are tested
+    when they become neighbours and again whenever one of them is
+    rewritten (pieces from one point aside, which meet nowhere else), and
+    the test reports r against any neighbour that runs on through r's
+    upper end, which is p.  The pieces through p are consecutive in the
+    status, so if nothing was reported, r is the only one: steps 1 to 4
+    would find r as the only tie, put q in its place and test q against
+    the same two neighbours.  On drawings of paths this holds at almost
+    every point.
+
     The status is a list of blocks of about ``_BLOCK`` pieces, so a slice
     removal or insertion moves O(block) entries, not O(status); a plain
     list would move tens of thousands at every point of a large drawing.
@@ -204,22 +226,24 @@ def _find_proper_intersection(pieces):
     xs = [p[0] for seg in pieces for p in seg]
     x0 = min(xs)
     K = max(xs) - x0 + 1
-    starts = {}  # height -> (A, dx, dy, end height, idx) of pieces from it
-    heights = set()
+    del xs
+    # height -> [the record of the one piece of nonzero length that ends
+    # there (None until that piece starts, False if two or more end there),
+    # then the index and end height of each piece that starts there]
+    events = {}
     for idx, (a, b) in enumerate(pieces):
         ya = a[1] * K + a[0] - x0
         yb = b[1] * K + b[0] - x0
         if ya > yb:
-            a, b, ya, yb = b, a, yb, ya
-        heights.add(ya)
-        if ya == yb:
-            continue
-        heights.add(yb)
-        dx, dy = b[0] - a[0], yb - ya
-        # x at height Y is (A + dx*Y) / dy
-        starts.setdefault(ya, []).append(
-            (a[0] * dy - dx * ya, dx, dy, yb, idx))
-    heights = sorted(heights)
+            ya, yb = yb, ya
+        ev = events.get(ya)
+        if ev is None:
+            events[ya] = ev = [None]
+        if ya != yb:
+            ev += idx, yb
+            if yb not in events:
+                events[yb] = [None]
+    heights = sorted(events)
     # slopes dx/dy with dy <= span differ by at least 1/span^2, so this
     # integer key orders them exactly
     slope_scale = (heights[-1] - heights[0]) ** 2
@@ -234,61 +258,103 @@ def _find_proper_intersection(pieces):
         r = blk[-1]
         return r[0] + r[1] * Y >= px * r[2]
 
+    # A record is [A, dx, dy, end height, idx, slot], built when its piece
+    # starts: its x at height Y is (A + dx*Y) / dy.  slot is the idx the
+    # entry entered the status with, and lft[slot] and rgt[slot] are its
+    # neighbours there (None at either end); keeping the links out of the
+    # records keeps them free of reference cycles.
+    lft, rgt = [None] * len(pieces), [None] * len(pieces)
     blocks = []
     for Y in heights:
+        ev = events.pop(Y)
         px = x0 + Y % K
-        bi = k = 0
-        if blocks:
-            bi = bisect_left(blocks, True, key=last_at_or_right)
-            if bi == len(blocks):
-                bi -= 1
-                k = len(blocks[bi])
-            else:
-                k = bisect_left(blocks[bi], True, key=at_or_right)
-        left = (blocks[bi][k - 1] if k else
-                blocks[bi - 1][-1] if bi else None)
+        r = ev[0]
+        if len(ev) == 3 and r:  # one piece ends here and one starts
+            end = ev[2]
+            dx, dy = x0 + end % K - px, end - Y
+            r[:5] = px * dy - dx * Y, dx, dy, end, ev[1]
+            at_end = events[end]
+            at_end[0] = r if at_end[0] is None else False
+            pairs = (lft[r[5]], r), (r, rgt[r[5]])
+        else:
+            bi = k = 0
+            if blocks:
+                bi = bisect_left(blocks, True, key=last_at_or_right)
+                if bi == len(blocks):
+                    bi -= 1
+                    k = len(blocks[bi])
+                else:
+                    k = bisect_left(blocks[bi], True, key=at_or_right)
+            left = (blocks[bi][k - 1] if k else
+                    blocks[bi - 1][-1] if bi else None)
 
-        bj, kj = bi, k  # end of the ties, the pieces with x exactly px
-        while bj < len(blocks):
-            blk = blocks[bj]
-            while kj < len(blk):
-                A, dx, dy, end, idx = blk[kj]
-                if A + dx * Y != px * dy:
+            bj, kj = bi, k  # end of the ties, the pieces with x exactly px
+            while bj < len(blocks):
+                blk = blocks[bj]
+                while kj < len(blk):
+                    A, dx, dy, end, idx, _ = blk[kj]
+                    if A + dx * Y != px * dy:
+                        break
+                    if end != Y:
+                        p = (px, Y // K)
+                        return pair(idx, next(
+                            i for i, seg in enumerate(pieces) if p in seg))
+                    kj += 1
+                if kj < len(blk):
                     break
-                if end != Y:
-                    p = (px, Y // K)
-                    return pair(idx, next(i for i, seg in enumerate(pieces)
-                                          if p in seg))
-                kj += 1
-            if kj < len(blk):
-                break
-            bj, kj = bj + 1, 0
-        right = blocks[bj][kj] if bj < len(blocks) else None
+                bj, kj = bj + 1, 0
+            right = blocks[bj][kj] if bj < len(blocks) else None
 
-        new = starts.get(Y, [])
-        if len(new) > 1:
-            keyed = sorted((r[1] * slope_scale // r[2], r) for r in new)
-            for (ka, ra), (kb, rb) in zip(keyed, keyed[1:]):
-                if ka == kb:
+            new = []
+            for j in range(1, len(ev), 2):
+                idx, end = ev[j], ev[j + 1]
+                dx, dy = x0 + end % K - px, end - Y
+                r = [px * dy - dx * Y, dx, dy, end, idx, idx]
+                new.append(r)
+                at_end = events[end]
+                at_end[0] = r if at_end[0] is None else False
+            if len(new) == 2:  # the usual case, by one cross product
+                ra, rb = new
+                d = ra[1] * rb[2] - rb[1] * ra[2]
+                if d == 0:
                     return pair(ra[4], rb[4])
-            new = [r for _, r in keyed]
+                if d > 0:
+                    new.reverse()
+            elif len(new) > 2:
+                keyed = sorted([(r[1] * slope_scale // r[2], r) for r in new])
+                for (ka, ra), (kb, rb) in pairwise(keyed):
+                    if ka == kb:
+                        return pair(ra[4], rb[4])
+                new = [r for _, r in keyed]
 
-        if bi == bj < len(blocks):
-            blk = blocks[bi]
-            blk[k:kj] = new
-            if not blk:
-                del blocks[bi]
-            elif len(blk) > 2 * _BLOCK:
-                blocks[bi:bi + 1] = _chunks(blk)
-        else:  # the scan crossed a block end, or the status is empty
-            rest = (blocks[bi][:k] if blocks else []) + new
-            if bj < len(blocks):
-                rest += blocks[bj][kj:]
-            blocks[bi:bj + 1] = _chunks(rest)
+            if bi == bj < len(blocks):
+                blk = blocks[bi]
+                blk[k:kj] = new
+                if not blk:
+                    del blocks[bi]
+                elif len(blk) > 2 * _BLOCK:
+                    blocks[bi:bi + 1] = _chunks(blk)
+            else:  # the scan crossed a block end, or the status is empty
+                rest = (blocks[bi][:k] if blocks else []) + new
+                if bj < len(blocks):
+                    rest += blocks[bj][kj:]
+                blocks[bi:bj + 1] = _chunks(rest)
 
-        # a point with only zero-length pieces retests two neighbours; the
-        # test is exact at any height, so that cannot change the answer
-        pairs = ((left, new[0]), (new[-1], right)) if new else ((left, right),)
+            r = left  # link the new neighbours, or left and right
+            for s in new:
+                if r is not None:
+                    rgt[r[5]] = s
+                lft[s[5]] = r
+                r = s
+            if r is not None:
+                rgt[r[5]] = right
+            if right is not None:
+                lft[right[5]] = r
+            # a point with only zero-length pieces retests two neighbours;
+            # the test is exact at any height, so that cannot change the
+            # answer
+            pairs = ((left, new[0]), (r, right)) if new else ((left, right),)
+
         for r, s in pairs:
             if r is None or s is None:
                 continue

@@ -10,11 +10,11 @@ import gc
 
 import pytest
 
-from stlayout import (GeneratorConfig, NotAcyclic, build_graph, check_bounds,
-                      check_upward_planar, draw_polyline, drawing_from_text,
-                      drawing_to_text, generate_random_st_graph,
-                      graph_from_json, graph_from_text, graph_to_json,
-                      graph_to_text)
+from stlayout import (GeneratorConfig, GridDrawing, NotAcyclic, build_graph,
+                      check_bounds, check_upward_planar, draw_polyline,
+                      drawing_from_text, drawing_to_text,
+                      generate_random_st_graph, graph_from_json,
+                      graph_from_text, graph_to_json, graph_to_text)
 from stlayout.generate import add_random_chords
 from conftest import fan
 
@@ -79,7 +79,29 @@ def test_paused_calls_run_no_collection(collector_on):
         gc.callbacks.remove(count)
 
 
-def test_pipeline_leaves_no_cycles(collector_on):
+@pytest.fixture
+def collector_off():
+    """The collector off for the test, then as the test run had it."""
+    was = gc.isenabled()
+    gc.disable()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+def swapped(g, d):
+    """``d`` with two vertices' points swapped and their paths moved
+    along, so that the crossing sweep stops early."""
+    coords = list(d.coords)
+    u, v = g.n // 4, g.n // 2
+    coords[u], coords[v] = coords[v], coords[u]
+    paths = tuple((coords[g.tail[e]], *path[1:-1], coords[g.head[e]])
+                  for e, path in enumerate(d.edge_paths))
+    return GridDrawing(coords=tuple(coords), edge_paths=paths)
+
+
+def test_pipeline_leaves_no_cycles(collector_off):
+    # with the collector off from the start, no collection inside or
+    # after a call can free a cycle before the count at the end
     chorded = add_random_chords(generate_random_st_graph(
         GeneratorConfig(n_target=2000, seed=1)), 50, 2)
     texts = [graph_to_text(chorded), graph_to_text(fan(2000))]
@@ -91,5 +113,8 @@ def test_pipeline_leaves_no_cycles(collector_on):
         d2 = drawing_from_text(drawing_to_text(g, d), g)
         report = check_upward_planar(g, d2)
         assert report.ok and check_bounds(d2, g.n, "polyline")
-        del g, d, d2, report
+        crossed = check_upward_planar(g, swapped(g, d2))
+        assert any("properly intersect" in v for v in crossed.violations)
+        del g, d, d2, report, crossed
+    assert not gc.isenabled()
     assert gc.collect() == 0

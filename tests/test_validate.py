@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from statistics import median
 
 import pytest
@@ -154,6 +155,99 @@ def test_sweep_matches_bruteforce_on_random_pieces(monkeypatch, block):
             assert segments_properly_intersect(*pieces[i], *pieces[j])
         verdicts.add((len(pieces) >= 12, brute is None))
     assert len(verdicts) == 4  # both verdicts occur, small and large
+
+
+def _lane_polylines(rng, lanes, side, through, jump):
+    """Pieces of one sweep-monotone polyline per lane, shuffled.
+
+    Lane i spans x = 3i .. 3i + 2, so polylines in distinct lanes never
+    meet and every bend is a point where one piece ends and one starts.
+    A quarter of the steps continue the last piece collinearly, a few run
+    horizontally to the right, and a ``jump`` share of them may land in
+    the next lane.  ``through`` extra pieces then pass through the middle
+    of a bend.  About a third of the pieces are given end first.
+    """
+    pieces, bends = [], []
+    for i in range(lanes):
+        lo = 3 * i
+        a, prev = (lo + rng.randrange(3), rng.randrange(2)), None
+        while True:
+            b = None
+            if prev is not None and rng.random() < 0.25:
+                b = (2 * a[0] - prev[0], 2 * a[1] - prev[1])
+                if not lo <= b[0] < lo + 3:
+                    b = None
+            if b is None and a[0] < lo + 2 and rng.random() < 0.1:
+                b = (a[0] + 1, a[1])
+            if b is None:
+                width = 6 if rng.random() < jump else 3
+                b = (lo + rng.randrange(width), a[1] + rng.randint(1, 2))
+            if b[1] > side:
+                break
+            pieces.append((b, a) if rng.random() < 1 / 3 else (a, b))
+            if prev is not None:
+                bends.append(a)
+            a, prev = b, a
+    for _ in range(through if bends else 0):
+        q, d = rng.choice(bends), rng.randint(-2, 2)
+        pieces.append(((q[0] - d, q[1] - 1), (q[0] + d, q[1] + 1)))
+    rng.shuffle(pieces)
+    return pieces
+
+
+def _one_in_one_out(pieces):
+    """How many grid points have exactly one piece of nonzero length
+    ending and one starting there, in the sweep's (y, x) order, and how
+    many endpoints there are in all."""
+    def order(p):
+        return p[1], p[0]
+    ends = Counter(max(a, b, key=order) for a, b in pieces if a != b)
+    starts = Counter(min(a, b, key=order) for a, b in pieces if a != b)
+    points = {p for seg in pieces for p in seg}
+    return sum(ends[p] == starts[p] == 1 for p in points), len(points)
+
+
+@pytest.mark.parametrize("block", [validate._BLOCK, 2],
+                         ids=["real-block", "block-2"])
+def test_sweep_matches_bruteforce_on_lane_polylines(monkeypatch, block):
+    # most points continue a path in place; some pieces run through such
+    # a point or cross from the next lane
+    monkeypatch.setattr(validate, "_BLOCK", block)
+    rng = random.Random(7)
+    verdicts, continued, points = set(), 0, 0
+    for _ in range(400):
+        pieces = _lane_polylines(rng, rng.randrange(1, 8),
+                                 rng.randrange(4, 12),
+                                 through=rng.choice((0, 0, 1, 2)),
+                                 jump=rng.choice((0.0, 0.0, 0.1)))
+        brute = all_pairs_intersection(pieces)
+        sweep = _find_proper_intersection(pieces)
+        assert (brute is None) == (sweep is None), pieces
+        if sweep is not None:
+            i, j = sweep
+            assert segments_properly_intersect(*pieces[i], *pieces[j])
+        verdicts.add(brute is None)
+        c, p = _one_in_one_out(pieces)
+        continued, points = continued + c, points + p
+    assert verdicts == {True, False}
+    assert continued > points / 2
+
+
+@pytest.mark.parametrize("pieces, hit", [
+    # the path 2,0 -> 2,1 -> 2,2 -> 3,4 continues at 2,1 and 2,2, and a
+    # diagonal runs through 2,2 from its left, or from its right
+    ([((2, 0), (2, 1)), ((2, 1), (2, 2)), ((2, 2), (3, 4)),
+      ((0, 0), (4, 4))], (1, 3)),
+    ([((2, 0), (2, 1)), ((2, 1), (2, 2)), ((2, 2), (3, 4)),
+      ((4, 0), (0, 4))], (1, 3)),
+    # the path 2,0 -> 2,2 -> 0,4 continues at 2,2 across its left
+    # neighbour x = 1
+    ([((2, 0), (2, 2)), ((2, 2), (0, 4)), ((1, 0), (1, 4))], (1, 2)),
+], ids=["through-left", "through-right", "continuing-crosses"])
+def test_sweep_reports_at_a_continued_point(pieces, hit):
+    assert _find_proper_intersection(pieces) == hit
+    assert segments_properly_intersect(*pieces[hit[0]], *pieces[hit[1]])
+    assert _find_proper_intersection(pieces[:-1]) is None
 
 
 GRID_POINT = st.tuples(st.integers(0, 5), st.integers(0, 5))
