@@ -10,8 +10,7 @@ from .errors import (EdgeNotFound, GraphFormatError, MissingCoordinate,
                      MultipleSourcesOrSinks, NotAcyclic, NotPlanarEmbedding,
                      OrderingInvalid, ParallelEdge, StGraphError)
 from .generate import GeneratorConfig, generate_random_st_graph
-from .graph import (EmbeddedStGraph, FaceIndex, build_graph, compute_faces,
-                    reachable)
+from .graph import EmbeddedStGraph, FaceIndex, build_graph, compute_faces
 from .io import (drawing_from_text, drawing_to_text, graph_from_json,
                  graph_from_text, graph_to_json, graph_to_text, load_graph)
 from .layout import (GridDrawing, draw_polyline, draw_straightline,
@@ -61,7 +60,6 @@ __all__ = [
     "is_bitonic",
     "load_graph",
     "minimum_split_plan",
-    "reachable",
     "transitive_split_plan",
     "verify_bitonic_ordering",
 ]

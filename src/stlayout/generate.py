@@ -16,9 +16,10 @@ Mersenne Twister, fully determined by the seed.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 
-from .graph import EmbeddedStGraph, build_graph, compute_faces
+from .graph import EmbeddedStGraph, _gc_paused, build_graph, compute_faces
 
 RNG_ALGORITHM = "mt19937"
 # probabilities of vertex insertion and chord insertion; the rest splits
@@ -35,6 +36,7 @@ class GeneratorConfig:
             raise ValueError("n_target must be >= 2")
 
 
+@_gc_paused
 def generate_random_st_graph(cfg: GeneratorConfig) -> EmbeddedStGraph:
     rng = random.Random(cfg.seed)
     s, t = 0, 1
@@ -117,6 +119,7 @@ def generate_random_st_graph(cfg: GeneratorConfig) -> EmbeddedStGraph:
     return build_graph(n, s, t, rows)
 
 
+@_gc_paused
 def add_random_chords(g: EmbeddedStGraph, count: int,
                       seed: int) -> EmbeddedStGraph:
     """Insert up to ``count`` chords between boundary vertices of faces.
@@ -127,39 +130,92 @@ def add_random_chords(g: EmbeddedStGraph, count: int,
     of a face is always safe when no path y ~> x exists: it cannot create
     a cycle, and drawn inside the face it keeps the embedding planar.
     Such chords do produce transitive edges and forbidden configurations.
-    Rebuilds the graph once per chord; intended for test-corpus
-    enrichment, not for bulk generation.
-    """
-    from .graph import reachable
-    from .ordering import _corner_pos_at
 
+    Each chord edits the successor rows in place and splits its face's
+    record in two; ``build_graph`` runs once, at the end.  A face is
+    recorded by its left and right boundary chains, each a path from its
+    source to its sink.  Two vertices of a planar st-graph are either
+    joined by a path or one lies left of the other, never both (Tamassia
+    and Preparata, Algorithmica 5, 1990), so the face vertices that reach
+    ``x`` are exactly those before it on its own chain.
+    """
     rng = random.Random(seed)
-    for _ in range(count):
-        fi = compute_faces(g)
-        inner = fi.inner_faces()
-        if not inner:
-            break
-        placed = False
+    head, starts = g.head, g.out_start
+    rows = [list(head[a:b]) for a, b in zip(starts, starts[1:])]
+    # each corner between consecutive successors of u is the source corner
+    # of one inner face; its left chain follows the last out-edge of each
+    # vertex to the face's sink, its right chain the first out-edge
+    fi = compute_faces(g)
+    inner = [None] * len(fi.face_sink)
+    for u, row in enumerate(rows):
+        for p in range(len(row) - 1):
+            f = fi.face_of_dart[2 * (starts[u] + p) + 1]
+            left, right = [u, row[p]], [u, row[p + 1]]
+            while left[-1] != fi.face_sink[f]:
+                left.append(rows[left[-1]][-1])
+            while right[-1] != fi.face_sink[f]:
+                right.append(rows[right[-1]][0])
+            inner[f] = _face(left, right)
+    inner = [face for face in inner if face is not None]  # face-id order
+
+    def first_dart(face):
+        # the dart order of build_graph: edge ids run by tail, then row
+        # position, and the dart right of an edge follows the one left of it
+        u, v, right_of = face[0]
+        return u, rows[u].index(v), right_of
+
+    for _ in range(count if inner else 0):
         for _attempt in range(8):
-            f = rng.choice(inner)
-            on_face = sorted({g.tail[d >> 1] for d in fi.faces[f]}
-                             | {g.head[d >> 1] for d in fi.faces[f]})
+            # draws from the RNG exactly as rng.choice(inner) would
+            k = rng.choice(range(len(inner)))
+            _, left, right = inner[k]
+            z = left[-1]
+            where = {v: (left, i) for i, v in enumerate(left)}
+            where.update((v, (right, i))
+                         for i, v in enumerate(right[1:-1], 1))
+            on_face = sorted(where)
             rng.shuffle(on_face)
             for x in on_face:
-                pos = _corner_pos_at(g, f, x)
-                if pos < 0:
-                    continue  # x is the sink of f: no corner to leave from
+                if x == z:
+                    continue  # no corner of the face to leave from
+                chain, i = where[x]
+                before, row = chain[:i + 1], rows[x]
                 targets = [y for y in on_face
-                           if y != x and not g.has_edge(x, y)
-                           and not reachable(g, y, x)]
-                if not targets:
-                    continue
-                y = rng.choice(targets)
-                rows = [list(r) for r in g.succ]
-                rows[x].insert(pos, y)
-                g = build_graph(g.n, g.s, g.t, rows)
-                placed = True
-                break
-            if placed:
-                break
-    return g
+                           if y not in before and y not in row]
+                if targets:
+                    break
+            else:
+                continue
+            y = rng.choice(targets)
+            other, j = where[y]
+            if i == 0:  # x is the source: the chord runs between its chains
+                row.insert(row.index(left[1]) + 1, y)
+                chain = other
+            else:
+                row.insert(len(row) if chain is left else 0, y)
+            if y == z:
+                other, j = chain, len(chain) - 1
+            # each half as (x's side, the other side)
+            if other is chain:
+                halves = ((chain[i:j + 1], [x, y]),
+                          (chain[:i + 1] + chain[j:],
+                           right if chain is left else left))
+            else:
+                halves = ((chain[i:], [x] + other[j:]),
+                          (chain[:i + 1] + [y], other[:j + 1]))
+            del inner[k]
+            for a, b in halves:
+                insort(inner, _face(*((a, b) if chain is left else (b, a))),
+                       key=first_dart)
+            break
+    return build_graph(g.n, g.s, g.t, rows)
+
+
+def _face(left, right) -> tuple:
+    """``((u, v, right_of), left, right)``: the face between two chains,
+    and the edge ``(u, v)`` that carries its first dart.  That is an edge
+    out of the face's smallest vertex but its sink, the left one at the
+    source, and ``right_of`` tells whether the face lies right of it."""
+    v = min(left[:-1] + right[1:-1])
+    chain = left if v in left else right
+    return (v, chain[chain.index(v) + 1], chain is left), left, right

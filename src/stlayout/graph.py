@@ -95,9 +95,6 @@ class EmbeddedStGraph:
         head, starts = self.head, self.out_start
         return tuple(head[a:b] for a, b in zip(starts, starts[1:]))
 
-    def has_edge(self, u: VertexId, v: VertexId) -> bool:
-        return v in self.head[self.out_start[u]:self.out_start[u + 1]]
-
 
 @dataclass(frozen=True)
 class FaceIndex:
@@ -129,10 +126,6 @@ class FaceIndex:
         for d, f in enumerate(self.face_of_dart):
             darts[f].append(d)
         return tuple(map(tuple, darts))
-
-    def inner_faces(self) -> list[int]:
-        return [f for f in range(len(self.face_source))
-                if f != self.outer_face]
 
 
 def _check_basic(n, s, t, out_rotation):
@@ -335,20 +328,3 @@ def compute_faces(g: EmbeddedStGraph) -> FaceIndex:
     """Face structure of ``g``, computed by the frontier sweep of
     :func:`build_graph`."""
     return g._face_index
-
-
-def reachable(g: EmbeddedStGraph, u: VertexId, v: VertexId) -> bool:
-    """Directed path u -> v?  Plain DFS, independent of the face structure."""
-    if u == v:
-        return True
-    seen = {u}
-    stack = [u]
-    while stack:
-        w = stack.pop()
-        for x in g.succ[w]:
-            if x == v:
-                return True
-            if x not in seen:
-                seen.add(x)
-                stack.append(x)
-    return False

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import lt
 
-from .graph import (EmbeddedStGraph, _gather, _topological_order,
-                    build_graph, compute_faces)
+from .graph import EmbeddedStGraph, _gather, _topological_order, compute_faces
 
 
 @dataclass(frozen=True)
@@ -124,44 +123,6 @@ def verify_bitonic_ordering(g: EmbeddedStGraph, ord: BitonicOrdering) -> bool:
     starts = g.out_start
     return all(is_bitonic(ranks[a:b]) for a, b in zip(starts, starts[1:])
                if b - a > 2)
-
-
-def augmented_graph(g: EmbeddedStGraph,
-                    ord: BitonicOrdering) -> EmbeddedStGraph:
-    """Materialize G plus the gap edges in the inherited embedding.
-
-    Each gap edge is inserted into the successor rotation of its tail at
-    the corner where its face touches the tail.  The result is validated
-    by ``build_graph``, which checks st-planarity of the augmentation.
-    """
-    inserts: dict[int, list[tuple[int, int]]] = {}
-    for (x, y), f in zip(ord.augment_edges, ord.augment_faces):
-        pos = _corner_pos_at(g, f, x)
-        inserts.setdefault(x, []).append((pos, y))
-    rows = [list(r) for r in g.succ]
-    for x, ins in inserts.items():
-        for pos, y in sorted(ins, reverse=True):
-            rows[x].insert(pos, y)
-    return build_graph(g.n, g.s, g.t, rows)
-
-
-def _corner_pos_at(g: EmbeddedStGraph, f: int, x: int) -> int:
-    """Successor-list position where an edge leaving ``x`` into face ``f``
-    must be inserted to preserve the embedding; ``-1`` when ``x`` has no
-    corner on ``f`` but its sink (or lies off ``f``).
-
-    ``f`` is right of an out-edge ``e`` of ``x`` when ``x`` is its source or
-    on its left boundary (insert after ``e``), and left of the first
-    out-edge when ``x`` is on its right boundary (insert first).
-    """
-    face_of_dart = compute_faces(g).face_of_dart
-    e0, e1 = g.out_start[x], g.out_start[x + 1]
-    for e in range(e0, e1):
-        if face_of_dart[2 * e + 1] == f:
-            return e - e0 + 1
-    if e0 < e1 and face_of_dart[2 * e0] == f:
-        return 0
-    return -1
 
 
 def ordering_to_text(g: EmbeddedStGraph, ord: BitonicOrdering) -> str:

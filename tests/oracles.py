@@ -8,6 +8,10 @@
 * ``face_sink``: the sink of the face between two consecutive successors.
 * ``edges``, ``pred_ltr`` and ``left_right_counts``: readable views of a
   graph's arrays and corner directions, for assertions.
+* ``has_edge``, ``inner_faces``, ``reachable`` (a plain DFS) and
+  ``corner_pos_at``: per-query helpers, and ``augmented_graph`` and
+  ``add_random_chords``, the references built on them that rebuild a
+  graph per inserted edge.
 * ``orientation``, ``on_segment`` and ``segments_properly_intersect``:
   exact integer predicates for segments on the grid, with no floating
   point in any decision.
@@ -18,10 +22,11 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 from stlayout import (BitonicOrdering, EmbeddedStGraph, FaceIndex,
-                      StGraphError, apply_splits, compute_faces,
-                      find_bitonic_ordering, is_bitonic)
+                      StGraphError, apply_splits, build_graph,
+                      compute_faces, find_bitonic_ordering, is_bitonic)
 from stlayout.splitting import SplitPlan
 
 
@@ -188,6 +193,106 @@ def left_right_counts(g: EmbeddedStGraph, u: int):
         L[i] = L[i - 1] + (d < 0)
         R[i] = R[i - 1] + (d > 0)
     return L, R
+
+
+def has_edge(g: EmbeddedStGraph, u: int, v: int) -> bool:
+    return v in g.head[g.out_start[u]:g.out_start[u + 1]]
+
+
+def inner_faces(fi: FaceIndex) -> list[int]:
+    return [f for f in range(len(fi.face_source)) if f != fi.outer_face]
+
+
+def reachable(g: EmbeddedStGraph, u: int, v: int) -> bool:
+    """Directed path u -> v?  Plain DFS, independent of the face structure."""
+    if u == v:
+        return True
+    seen = {u}
+    stack = [u]
+    while stack:
+        w = stack.pop()
+        for x in g.succ[w]:
+            if x == v:
+                return True
+            if x not in seen:
+                seen.add(x)
+                stack.append(x)
+    return False
+
+
+def corner_pos_at(g: EmbeddedStGraph, f: int, x: int) -> int:
+    """Successor-list position where an edge leaving ``x`` into face ``f``
+    must be inserted to preserve the embedding; ``-1`` when ``x`` has no
+    corner on ``f`` but its sink (or lies off ``f``).
+
+    ``f`` is right of an out-edge ``e`` of ``x`` when ``x`` is its source or
+    on its left boundary (insert after ``e``), and left of the first
+    out-edge when ``x`` is on its right boundary (insert first).
+    """
+    face_of_dart = compute_faces(g).face_of_dart
+    e0, e1 = g.out_start[x], g.out_start[x + 1]
+    for e in range(e0, e1):
+        if face_of_dart[2 * e + 1] == f:
+            return e - e0 + 1
+    if e0 < e1 and face_of_dart[2 * e0] == f:
+        return 0
+    return -1
+
+
+def augmented_graph(g: EmbeddedStGraph,
+                    ord: BitonicOrdering) -> EmbeddedStGraph:
+    """Materialize G plus the gap edges in the inherited embedding.
+
+    Each gap edge is inserted into the successor rotation of its tail at
+    the corner where its face touches the tail.  The result is validated
+    by ``build_graph``, which checks st-planarity of the augmentation.
+    """
+    inserts: dict[int, list[tuple[int, int]]] = {}
+    for (x, y), f in zip(ord.augment_edges, ord.augment_faces):
+        pos = corner_pos_at(g, f, x)
+        inserts.setdefault(x, []).append((pos, y))
+    rows = [list(r) for r in g.succ]
+    for x, ins in inserts.items():
+        for pos, y in sorted(ins, reverse=True):
+            rows[x].insert(pos, y)
+    return build_graph(g.n, g.s, g.t, rows)
+
+
+def add_random_chords(g: EmbeddedStGraph, count: int,
+                      seed: int) -> EmbeddedStGraph:
+    """Reference for ``stlayout.generate.add_random_chords``: the same RNG
+    stream and output, recomputing the faces, the corner positions and a
+    DFS per candidate target from a graph rebuilt after every chord."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        fi = compute_faces(g)
+        inner = inner_faces(fi)
+        if not inner:
+            break
+        placed = False
+        for _attempt in range(8):
+            f = rng.choice(inner)
+            on_face = sorted({g.tail[d >> 1] for d in fi.faces[f]}
+                             | {g.head[d >> 1] for d in fi.faces[f]})
+            rng.shuffle(on_face)
+            for x in on_face:
+                pos = corner_pos_at(g, f, x)
+                if pos < 0:
+                    continue  # x is the sink of f: no corner to leave from
+                targets = [y for y in on_face
+                           if y != x and not has_edge(g, x, y)
+                           and not reachable(g, y, x)]
+                if not targets:
+                    continue
+                y = rng.choice(targets)
+                rows = [list(r) for r in g.succ]
+                rows[x].insert(pos, y)
+                g = build_graph(g.n, g.s, g.t, rows)
+                placed = True
+                break
+            if placed:
+                break
+    return g
 
 
 def exists_bitonic_bruteforce(g: EmbeddedStGraph, max_n: int = 10) -> bool:

@@ -26,7 +26,10 @@ def entry_calls(g):
     d = draw_polyline(g)
     text, jtext = graph_to_text(g), graph_to_json(g)
     dtext = drawing_to_text(g, d)
-    return [lambda: build_graph(g.n, g.s, g.t, g.succ),
+    return [lambda: generate_random_st_graph(GeneratorConfig(n_target=g.n,
+                                                             seed=1)),
+            lambda: add_random_chords(g, g.n, 1),
+            lambda: build_graph(g.n, g.s, g.t, g.succ),
             lambda: graph_from_text(text),
             lambda: graph_from_json(jtext),
             lambda: draw_polyline(g),
@@ -101,9 +104,11 @@ def swapped(g, d):
 
 def test_pipeline_leaves_no_cycles(collector_off):
     # with the collector off from the start, no collection inside or
-    # after a call can free a cycle before the count at the end
+    # after a call can free a cycle before the counts that follow it
+    gc.collect()
     chorded = add_random_chords(generate_random_st_graph(
-        GeneratorConfig(n_target=2000, seed=1)), 50, 2)
+        GeneratorConfig(n_target=2000, seed=1)), 2000, 2)
+    assert gc.collect() == 0  # generation and enrichment made none
     texts = [graph_to_text(chorded), graph_to_text(fan(2000))]
     gc.collect()
     for text in texts:

@@ -6,10 +6,10 @@ import pytest
 
 from stlayout import (GraphFormatError, MultipleSourcesOrSinks, NotAcyclic,
                       NotPlanarEmbedding, ParallelEdge, build_graph,
-                      compute_faces, reachable)
+                      compute_faces)
 from stlayout.graph import _topological_order
 from conftest import corpus
-from oracles import edges, face_sink, pred_ltr
+from oracles import edges, face_sink, inner_faces, pred_ltr, reachable
 
 
 def test_triangle_structure(triangle):
@@ -22,14 +22,14 @@ def test_single_edge(single_edge):
     fi = compute_faces(single_edge)
     assert len(fi.faces) == 1
     assert fi.outer_face == 0
-    assert fi.inner_faces() == []
+    assert inner_faces(fi) == []
 
 
 def test_f1_faces(f1):
     fi = compute_faces(f1)
     # n - m + f = 2  ->  f = 2 - 5 + 7 = 4 faces, 3 inner
     assert len(fi.faces) == 4
-    assert len(fi.inner_faces()) == 3
+    assert len(inner_faces(fi)) == 3
     # corner (s, v1, v2) -> face with sink v1; corner (s, v2, v3) -> sink v3
     assert face_sink(fi, f1, 0, 1) == 1
     assert face_sink(fi, f1, 0, 2) == 3
@@ -52,7 +52,7 @@ def test_face_sink_range_check(triangle):
 
 def test_inner_faces_have_unique_source_and_sink(sixteen):
     fi = compute_faces(sixteen)
-    for f in fi.inner_faces():
+    for f in inner_faces(fi):
         assert fi.face_source[f] >= 0
         assert fi.face_sink[f] >= 0
 
@@ -106,7 +106,7 @@ def test_mirrored_rotations_still_embed():
     # the incoming rotations are derived, so any consistent successor
     # order is accepted; [2,1] is the mirror image of the diamond
     g = build_graph(4, 0, 3, [[2, 1], [3], [3], []])
-    assert len(compute_faces(g).inner_faces()) == 1
+    assert len(inner_faces(compute_faces(g))) == 1
 
 
 def test_topo_order_is_smallest_ready_first(sixteen):
@@ -130,5 +130,5 @@ def test_generated_graphs_validate():
     for g in corpus(sizes=(5, 9, 17, 33), seeds=range(8)):
         fi = compute_faces(g)
         assert g.n - g.m + len(fi.faces) == 2
-        for f in fi.inner_faces():
+        for f in inner_faces(fi):
             assert fi.face_sink[f] >= 0 and fi.face_source[f] >= 0

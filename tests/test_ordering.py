@@ -7,10 +7,10 @@ import pytest
 from stlayout import (BitonicOrdering, RejectionWitness, build_graph,
                       compute_faces, find_bitonic_ordering, is_bitonic,
                       verify_bitonic_ordering)
-from stlayout.ordering import (_corner_pos_at, augmented_graph,
-                               ordering_to_text, witness_to_text)
+from stlayout.ordering import ordering_to_text, witness_to_text
 from conftest import corpus
-from oracles import TooLarge, exists_bitonic_bruteforce
+from oracles import (TooLarge, augmented_graph, corner_pos_at,
+                     exists_bitonic_bruteforce, inner_faces, reachable)
 
 
 def test_is_bitonic_basics():
@@ -38,7 +38,6 @@ def test_f1_rejects_with_witness(f1):
 
 
 def test_witness_names_real_paths(f1, seven):
-    from stlayout import reachable
     for g in (f1, seven):
         w = find_bitonic_ordering(g)
         assert isinstance(w, RejectionWitness)
@@ -92,16 +91,16 @@ def test_corner_pos_at_places_chords_into_the_face():
     # into the face at the returned position, keeps the graph embedded
     for g in corpus(sizes=(6, 12, 25), seeds=range(6)):
         fi = compute_faces(g)
-        for f in fi.inner_faces():
+        for f in inner_faces(fi):
             z = fi.face_sink[f]
             for x in {g.tail[d >> 1] for d in fi.faces[f]}:
-                pos = _corner_pos_at(g, f, x)
+                pos = corner_pos_at(g, f, x)
                 assert (pos < 0) == (x == z)
                 if pos >= 0 and z not in g.succ[x]:
                     rows = [list(r) for r in g.succ]
                     rows[x].insert(pos, z)
                     build_graph(g.n, g.s, g.t, rows)
-            assert _corner_pos_at(g, f, z) == -1
+            assert corner_pos_at(g, f, z) == -1
 
 
 def test_verify_rejects_wrong_orderings(triangle):

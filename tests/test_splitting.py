@@ -9,10 +9,11 @@ import pytest
 
 from stlayout import (BitonicOrdering, EdgeNotFound, apply_splits,
                       build_graph, compute_faces, find_bitonic_ordering,
-                      minimum_split_plan, reachable, transitive_split_plan)
+                      minimum_split_plan, transitive_split_plan)
 from stlayout.splitting import SplitPlan, plan_to_text
 from conftest import all_fixture_graphs, corpus, fan, zig
-from oracles import edges, left_right_counts, minimum_splits_bruteforce
+from oracles import (edges, left_right_counts, minimum_splits_bruteforce,
+                     reachable)
 
 
 def test_triangle_plan_empty(triangle):
