@@ -24,7 +24,7 @@ from stlayout import (GeneratorConfig, GridDrawing, RejectionWitness,
 from stlayout.ordering import ordering_to_text, witness_to_text
 from stlayout.splitting import plan_to_text
 from stlayout.validate import _find_proper_intersection
-from conftest import all_fixture_graphs, corpus, fan, zig
+from conftest import all_fixture_graphs, comb_pieces, corpus, fan, zig
 
 GOLDEN = Path(__file__).with_name("golden.json")
 FAMILIES = ("graph", "ordering", "plan", "split", "faces", "straightline",
@@ -72,6 +72,18 @@ def sweep_piece_sets(count=20_000, side=5):
                 b = (rng.randrange(side), rng.randrange(side))
             pieces.append((a, b))
         yield pieces
+
+
+def comb_piece_sets(count=3_000):
+    """Seeded forests (``conftest.comb_pieces``): most points end one
+    piece and start none, two, three or more, some with overlaps, a
+    piece through a node or a child off its place."""
+    rng = random.Random(14)
+    for _ in range(count):
+        yield comb_pieces(rng, rng.randrange(2, 30), rng.randrange(2, 8),
+                          collinear=rng.choice((0, 0, 1)),
+                          through=rng.choice((0, 0, 1)),
+                          wild=rng.choice((0.0, 0.0, 0.05)))
 
 
 def perturbed(g, d, rng):
@@ -129,7 +141,7 @@ def digests() -> dict[str, str]:
                 moved = perturbed(g, poly, rng)
                 put("sweep", check_upward_planar(g, moved).to_json())
                 put("bounds", bounds_text(moved, g.n))
-    for pieces in sweep_piece_sets():
+    for pieces in (*sweep_piece_sets(), *comb_piece_sets()):
         put("sweep", repr(_find_proper_intersection(pieces)))
     return {name: h[name].hexdigest() for name in FAMILIES}
 
