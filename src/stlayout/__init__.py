@@ -16,8 +16,7 @@ from .io import (drawing_from_text, drawing_to_text, graph_from_json,
 from .layout import (GridDrawing, draw_polyline, draw_straightline,
                      emit_svg)
 from .ordering import (BitonicOrdering, RejectionWitness,
-                       find_bitonic_ordering, is_bitonic,
-                       verify_bitonic_ordering)
+                       find_bitonic_ordering, verify_bitonic_ordering)
 from .splitting import (SplitPlan, SplitResult, apply_splits,
                         minimum_split_plan, transitive_split_plan)
 from .validate import ValidationReport, check_bounds, check_upward_planar
@@ -57,7 +56,6 @@ __all__ = [
     "graph_from_text",
     "graph_to_json",
     "graph_to_text",
-    "is_bitonic",
     "load_graph",
     "minimum_split_plan",
     "transitive_split_plan",

@@ -7,9 +7,11 @@ point where a piece starts or ends, locates it in the sweep status with
 one bisect on an exact integer test, removes the pieces that end there
 and inserts those that start there as whole slices, and decides each pair
 of pieces that became neighbours with one comparison of their integer
-keys.  A zero-length piece costs that lookup and nothing else.  Where one
-piece ends and one starts, as at a bend or a vertex of a path, the new
-piece takes over the old one's status entry and needs no lookup at all.
+keys.  A zero-length piece costs that lookup and nothing else.  Where
+exactly one piece ends, as at a bend or at a vertex of a path or a tree,
+the ending piece's status entry is already known, so the point needs no
+lookup: one piece starting there takes the entry over, and any other
+number replaces it in its block.
 """
 
 from __future__ import annotations
@@ -158,8 +160,16 @@ def check_bounds(d: GridDrawing, n: int, mode: str) -> bool:
 _BLOCK = 256  # status block size; a block is split past twice this
 
 
-def _chunks(pieces):
-    return [pieces[i:i + _BLOCK] for i in range(0, len(pieces), _BLOCK)]
+def _chunks(records, home):
+    """records cut into blocks of ``_BLOCK``; home[slot] is set to the
+    block of each."""
+    blocks = []
+    for i in range(0, len(records), _BLOCK):
+        blk = records[i:i + _BLOCK]
+        for r in blk:
+            home[r[5]] = blk
+        blocks.append(blk)
+    return blocks
 
 
 def _find_proper_intersection(pieces):
@@ -185,10 +195,11 @@ def _find_proper_intersection(pieces):
     2. every tie must end at p: one that does not passes through p's
        interior and properly meets any piece with an endpoint at p;
     3. the ties leave the status as one slice;
-    4. the pieces starting at p enter it as one block sorted by slope,
-       and two equal slopes there are a collinear overlap;
+    4. the pieces starting at p enter it as one slice sorted by slope
+       (two or three by their cross products, more by an exact integer
+       key), and two equal slopes there are a collinear overlap;
     5. the pieces either side of the removed ties, or of the inserted
-       block, are tested: with r left of s at Y and h the lower of their
+       slice, are tested: with r left of s at Y and h the lower of their
        ends, they meet properly iff r is right of s at h, or level there
        with a different end (equal ends are a shared endpoint, as a
        height holds one grid point).  Nothing reported before Y means no
@@ -196,26 +207,38 @@ def _find_proper_intersection(pieces):
        this one comparison is exact.
 
     Pieces starting at one point meet nowhere else unless their slopes
-    are equal, so pairs inside a block need no test.  As long as nothing
-    was reported, the status order is the true order just below Y, and
-    the lowest proper intersection is either a crossing of two pieces
-    that were neighbours since an earlier point, or a point p handled by
-    steps 2 and 4.
+    are equal, so pairs inside an inserted slice need no test.  As long
+    as nothing was reported, the status order is the true order just
+    below Y, and the lowest proper intersection is either a crossing of
+    two pieces that were neighbours since an earlier point, or a point p
+    handled by steps 2 and 4.
 
     Each status entry also links to its two neighbours, and steps 3 and 4
     update the links around the slice they change.  A point p where
-    exactly one piece r of nonzero length ends and exactly one piece q
-    starts skips steps 1 to 4: q's values are written into r's entry in
-    place, its end is noted, and q is tested against the entry's linked
-    neighbours in step 5's order.  This is exact.  Two entries are tested
-    when they become neighbours and again whenever one of them is
+    exactly one piece r of nonzero length ends needs neither step 1 nor
+    step 2, because r is the only piece through p.  Two entries are
+    tested when they become neighbours and again whenever one of them is
     rewritten (pieces from one point aside, which meet nowhere else), and
     the test reports r against any neighbour that runs on through r's
     upper end, which is p.  The pieces through p are consecutive in the
-    status, so if nothing was reported, r is the only one: steps 1 to 4
-    would find r as the only tie, put q in its place and test q against
-    the same two neighbours.  On drawings of paths this holds at almost
-    every point.
+    status, so if nothing was reported, r is the only one: steps 1 and 2
+    would find r as the only tie, and r's linked neighbours are the
+    pieces either side of it.  So:
+
+    - if exactly one piece q starts at p, q's values are written into
+      r's entry in place, its end is noted, and q is tested against the
+      entry's neighbours in step 5's order;
+    - otherwise steps 3 and 4 are one splice that puts the pieces
+      starting at p, if any, in r's place.  ``home[slot]`` is the block
+      that holds an entry, set wherever entries enter a block (that
+      splice, a block split and a rebuild across blocks), so one bisect
+      within r's block finds r.  The block's own index is needed only
+      when the block empties or splits; the bisect over the blocks finds
+      it then, before the splice.
+
+    Either way step 5 tests the pairs steps 1 to 4 would have, so the
+    same pair is reported.  On drawings of paths and fans this covers
+    almost every point.
 
     The status is a list of blocks of about ``_BLOCK`` pieces, so a slice
     removal or insertion moves O(block) entries, not O(status); a plain
@@ -260,10 +283,12 @@ def _find_proper_intersection(pieces):
 
     # A record is [A, dx, dy, end height, idx, slot], built when its piece
     # starts: its x at height Y is (A + dx*Y) / dy.  slot is the idx the
-    # entry entered the status with, and lft[slot] and rgt[slot] are its
-    # neighbours there (None at either end); keeping the links out of the
-    # records keeps them free of reference cycles.
+    # entry entered the status with; lft[slot] and rgt[slot] are its
+    # neighbours there (None at either end) and home[slot] is the block
+    # that holds it.  Keeping these out of the records keeps them free of
+    # reference cycles.
     lft, rgt = [None] * len(pieces), [None] * len(pieces)
+    home = [None] * len(pieces)
     blocks = []
     for Y in heights:
         ev = events.pop(Y)
@@ -277,33 +302,42 @@ def _find_proper_intersection(pieces):
             at_end[0] = r if at_end[0] is None else False
             pairs = (lft[r[5]], r), (r, rgt[r[5]])
         else:
-            bi = k = 0
-            if blocks:
-                bi = bisect_left(blocks, True, key=last_at_or_right)
-                if bi == len(blocks):
-                    bi -= 1
-                    k = len(blocks[bi])
-                else:
-                    k = bisect_left(blocks[bi], True, key=at_or_right)
-            left = (blocks[bi][k - 1] if k else
-                    blocks[bi - 1][-1] if bi else None)
+            if r:  # one piece ends here, and none or two or more start
+                slot = r[5]
+                left, right, blk = lft[slot], rgt[slot], home[slot]
+                home[slot] = None  # r leaves; its slot keeps no block alive
+                k = bisect_left(blk, True, key=at_or_right)
+                kj, bi = k + 1, None
+            else:
+                bi = k = 0
+                if blocks:
+                    bi = bisect_left(blocks, True, key=last_at_or_right)
+                    if bi == len(blocks):
+                        bi -= 1
+                        k = len(blocks[bi])
+                    else:
+                        k = bisect_left(blocks[bi], True, key=at_or_right)
+                left = (blocks[bi][k - 1] if k else
+                        blocks[bi - 1][-1] if bi else None)
 
-            bj, kj = bi, k  # end of the ties, the pieces with x exactly px
-            while bj < len(blocks):
-                blk = blocks[bj]
-                while kj < len(blk):
-                    A, dx, dy, end, idx, _ = blk[kj]
-                    if A + dx * Y != px * dy:
+                bj, kj = bi, k  # end of the ties, the pieces with x = px
+                while bj < len(blocks):
+                    blk = blocks[bj]
+                    while kj < len(blk):
+                        A, dx, dy, end, idx, _ = blk[kj]
+                        if A + dx * Y != px * dy:
+                            break
+                        if end != Y:
+                            p = (px, Y // K)
+                            return pair(idx, next(
+                                i for i, seg in enumerate(pieces)
+                                if p in seg))
+                        kj += 1
+                    if kj < len(blk):
                         break
-                    if end != Y:
-                        p = (px, Y // K)
-                        return pair(idx, next(
-                            i for i, seg in enumerate(pieces) if p in seg))
-                    kj += 1
-                if kj < len(blk):
-                    break
-                bj, kj = bj + 1, 0
-            right = blocks[bj][kj] if bj < len(blocks) else None
+                    bj, kj = bj + 1, 0
+                right = blocks[bj][kj] if bj < len(blocks) else None
+                blk = blocks[bi] if bi == bj < len(blocks) else None
 
             new = []
             for j in range(1, len(ev), 2):
@@ -321,24 +355,42 @@ def _find_proper_intersection(pieces):
                 if d > 0:
                     new.reverse()
             elif len(new) > 2:
-                keyed = sorted([(r[1] * slope_scale // r[2], r) for r in new])
-                for (ka, ra), (kb, rb) in pairwise(keyed):
-                    if ka == kb:
-                        return pair(ra[4], rb[4])
-                new = [r for _, r in keyed]
+                ab = ac = bc = 0
+                if len(new) == 3:
+                    ra, rb, rc = new
+                    ab = ra[1] * rb[2] - rb[1] * ra[2]
+                    ac = ra[1] * rc[2] - rc[1] * ra[2]
+                    bc = rb[1] * rc[2] - rc[1] * rb[2]
+                if ab and ac and bc:  # three slopes, ranked
+                    new[(ab > 0) + (ac > 0)] = ra
+                    new[(ab < 0) + (bc > 0)] = rb
+                    new[(ac < 0) + (bc < 0)] = rc
+                else:  # four or more, or equal slopes among three
+                    keyed = sorted([(r[1] * slope_scale // r[2], r)
+                                    for r in new])
+                    for (ka, ra), (kb, rb) in pairwise(keyed):
+                        if ka == kb:
+                            return pair(ra[4], rb[4])
+                    new = [r for _, r in keyed]
 
-            if bi == bj < len(blocks):
-                blk = blocks[bi]
-                blk[k:kj] = new
-                if not blk:
-                    del blocks[bi]
-                elif len(blk) > 2 * _BLOCK:
-                    blocks[bi:bi + 1] = _chunks(blk)
-            else:  # the scan crossed a block end, or the status is empty
+            if blk is None:  # the ties crossed a block end, or no status
                 rest = (blocks[bi][:k] if blocks else []) + new
                 if bj < len(blocks):
                     rest += blocks[bj][kj:]
-                blocks[bi:bj + 1] = _chunks(rest)
+                blocks[bi:bj + 1] = _chunks(rest, home)
+            else:
+                size = len(blk) - (kj - k) + len(new)
+                if bi is None and not 0 < size <= 2 * _BLOCK:
+                    # the block empties or splits: find it, before the
+                    # splice, by its last entry
+                    bi = bisect_left(blocks, True, key=last_at_or_right)
+                blk[k:kj] = new
+                for r in new:
+                    home[r[5]] = blk
+                if not blk:
+                    del blocks[bi]
+                elif len(blk) > 2 * _BLOCK:
+                    blocks[bi:bi + 1] = _chunks(blk, home)
 
             r = left  # link the new neighbours, or left and right
             for s in new:

@@ -26,7 +26,8 @@ import random
 
 from stlayout import (BitonicOrdering, EmbeddedStGraph, FaceIndex,
                       StGraphError, apply_splits, build_graph,
-                      compute_faces, find_bitonic_ordering, is_bitonic)
+                      compute_faces, find_bitonic_ordering)
+from stlayout.ordering import is_bitonic
 from stlayout.splitting import SplitPlan
 
 

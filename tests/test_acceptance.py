@@ -196,10 +196,11 @@ def test_criterion_7_linear_time_behavior(capsys):
     ok = all(m <= LINEAR_GATE for m in medians) and t_big < 5.0
     pairs = [f"{a // 1000}k->{b // 1000}k {m:.2f} [{min(r):.2f}-{max(r):.2f}]"
              for a, b, m, r in zip(sizes, sizes[1:], medians, ratios)]
+    text = ("median [min-max] over rounds: " + ", ".join(pairs)
+            + f"; 10^5 took {t_big:.2f}s")
     report(capsys, 7, "median doubling ratio <= 2.5 and n=10^5 under 5s", ok,
-           "median [min-max] over rounds: " + ", ".join(pairs)
-           + f"; 10^5 took {t_big:.2f}s")
-    assert ok
+           text)
+    assert ok, text
 
 
 def test_criterion_7_gate_catches_quadratic_growth():

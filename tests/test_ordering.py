@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from stlayout import (BitonicOrdering, RejectionWitness, build_graph,
-                      compute_faces, find_bitonic_ordering, is_bitonic,
+                      compute_faces, find_bitonic_ordering,
                       verify_bitonic_ordering)
-from stlayout.ordering import ordering_to_text, witness_to_text
+from stlayout.ordering import is_bitonic, ordering_to_text, witness_to_text
 from conftest import corpus
 from oracles import (TooLarge, augmented_graph, corner_pos_at,
                      exists_bitonic_bruteforce, inner_faces, reachable)

@@ -16,7 +16,7 @@ from stlayout import (GeneratorConfig, GridDrawing, MissingCoordinate,
                       generate_random_st_graph)
 from stlayout import validate
 from stlayout.validate import _find_proper_intersection
-from conftest import LINEAR_GATE, corpus, doubling_ratios
+from conftest import LINEAR_GATE, comb_pieces, corpus, doubling_ratios
 from oracles import all_pairs_intersection, segments_properly_intersect
 
 
@@ -195,16 +195,16 @@ def _lane_polylines(rng, lanes, side, through, jump):
     return pieces
 
 
-def _one_in_one_out(pieces):
-    """How many grid points have exactly one piece of nonzero length
-    ending and one starting there, in the sweep's (y, x) order, and how
-    many endpoints there are in all."""
+def _ends_and_starts(pieces):
+    """How many grid points end and start each number of pieces of
+    nonzero length, as a Counter of (ends, starts), in the sweep's (y, x)
+    order."""
     def order(p):
         return p[1], p[0]
     ends = Counter(max(a, b, key=order) for a, b in pieces if a != b)
     starts = Counter(min(a, b, key=order) for a, b in pieces if a != b)
     points = {p for seg in pieces for p in seg}
-    return sum(ends[p] == starts[p] == 1 for p in points), len(points)
+    return Counter((ends[p], starts[p]) for p in points)
 
 
 @pytest.mark.parametrize("block", [validate._BLOCK, 2],
@@ -227,10 +227,44 @@ def test_sweep_matches_bruteforce_on_lane_polylines(monkeypatch, block):
             i, j = sweep
             assert segments_properly_intersect(*pieces[i], *pieces[j])
         verdicts.add(brute is None)
-        c, p = _one_in_one_out(pieces)
-        continued, points = continued + c, points + p
+        kinds = _ends_and_starts(pieces)
+        continued += kinds[1, 1]
+        points += kinds.total()
     assert verdicts == {True, False}
     assert continued > points / 2
+
+
+@pytest.mark.parametrize("block", [validate._BLOCK, 2],
+                         ids=["real-block", "block-2"])
+def test_sweep_matches_bruteforce_on_combs(monkeypatch, block):
+    # at most points one piece ends and none, two, three or more start;
+    # at block size 2 such points empty and split blocks
+    monkeypatch.setattr(validate, "_BLOCK", block)
+    rng = random.Random(11)
+    sets = [comb_pieces(rng, rng.randrange(2, 30), rng.randrange(2, 8),
+                        collinear=rng.choice((0, 0, 1)),
+                        through=rng.choice((0, 0, 1)),
+                        wild=rng.choice((0.0, 0.0, 0.05)))
+            for _ in range(500)]
+    # three equal slopes after a piece's end, alone and beside others
+    sets += [[((1, 0), (1, 1)), ((1, 1), (2, 2)), ((1, 1), (3, 3)),
+              ((1, 1), (4, 4))],
+             [((0, 2), (0, 4)), ((1, 0), (1, 1)), ((1, 1), (2, 2)),
+              ((3, 3), (1, 1)), ((1, 1), (4, 4)), ((1, 1), (1, 3))]]
+    verdicts, kinds = set(), Counter()
+    for pieces in sets:
+        brute = all_pairs_intersection(pieces)
+        sweep = _find_proper_intersection(pieces)
+        assert (brute is None) == (sweep is None), pieces
+        if sweep is not None:
+            i, j = sweep
+            assert segments_properly_intersect(*pieces[i], *pieces[j])
+        verdicts.add(brute is None)
+        for (e, s), c in _ends_and_starts(pieces).items():
+            if e == 1:
+                kinds[min(s, 4)] += c
+    assert verdicts == {True, False}
+    assert all(kinds[s] > 100 for s in (0, 2, 3, 4))
 
 
 @pytest.mark.parametrize("pieces, hit", [
