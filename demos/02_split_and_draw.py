@@ -49,8 +49,7 @@ print("valid:", check_upward_planar(f1, d).ok)
 for k in (6, 10):
     g = fan(k)
     d = draw_polyline(g)
-    bends = sum(len(p) - 2 for p in d.edge_paths)
-    print(f"fan({k}): {len(d.splits)} splits, {bends} bends, "
+    print(f"fan({k}): {len(d.splits)} splits, {len(d.bend_points)} bends, "
           f"grid {d.width} x {d.height}, "
           f"valid={check_upward_planar(g, d).ok}")
     (HERE / f"fan{k}.svg").write_text(emit_svg(d, scale=30))

@@ -16,12 +16,10 @@ from __future__ import annotations
 
 import json
 from itertools import chain, compress, repeat
-from operator import eq
 
 from .errors import GraphFormatError
 from .graph import EmbeddedStGraph, _gather, _gc_paused, build_graph
-from .layout import GridDrawing
-from .validate import _ends_at_vertices
+from .layout import GridDrawing, _mismatch
 
 
 def graph_to_text(g: EmbeddedStGraph) -> str:
@@ -139,40 +137,14 @@ def load_graph(path: str) -> EmbeddedStGraph:
 
 
 def drawing_to_text(g: EmbeddedStGraph, d: GridDrawing) -> str:
-    """The drawing text of ``d``.
-
-    Raises ``ValueError`` for a drawing the text cannot hold: one without
-    a point per vertex and a path per edge, or with a path of fewer than
-    two or more than three points, or one that does not run from its
-    tail's point to its head's.
-    """
-    coords, paths = d.coords[:g.n], d.edge_paths
-    sizes = list(map(len, paths))
-    # one whole-list test for the usual case; the loop words what failed
-    if not (len(coords) == g.n
-            and sizes.count(2) + sizes.count(3) == len(paths) == g.m
-            and _ends_at_vertices(g, coords, paths)):
-        raise ValueError(_unwritable(g, coords, paths))
-    lines = [f"{v} {x} {y}" for v, (x, y) in enumerate(coords)]
-    for e in compress(range(g.m), map(eq, sizes, repeat(3))):
-        bx, by = paths[e][1]
-        lines.append(f"bend {g.tail[e]} {g.head[e]} {bx} {by}")
+    """The drawing text of ``d``; ``ValueError`` unless it draws ``g``."""
+    if why := _mismatch(d, g):
+        raise ValueError(why)
+    lines = [f"{v} {x} {y}" for v, (x, y) in enumerate(d.coords)]
+    tail, head = g.tail, g.head
+    lines += [f"bend {tail[e]} {head[e]} {x} {y}"
+              for e, (x, y) in d.bend_points]
     return "\n".join(lines) + "\n"
-
-
-def _unwritable(g, coords, paths) -> str:
-    """Why the drawing text cannot hold ``coords`` and ``paths``."""
-    if len(coords) != g.n or len(paths) != g.m:
-        return (f"drawing has {len(coords)} points for {g.n} vertices and "
-                f"{len(paths)} paths for {g.m} edges")
-    for e, path in enumerate(paths):
-        u, v = g.tail[e], g.head[e]
-        if len(path) > 3:
-            return (f"edge {u}->{v} has {len(path) - 2} bends; "
-                    f"the drawing text holds one per edge")
-        if len(path) < 2 or path[0] != coords[u] or path[-1] != coords[v]:
-            return (f"edge {u}->{v} path must run from {coords[u]} "
-                    f"to {coords[v]}")
 
 
 @_gc_paused
@@ -195,13 +167,13 @@ def drawing_from_text(text: str, g: EmbeddedStGraph) -> GridDrawing:
         seen[key] = (x, y)
     if sorted(coords) != list(range(g.n)):
         raise GraphFormatError("drawing must assign every vertex exactly once")
-    cs = _gather(coords, range(g.n))
-    paths = list(zip(_gather(cs, g.tail), _gather(cs, g.head)))
+    bend_points = ()
     if bends:
         bend_of = list(map(bends.pop, zip(g.tail, g.head), repeat(None)))
         if bends:
             u, v = next(iter(bends))
             raise GraphFormatError(f"bend on ({u}, {v}), which is not an edge")
-        for e in compress(range(g.m), bend_of):
-            paths[e] = (paths[e][0], bend_of[e], paths[e][1])
-    return GridDrawing(coords=cs, edge_paths=tuple(paths))
+        bent = list(compress(range(g.m), bend_of))
+        bend_points = tuple(zip(bent, _gather(bend_of, bent)))
+    return GridDrawing(coords=_gather(coords, range(g.n)), tail=g.tail,
+                       head=g.head, bend_points=bend_points)

@@ -4,15 +4,17 @@ Straight-line drawing: incremental contour construction with two sentinel
 vertices that stay left- and rightmost on every contour, relative x-offsets
 along the contour, and a shift tree resolved by two final accumulation
 passes.  Poly-line drawing: split conflicting edges first, draw the split
-graph straight-line, then turn each dummy vertex into one bend.
+graph straight-line, then turn each dummy vertex into one bend.  A
+drawing stores its vertex points and one bend per bent edge, nothing
+per straight edge; every other view of it is derived.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from operator import itemgetter, sub
+from itertools import chain, repeat
+from operator import itemgetter, lt, sub
 
 from .errors import NonIntegerCoordinate, OrderingInvalid
 from .graph import EmbeddedStGraph, _gather, _gc_paused
@@ -27,22 +29,41 @@ Point = tuple[int, int]
 class GridDrawing:
     """Integer coordinates of an upward planar grid drawing.
 
-    Straight-line drawings have no bends.  A poly-line drawing is the
-    straight-line drawing of the split graph folded back onto the original
-    edges: each formerly split edge carries one bend, and ``splits`` lists
-    those edges.  Width and height cover vertices and bends alike; the
-    bends and the box are computed once, on first use.
+    ``coords[v]`` is vertex ``v``'s point.  ``tail`` and ``head`` are the
+    drawn graph's own edge arrays, shared with it, not copied.
+    ``bend_points`` holds ``(e, p)`` for each bent edge ``e``, in strictly
+    increasing ``e``: ``p`` is that edge's one bend.  A straight-line
+    drawing has none; a poly-line drawing is the straight-line drawing of
+    the split graph folded back onto the original edges, one bend per
+    split edge.  Each edge's path, the split edges, the bends and the box
+    (over vertices and bends alike) are derived on first use.
     """
 
     coords: tuple[Point, ...]
-    edge_paths: tuple[tuple[Point, ...], ...]
-    splits: tuple[tuple[int, int], ...] = ()
+    tail: tuple[int, ...]
+    head: tuple[int, ...]
+    bend_points: tuple[tuple[int, Point], ...] = ()
 
-    @property
-    def bend_points(self) -> list[tuple[int, Point]]:
-        """``(e, p)`` for every interior point ``p`` of each edge path."""
-        return [(e, p) for e, path in enumerate(self.edge_paths)
-                if len(path) > 2 for p in path[1:-1]]
+    def __post_init__(self):
+        ids = [-1, *map(itemgetter(0), self.bend_points), len(self.tail)]
+        if not all(map(lt, ids, ids[1:])):
+            raise ValueError(f"bend edge ids must increase strictly and "
+                             f"lie in 0..{len(self.tail) - 1}")
+
+    @cached_property
+    def edge_paths(self) -> tuple[tuple[Point, ...], ...]:
+        """Each edge's path: tail point, bend if it has one, head point."""
+        paths = list(zip(_gather(self.coords, self.tail),
+                         _gather(self.coords, self.head)))
+        for e, p in self.bend_points:
+            paths[e] = paths[e][0], p, paths[e][1]
+        return tuple(paths)
+
+    @cached_property
+    def splits(self) -> tuple[tuple[int, int], ...]:
+        """``(u, v)`` of each bent edge, in edge id order."""
+        tail, head = self.tail, self.head
+        return tuple((tail[e], head[e]) for e, _ in self.bend_points)
 
     @cached_property
     def bends(self) -> list[Point]:
@@ -50,20 +71,24 @@ class GridDrawing:
         return list(map(itemgetter(1), self.bend_points))
 
     @cached_property
-    def _extent(self) -> tuple[int, int]:
-        points = [*self.coords, *self.bends]
-        if not points:
-            return 0, 0
-        xs, ys = zip(*points)
-        return max(xs) - min(xs), max(ys) - min(ys)
-
-    @property
     def width(self) -> int:
-        return self._extent[0]
+        xs = list(map(itemgetter(0), chain(self.coords, self.bends)))
+        return max(xs) - min(xs) if xs else 0
 
-    @property
+    @cached_property
     def height(self) -> int:
-        return self._extent[1]
+        ys = list(map(itemgetter(1), chain(self.coords, self.bends)))
+        return max(ys) - min(ys) if ys else 0
+
+
+def _mismatch(d: GridDrawing, g: EmbeddedStGraph) -> str | None:
+    """Why ``d`` is not a drawing of ``g`` (a point per vertex and ``g``'s
+    edges, the same tuples or else equal ones), or None."""
+    if len(d.coords) != g.n:
+        return f"drawing has {len(d.coords)} coordinates for {g.n} vertices"
+    if not ((d.tail is g.tail or d.tail == g.tail)
+            and (d.head is g.head or d.head == g.head)):
+        return "drawing is of another graph: its edges differ"
 
 
 @_gc_paused
@@ -152,8 +177,7 @@ def draw_straightline(g: EmbeddedStGraph,
     xs, ys = xabs[:n], yabs[:n]
     coords = tuple(zip(map(sub, xs, repeat(min(xs), n)),
                        map(sub, ys, repeat(min(ys), n))))
-    paths = tuple(zip(_gather(coords, tail), _gather(coords, head)))
-    return GridDrawing(coords=coords, edge_paths=paths)
+    return GridDrawing(coords=coords, tail=tail, head=head)
 
 
 @_gc_paused
@@ -166,14 +190,11 @@ def draw_polyline(g: EmbeddedStGraph) -> GridDrawing:
         raise AssertionError("split graph unexpectedly rejected")
     base = draw_straightline(res.graph, ord)
 
-    # a split edge keeps its id and now ends at its dummy; the dummies'
-    # in-edges, the split edges, come last in the split graph's in_edges
-    coords = base.coords[:g.n]
-    paths = list(base.edge_paths[:g.m])
-    for e in res.graph.in_edges[g.m:]:
-        paths[e] += (coords[g.head[e]],)
-    return GridDrawing(coords=coords, edge_paths=tuple(paths),
-                       splits=plan.split_edges)
+    # a split edge keeps its id and ends at its dummy; the dummies, and in
+    # in_edges their in-edges, come last: each dummy's point is a bend
+    return GridDrawing(coords=base.coords[:g.n], tail=g.tail, head=g.head,
+                       bend_points=tuple(zip(res.graph.in_edges[g.m:],
+                                             base.coords[g.n:])))
 
 
 def emit_svg(d: GridDrawing, scale: int = 20) -> str:

@@ -1,8 +1,9 @@
 """Independent geometric verification of drawings.
 
-The checks here never reuse the layout machinery: upwardness is read off
-the edge paths directly and planarity is decided by one plane sweep over
-exact integers, whatever the drawing's size.  It visits once each grid
+The checks here never reuse the layout machinery: each edge's pieces are
+built from its vertices' points and its bend, if it has one, upwardness
+is read off them directly, and planarity is decided by one plane sweep
+over exact integers, whatever the drawing's size.  It visits once each grid
 point where a piece starts or ends, locates it in the sweep status with
 one bisect on an exact integer test, removes the pieces that end there
 and inserts those that start there as whole slices, and decides each pair
@@ -18,13 +19,13 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import pairwise
 from operator import itemgetter, lt
 
 from .errors import MissingCoordinate
 from .graph import EmbeddedStGraph, _gather, _gc_paused
-from .layout import GridDrawing
+from .layout import GridDrawing, _mismatch
 
 
 @dataclass
@@ -53,42 +54,21 @@ class ValidationReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        return json.dumps({
-            "upward": self.upward,
-            "planar": self.planar,
-            "width": self.width,
-            "height": self.height,
-            "bends_total": self.bends_total,
-            "bends_max_per_edge": self.bends_max_per_edge,
-            "violations": self.violations,
-        }, indent=2)
-
-
-def _ends_at_vertices(g: EmbeddedStGraph, coords, paths) -> bool:
-    """Whether each path, of at least one point, starts at its edge's
-    tail point and ends at its head point, in whole-list passes; tuple
-    equality skips the points that are the vertices' own."""
-    return (_gather(coords, g.tail) == tuple(map(itemgetter(0), paths))
-            and _gather(coords, g.head) == tuple(map(itemgetter(-1), paths)))
+        return json.dumps(asdict(self), indent=2)
 
 
 @_gc_paused
 def check_upward_planar(g: EmbeddedStGraph,
                         d: GridDrawing) -> ValidationReport:
-    """Each edge's path runs from its tail's point to its head's, every
-    piece rises strictly, no two vertices or bends share a point, and no
-    two pieces meet except at a shared endpoint."""
-    if len(d.coords) < g.n:
-        raise MissingCoordinate(
-            f"drawing has {len(d.coords)} coordinates for {g.n} vertices")
-    if len(d.edge_paths) != g.m:
-        raise MissingCoordinate(
-            f"drawing has {len(d.edge_paths)} edge paths for {g.m} edges")
+    """Every piece of every edge rises strictly, no two vertices or bends
+    share a point, and no two pieces meet except at a shared endpoint.
 
-    if len(d.coords) > g.n:  # only the graph's own vertices are drawn
-        d = GridDrawing(coords=d.coords[:g.n], edge_paths=d.edge_paths)
-    coords, paths = d.coords, d.edge_paths
-
+    Raises :class:`MissingCoordinate` unless ``d`` has one point per vertex
+    of ``g`` and ``g``'s edges.
+    """
+    if why := _mismatch(d, g):
+        raise MissingCoordinate(why)
+    coords = d.coords
     violations = []
 
     nodes = [*coords, *d.bends]
@@ -96,24 +76,19 @@ def check_upward_planar(g: EmbeddedStGraph,
     if not distinct:
         violations.append("two vertices or bends share a coordinate")
 
-    pieces = []  # a two-point path is its own piece, not a copy
-    for path in paths:
-        if len(path) == 2:
-            pieces.append(path)
-        else:
-            pieces += pairwise(path)
+    # one piece per straight edge, two in its place for a bent one
+    straight = list(zip(_gather(coords, d.tail), _gather(coords, d.head)))
+    pieces, e0 = [], 0
+    for e, p in d.bend_points:
+        pieces += straight[e0:e]
+        pieces += (straight[e][0], p), (p, straight[e][1])
+        e0 = e + 1
+    pieces += straight[e0:]
     y = itemgetter(1)
     upward = all(map(lt, map(y, map(itemgetter(0), pieces)),
                      map(y, map(y, pieces))))
-    # one whole-list test for the usual case; the loop words what failed
-    if not (upward and min(map(len, paths), default=2) >= 2
-            and _ends_at_vertices(g, coords, paths)):
-        for e, path in enumerate(paths):
-            u, v = g.tail[e], g.head[e]
-            if (len(path) < 2 or path[0] != coords[u]
-                    or path[-1] != coords[v]):
-                violations.append(f"edge {u}->{v} path must run from "
-                                  f"{coords[u]} to {coords[v]}")
+    if not upward:  # one whole-list test; the loop words what failed
+        for u, v, path in zip(g.tail, g.head, d.edge_paths):
             for a, b in pairwise(path):
                 if b[1] <= a[1]:
                     violations.append(f"edge {u}->{v} piece {a}->{b} is "
@@ -132,8 +107,8 @@ def check_upward_planar(g: EmbeddedStGraph,
         planar=planar,
         width=d.width,
         height=d.height,
-        bends_total=len(nodes) - g.n,
-        bends_max_per_edge=max(max(map(len, paths), default=0) - 2, 0),
+        bends_total=len(d.bend_points),
+        bends_max_per_edge=1 if d.bend_points else 0,
         violations=violations,
     )
 
@@ -142,18 +117,18 @@ def check_bounds(d: GridDrawing, n: int, mode: str) -> bool:
     """Area and bend bounds for the drawing of an n-vertex graph.
 
     straightline: (2n-2) x (n-1), no bends.  polyline: (4n-8) x (2n-4)
-    and at most n-3 bends, one per edge; for n < 3 the straight-line box
-    applies since no edge is ever split.
+    and at most n-3 bends; for n < 3 the straight-line box applies since
+    no edge is ever split.  One bend per edge is the drawing type's own
+    invariant.
     """
-    bends = len(d.bends)  # every interior point of every path
+    bends = len(d.bend_points)
     if mode == "straightline":
         return (not bends and d.width <= 2 * n - 2
                 and d.height <= n - 1)
     if mode == "polyline":
         return (d.width <= max(4 * n - 8, 2 * n - 2)
                 and d.height <= max(2 * n - 4, n - 1)
-                and bends <= max(n - 3, 0)
-                and max(map(len, d.edge_paths), default=0) <= 3)
+                and bends <= max(n - 3, 0))
     raise ValueError(f"unknown mode {mode!r}")
 
 

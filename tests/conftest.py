@@ -9,8 +9,8 @@ from itertools import islice
 
 import pytest
 
-from stlayout import (EmbeddedStGraph, GeneratorConfig, GridDrawing,
-                      build_graph, generate_random_st_graph)
+from stlayout import (EmbeddedStGraph, GeneratorConfig, build_graph,
+                      generate_random_st_graph)
 from stlayout.generate import add_random_chords
 
 
@@ -39,18 +39,6 @@ def f1() -> EmbeddedStGraph:
 def split_f1() -> EmbeddedStGraph:
     """f1 with the edge (s, v3) split through the dummy vertex 5."""
     return build_graph(6, 0, 4, [[1, 2, 5], [4], [1, 3], [4], [], [3]])
-
-
-@pytest.fixture
-def two_bends() -> tuple[EmbeddedStGraph, GridDrawing]:
-    """A valid drawing of a 4-vertex graph whose edge 0->3 bends twice;
-    it fits the straight-line box."""
-    g = build_graph(4, 0, 3, [[1, 3], [2], [3], []])
-    coords = ((4, 0), (0, 1), (0, 2), (1, 3))
-    paths = ((coords[0], coords[1]), ((4, 0), (4, 1), (3, 2), (1, 3)),
-             (coords[1], coords[2]), (coords[2], coords[3]))
-    assert (g.tail, g.head) == ((0, 0, 1, 2), (1, 3, 2, 3))
-    return g, GridDrawing(coords=coords, edge_paths=paths)
 
 
 def fan(k: int) -> EmbeddedStGraph:

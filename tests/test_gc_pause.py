@@ -92,14 +92,13 @@ def collector_off():
 
 
 def swapped(g, d):
-    """``d`` with two vertices' points swapped and their paths moved
+    """``d`` with two vertices' points swapped and their edges moved
     along, so that the crossing sweep stops early."""
     coords = list(d.coords)
     u, v = g.n // 4, g.n // 2
     coords[u], coords[v] = coords[v], coords[u]
-    paths = tuple((coords[g.tail[e]], *path[1:-1], coords[g.head[e]])
-                  for e, path in enumerate(d.edge_paths))
-    return GridDrawing(coords=tuple(coords), edge_paths=paths)
+    return GridDrawing(coords=tuple(coords), tail=d.tail, head=d.head,
+                       bend_points=d.bend_points)
 
 
 def test_pipeline_leaves_no_cycles(collector_off):

@@ -87,15 +87,14 @@ def comb_piece_sets(count=3_000):
 
 
 def perturbed(g, d, rng):
-    """``d`` with 1-3 vertices moved by a few units; every path still
-    starts and ends at its edge's vertices."""
+    """``d`` with 1-3 vertices moved by a few units; the edges move along
+    and the bends stay."""
     coords = list(d.coords)
     for v in rng.sample(range(g.n), min(g.n, rng.randint(1, 3))):
         x, y = coords[v]
         coords[v] = (x + rng.randint(-3, 3), y + rng.randint(-3, 3))
-    paths = tuple((coords[g.tail[e]], *path[1:-1], coords[g.head[e]])
-                  for e, path in enumerate(d.edge_paths))
-    return GridDrawing(coords=tuple(coords), edge_paths=paths)
+    return GridDrawing(coords=tuple(coords), tail=d.tail, head=d.head,
+                       bend_points=d.bend_points)
 
 
 def bounds_text(d, n):

@@ -2,18 +2,19 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from statistics import median
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stlayout import (GraphFormatError, GridDrawing, StGraphError,
-                      build_graph, check_upward_planar, draw_polyline,
+from stlayout import (GraphFormatError, StGraphError,
+                      build_graph, draw_polyline,
                       drawing_from_text, drawing_to_text, graph_from_json,
                       graph_from_text, graph_to_json, graph_to_text,
                       load_graph)
-from conftest import LINEAR_GATE, corpus, doubling_ratios, zig
+from conftest import LINEAR_GATE, corpus, doubling_ratios, fan, zig
 
 
 def test_text_roundtrip(f1):
@@ -93,39 +94,31 @@ def test_load_graph_dispatch(tmp_path, triangle):
 
 
 def test_drawing_roundtrip(f1):
-    d = draw_polyline(f1)
-    text = drawing_to_text(f1, d)
-    d2 = drawing_from_text(text, f1)
-    assert d2.coords == d.coords
-    assert d2.edge_paths == d.edge_paths
-
-
-def test_drawing_text_refuses_two_bends_on_one_edge(two_bends):
-    with pytest.raises(ValueError, match="^edge 0->3 has 2 bends"):
-        drawing_to_text(*two_bends)
+    # the whole drawing comes back, its split edges included
+    graphs = [f1, fan(50)] + corpus(sizes=(12, 40), seeds=range(4))
+    drawings = [draw_polyline(g) for g in graphs]
+    assert len(drawings[1].splits) == 47
+    assert sum(bool(d.bend_points) for d in drawings) > 2
+    for g, d in zip(graphs, drawings):
+        d2 = drawing_from_text(drawing_to_text(g, d), g)
+        assert d2 == d and d2.splits == d.splits
 
 
 def test_drawing_text_refuses_paths_it_cannot_hold(triangle):
-    coords = ((3, 0), (0, 1), (1, 2))
-    good = ((coords[0], coords[1]), (coords[0], coords[2]),
-            (coords[1], coords[2]))
-    assert check_upward_planar(
-        triangle, GridDrawing(coords=coords, edge_paths=good)).ok
-    # edge 0->2 as one point, or detached at either end: the text would
-    # write it as a straight edge, and the drawing read back would pass
-    for path in (((5, 5),), ((5, 5), coords[2]),
-                 (coords[0], (2, 1), (5, 5))):
-        d = GridDrawing(coords=coords,
-                        edge_paths=(good[0], path, good[2]))
-        assert not check_upward_planar(triangle, d).ok
-        with pytest.raises(ValueError,
-                           match=r"^edge 0->2 path must run from \(3, 0\) "
-                                 r"to \(1, 2\)$"):
-            drawing_to_text(triangle, d)
-    with pytest.raises(ValueError, match="^drawing has 3 points for 3 "
-                                         "vertices and 2 paths for 3 edges"):
-        drawing_to_text(triangle, GridDrawing(coords=coords,
-                                              edge_paths=good[:2]))
+    # the text holds one point per vertex and the graph's own edges: a
+    # drawing of another graph is refused, not cut to size
+    d = draw_polyline(triangle)
+    for coords in (d.coords + ((9, 9),), d.coords[:2]):
+        with pytest.raises(ValueError, match=r"^drawing has [24] "
+                                             r"coordinates for 3 vertices$"):
+            drawing_to_text(triangle, replace(d, coords=coords))
+    path = build_graph(3, 0, 2, [[1], [2], []])
+    with pytest.raises(ValueError, match="^drawing is of another graph"):
+        drawing_to_text(path, d)
+    # equal edge arrays are the graph's own, shared or not
+    copy = replace(d, tail=tuple(list(d.tail)), head=tuple(list(d.head)))
+    assert copy.tail is not triangle.tail
+    assert drawing_to_text(triangle, copy) == drawing_to_text(triangle, d)
 
 
 def test_drawing_requires_all_vertices(f1, triangle):

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from statistics import median
 
 import pytest
 
-from stlayout import (BitonicOrdering, EmbeddedStGraph, OrderingInvalid,
-                      RejectionWitness, check_bounds, check_upward_planar,
-                      draw_polyline, draw_straightline, drawing_to_text,
-                      emit_svg, find_bitonic_ordering)
+from stlayout import (BitonicOrdering, EmbeddedStGraph, GridDrawing,
+                      OrderingInvalid, RejectionWitness, check_bounds,
+                      check_upward_planar, draw_polyline, draw_straightline,
+                      drawing_from_text, drawing_to_text, emit_svg,
+                      find_bitonic_ordering)
 from conftest import LINEAR_GATE, corpus, doubling_ratios, fan, zig
 
 
@@ -89,6 +91,30 @@ def test_draw_path_never_reads_succ(monkeypatch, f1):
         if not isinstance(ord, RejectionWitness):
             d = draw_straightline(g, ord)
         assert check_upward_planar(g, d).ok
+
+
+def test_draw_path_never_builds_edge_paths(monkeypatch, f1):
+    # a drawing stores vertex points and one bend per bent edge; the path
+    # of every edge is a view for SVG and for users, which drawing,
+    # writing, reading and bounds checking never build
+    def no_paths(d):
+        raise AssertionError("the draw path built edge paths")
+
+    monkeypatch.setattr(GridDrawing, "edge_paths", property(no_paths))
+    for g in (f1, fan(50)):
+        d = draw_polyline(g)
+        d2 = drawing_from_text(drawing_to_text(g, d), g)
+        assert d2.bend_points and check_bounds(d2, g.n, "polyline")
+
+
+def test_drawing_holds_at_most_one_bend_per_edge(f1):
+    d = draw_polyline(f1)
+    (e, p), = d.bend_points
+    for bends in (((e, p), (e, (9, 9))), ((e, p), (e - 1, (9, 9))),
+                  ((f1.m, p),), ((-1, p),)):
+        with pytest.raises(ValueError, match="^bend edge ids must increase "
+                                             "strictly and lie in 0..6$"):
+            replace(d, bend_points=bends)
 
 
 def test_svg_output(f1):

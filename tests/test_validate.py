@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import replace
 from statistics import median
 
 import pytest
@@ -11,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stlayout import (GeneratorConfig, GridDrawing, MissingCoordinate,
-                      check_bounds, check_upward_planar, draw_polyline,
-                      find_bitonic_ordering, draw_straightline,
-                      generate_random_st_graph)
+                      build_graph, check_bounds, check_upward_planar,
+                      draw_polyline, drawing_from_text, find_bitonic_ordering,
+                      draw_straightline, generate_random_st_graph)
 from stlayout import validate
 from stlayout.validate import _find_proper_intersection
 from conftest import LINEAR_GATE, comb_pieces, corpus, doubling_ratios
@@ -30,36 +31,36 @@ def test_report_fields(triangle):
     assert '"planar": true' in rep.to_json()
 
 
-def test_missing_coordinate(triangle):
-    d = GridDrawing(coords=((0, 0), (1, 1)), edge_paths=())
-    with pytest.raises(MissingCoordinate):
-        check_upward_planar(triangle, d)
-    # every edge needs a path
+def test_missing_coordinate(triangle, f1):
     d = draw_straightline(triangle, find_bitonic_ordering(triangle))
-    for paths in ((), d.edge_paths[:2], d.edge_paths + d.edge_paths[:1]):
-        with pytest.raises(MissingCoordinate, match=r"\d edge paths for 3"):
-            check_upward_planar(
-                triangle, GridDrawing(coords=d.coords, edge_paths=paths))
+    # an extra coordinate, a missing one, and the drawing of another graph
+    for coords in (d.coords + ((9, 9),), d.coords[:2]):
+        with pytest.raises(MissingCoordinate,
+                           match=r"^drawing has [24] coordinates for 3"):
+            check_upward_planar(triangle, replace(d, coords=coords))
+    with pytest.raises(MissingCoordinate, match="5 coordinates for 3"):
+        check_upward_planar(triangle, draw_polyline(f1))
+    path = build_graph(3, 0, 2, [[1], [2], []])
+    with pytest.raises(MissingCoordinate, match="of another graph"):
+        check_upward_planar(path, d)
+
+
+def drawing(g, coords):
+    """The straight-line drawing of ``g`` with these vertex points."""
+    return GridDrawing(coords=tuple(coords), tail=g.tail, head=g.head)
 
 
 def test_detects_downward_edge(triangle):
-    coords = ((0, 2), (1, 1), (2, 3))
-    paths = tuple((coords[triangle.tail[e]], coords[triangle.head[e]])
-                  for e in range(3))
-    rep = check_upward_planar(
-        triangle, GridDrawing(coords=coords, edge_paths=paths))
+    rep = check_upward_planar(triangle,
+                              drawing(triangle, ((0, 2), (1, 1), (2, 3))))
     assert not rep.upward
     assert not rep.ok
-    # upward paths that never touch the vertices, placed downward, and a
-    # path of one point
-    coords = ((0, 5), (1, 3), (0, 0))
-    paths = (((5, 0), (5, 1)), ((6, 0), (6, 1)), ((1, 3),))
-    rep = check_upward_planar(
-        triangle, GridDrawing(coords=coords, edge_paths=paths))
-    assert not rep.ok
-    assert rep.violations == ["edge 0->1 path must run from (0, 5) to (1, 3)",
-                              "edge 0->2 path must run from (0, 5) to (0, 0)",
-                              "edge 1->2 path must run from (1, 3) to (0, 0)"]
+    # a bend below its tail makes a downward piece
+    rep = check_upward_planar(triangle, drawing_from_text(
+        "0 3 0\n1 0 1\n2 1 2\nbend 0 2 5 -1\n", triangle))
+    assert not rep.upward
+    assert rep.violations == ["edge 0->2 piece (3, 0)->(5, -1) is not "
+                              "strictly upward"]
 
 
 def test_detects_crossing(f1):
@@ -67,22 +68,20 @@ def test_detects_crossing(f1):
     coords = list(d.coords)
     # swap two vertices to force a crossing or duplicate geometry
     coords[1], coords[3] = coords[3], coords[1]
-    paths = []
-    for e in range(f1.m):
-        paths.append((tuple(coords[f1.tail[e]]), tuple(coords[f1.head[e]])))
-    rep = check_upward_planar(
-        f1, GridDrawing(coords=tuple(coords), edge_paths=tuple(paths)))
+    rep = check_upward_planar(f1, replace(d, coords=tuple(coords)))
     assert not rep.ok
 
 
 def test_detects_coincident_vertices(triangle):
-    coords = ((0, 0), (1, 1), (1, 1))
-    paths = tuple((coords[triangle.tail[e]], coords[triangle.head[e]])
-                  for e in range(3))
-    rep = check_upward_planar(
-        triangle, GridDrawing(coords=coords, edge_paths=paths))
+    rep = check_upward_planar(triangle,
+                              drawing(triangle, ((0, 0), (1, 1), (1, 1))))
     assert not rep.planar
     assert any("share" in v for v in rep.violations)
+    # a bend on its tail's own point: a zero-length piece
+    rep = check_upward_planar(triangle, drawing_from_text(
+        "0 3 0\n1 0 1\n2 1 2\nbend 0 2 3 0\n", triangle))
+    assert not rep.planar
+    assert rep.violations[0] == "two vertices or bends share a coordinate"
 
 
 def test_bounds_modes(triangle):
@@ -93,22 +92,15 @@ def test_bounds_modes(triangle):
         check_bounds(d, 3, "curvy")
 
 
-def test_bounds_count_every_interior_point(two_bends):
-    g, d = two_bends
-    rep = check_upward_planar(g, d)
-    assert rep.ok and rep.bends_total == 2 and rep.bends_max_per_edge == 2
-    assert d.width <= 2 * g.n - 2 and d.height <= g.n - 1
-    assert not check_bounds(d, g.n, "straightline")
-    assert not check_bounds(d, g.n, "polyline")
-
-
-def test_short_paths_count_no_bends(triangle):
-    coords = ((0, 0), (1, 1), (0, 2))
-    for paths in (((), (), ()), (((0, 0),), (), ((1, 1),))):
-        rep = check_upward_planar(
-            triangle, GridDrawing(coords=coords, edge_paths=paths))
-        assert not rep.ok and len(rep.violations) == 3
-        assert (rep.bends_total, rep.bends_max_per_edge) == (0, 0)
+def test_bounds_count_every_interior_point(triangle):
+    # one valid bend within the straight-line box: it breaks both bounds,
+    # since a triangle needs no split (n - 3 = 0)
+    d = drawing_from_text("0 3 0\n1 0 1\n2 1 2\nbend 0 2 2 1\n", triangle)
+    rep = check_upward_planar(triangle, d)
+    assert rep.ok and rep.bends_total == 1 and rep.bends_max_per_edge == 1
+    assert d.width <= 2 * triangle.n - 2 and d.height <= triangle.n - 1
+    assert not check_bounds(d, triangle.n, "straightline")
+    assert not check_bounds(d, triangle.n, "polyline")
 
 
 def _random_pieces(rng, k, side, zero_share, reach=None):
@@ -326,9 +318,8 @@ def test_zero_length_pieces_validate_in_near_linear_time():
     for n in (500, 1000, 2000):
         g = generate_random_st_graph(GeneratorConfig(n_target=n, seed=1))
         d = draw_polyline(g)
-        paths = tuple((a, a, c) if e % 2 == 0 else (a, c)
-                      for e, (a, c) in enumerate(d.edge_paths))
-        drawings.append((g, GridDrawing(coords=d.coords, edge_paths=paths)))
+        bent = tuple((e, d.coords[g.tail[e]]) for e in range(0, g.m, 2))
+        drawings.append((g, replace(d, bend_points=bent)))
     rep = check_upward_planar(*drawings[0])
     assert not rep.planar
     assert any("share a coordinate" in v for v in rep.violations)
