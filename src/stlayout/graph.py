@@ -2,8 +2,9 @@
 
 A graph is described by its clockwise successor lists alone.  The incoming
 edge order at every vertex (and with it the full rotation system) and the
-faces are derived in one sweep over the vertices in topological order,
-which maintains the left-to-right frontier of pending edges.  The checks:
+path direction across every corner are derived in one sweep over the
+vertices in topological order, which maintains the left-to-right frontier
+of pending edges.  The checks:
 
   * no self-loops, no parallel edges
   * single source ``s``, single sink ``t``
@@ -14,14 +15,15 @@ which maintains the left-to-right frontier of pending edges.  The checks:
 A passing sweep draws the graph upward and planar, so every inner face has
 exactly one source and one sink, ``s`` and ``t`` lie on the outer face and
 Euler's formula holds; see :func:`_frontier_sweep`.  The graph is
-stored once, in flat arrays; see :class:`EmbeddedStGraph`.
+stored once, in flat arrays; see :class:`EmbeddedStGraph`.  The faces
+themselves are a view derived on demand by :func:`compute_faces`.
 """
 
 from __future__ import annotations
 
 import gc
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, wraps
 from itertools import accumulate, repeat
 from operator import itemgetter
@@ -72,7 +74,11 @@ class EmbeddedStGraph:
     ``head`` read in id order is every successor list, leftmost first.
     ``in_edges[in_start[v]:in_start[v + 1]]`` lists the in-edges of ``v``
     from left to right; the clockwise incoming rotation is its reverse.
-    ``succ`` is a derived view, built on first use.
+    ``corner_dir[e]`` is the path direction across the corner after ``e``,
+    read off the sink of the face there: ``+1`` for a path ``head[e] ~>
+    head[e + 1]`` (left to right), ``-1`` for one ``head[e + 1] ~> head[e]``
+    and ``0`` for none or when ``e`` is its tail's last out-edge.  ``succ``
+    is a derived view, built on first use.
     """
 
     n: int
@@ -83,7 +89,7 @@ class EmbeddedStGraph:
     out_start: tuple[int, ...]
     in_edges: tuple[int, ...]
     in_start: tuple[int, ...]
-    _face_index: "FaceIndex" = field(repr=False, compare=False)
+    corner_dir: tuple[int, ...]
 
     @property
     def m(self) -> int:
@@ -106,16 +112,11 @@ class FaceIndex:
     is not the last out-edge of its tail, that face is the inner face at
     the corner between ``e`` and the clockwise-next out-edge ``e + 1``.
     Faces are numbered in the order of their first dart.  The outer face
-    has no source or sink (``-1``).  ``corner_dir[e]`` is the path
-    direction across the corner after ``e``, read off the face's sink:
-    ``+1`` for a path ``head[e] ~> head[e + 1]`` (left to right), ``-1``
-    for a path ``head[e + 1] ~> head[e]`` (right to left) and ``0`` when
-    there is no path or ``e`` is the last out-edge.
+    has no source or sink (``-1``).
     """
 
     face_source: tuple[int, ...]
     face_sink: tuple[int, ...]
-    corner_dir: tuple[int, ...]
     outer_face: int
     face_of_dart: tuple[int, ...]
 
@@ -175,19 +176,18 @@ def _topological_order(out_start, head, in_deg, extra=None):
     return order
 
 
-def _frontier_sweep(s, tail, head, out_start, in_deg, in_start):
-    """Incoming edge order and face structure, in one frontier sweep.
+def _frontier_sweep(s, head, out_start, in_deg, in_start):
+    """Incoming edge order and corner directions, in one frontier sweep.
 
     The frontier holds the pending edges (tail placed, head not) from left
     to right as a doubly linked list over edge ids.  Each gap between two
-    adjacent frontier edges is an open face; the gap left of the leftmost
-    and right of the rightmost edge is the outer face.  Placing ``v``
-    requires its incoming edges to form one contiguous block, whose
-    left-to-right order is the derived in-edge order.  The gaps inside
-    the block close with sink ``v``; the out-edges of ``v`` replace the
-    block, and the gap between out-edges ``e`` and ``e + 1`` opens with
-    source ``v``.  Out-edges of one tail have consecutive ids, so that gap
-    is named by ``e``, its corner, and the outer face by ``m``.
+    adjacent frontier edges is an open inner face; ``rgap[f]`` names the
+    gap right of ``f`` by the corner ``e`` that opened it, between
+    out-edges ``e`` and ``e + 1``.  Placing ``v`` requires its incoming
+    edges to form one contiguous block, whose left-to-right order is the
+    derived in-edge order.  The gaps inside the block close with sink
+    ``v``, which decides their corner directions; the out-edges of ``v``
+    replace the block.
 
     Vertices are placed in a topological order: ``v`` is ready once its
     last in-edge reaches the frontier, and ready vertices are placed last
@@ -206,20 +206,15 @@ def _frontier_sweep(s, tail, head, out_start, in_deg, in_start):
     comes last and closes the whole frontier.  Hence every inner face
     opens once, at its source corner, and closes once, at its sink; the
     outer face holds ``s`` and ``t``; and there are ``1 + sum(outdeg - 1)
-    = m - n + 2`` faces, as Euler's formula requires.  The faces of the
-    rotation system (out-edges clockwise, then in-edges right to left)
-    are exactly these gaps: dart ``2e`` runs along the gap left of ``e``,
-    dart ``2e + 1`` along the gap right of it.
+    = m - n + 2`` faces, as Euler's formula requires.
     """
     m = len(head)
-    outer = m
     # the out-edges of one tail start linked to each other and to their
-    # corner gaps; placing the tail only sets the two ends of the run
+    # corner gaps; placing the tail only sets the two ends of the run.  The
+    # outer gap, right of the rightmost edge, is never closed or read.
     nxt = list(range(1, m + 1))
     prv = list(range(-1, m - 1))
-    lgap = list(range(-1, m - 1))
     rgap = list(range(m))
-    sink = [-1] * (m + 1)
     corner_dir = [0] * m
     in_edges = [0] * m
     waiting = in_deg[:]  # in-edges of each vertex not yet on the frontier
@@ -227,7 +222,6 @@ def _frontier_sweep(s, tail, head, out_start, in_deg, in_start):
 
     f0, f1 = out_start[s], out_start[s + 1] - 1
     prv[f0] = nxt[f1] = -1
-    lgap[f0] = rgap[f1] = outer
     while True:
         for f in range(f0, f1 + 1):
             w = head[f]
@@ -248,7 +242,6 @@ def _frontier_sweep(s, tail, head, out_start, in_deg, in_start):
         right = nxt[lo]
         while right >= 0 and head[right] == v:
             g = rgap[last]
-            sink[g] = v
             corner_dir[g] = (head[g + 1] == v) - (head[g] == v)
             k += 1
             in_edges[k] = last = right
@@ -260,28 +253,14 @@ def _frontier_sweep(s, tail, head, out_start, in_deg, in_start):
         f0, f1 = out_start[v], out_start[v + 1] - 1
         if f0 <= f1:
             prv[f0], nxt[f1] = left, right
-            lgap[f0], rgap[f1] = lgap[lo], rgap[last]
+            rgap[f1] = rgap[last]
             if left >= 0:
                 nxt[left] = f0
             if right >= 0:
                 prv[right] = f1
     if any(waiting):
         raise NotAcyclic("successor lists contain a directed cycle")
-
-    face_of_dart = [0] * (2 * m)
-    face_of_dart[0::2] = lgap
-    face_of_dart[1::2] = rgap
-    # number the faces in the order of their first dart
-    fid = {g: f for f, g in enumerate(dict.fromkeys(face_of_dart))}
-    source = tail + [-1]
-    fi = FaceIndex(
-        face_source=_gather(source, fid),
-        face_sink=_gather(sink, fid),
-        corner_dir=tuple(corner_dir),
-        outer_face=fid[outer],
-        face_of_dart=_gather(fid, face_of_dart),
-    )
-    return in_edges, fi
+    return in_edges, tuple(corner_dir)
 
 
 @_gc_paused
@@ -314,17 +293,50 @@ def build_graph(n: int, s: VertexId, t: VertexId,
         raise MultipleSourcesOrSinks("t has outgoing edges")
 
     in_start = list(accumulate(in_deg, initial=0))
-    in_edges, fi = _frontier_sweep(s, tail, head, out_start, in_deg,
-                                   in_start)
+    in_edges, corner_dir = _frontier_sweep(s, head, out_start, in_deg,
+                                           in_start)
 
     return EmbeddedStGraph(
         n=n, s=s, t=t, tail=tuple(tail), head=tuple(head),
         out_start=tuple(out_start), in_edges=tuple(in_edges),
-        in_start=tuple(in_start), _face_index=fi,
+        in_start=tuple(in_start), corner_dir=corner_dir,
     )
 
 
 def compute_faces(g: EmbeddedStGraph) -> FaceIndex:
-    """Face structure of ``g``, computed by the frontier sweep of
-    :func:`build_graph`."""
-    return g._face_index
+    """Face structure of ``g``, derived from its arrays in O(m) time.
+
+    The faces of the rotation system (out-edges clockwise, then in-edges
+    right to left) are the sweep's gaps: dart ``2e`` runs along the face
+    left of ``e``, dart ``2e + 1`` along the face right of it.  Each inner
+    face is walked from its source corner ``c`` along two chains: the left
+    one is ``c`` and then each vertex's last out-edge, the right one
+    ``c + 1`` and then each first out-edge.  A chain ends at the face's
+    sink, the first vertex that it enters other than by that vertex's last
+    (left chain) or first (right chain) in-edge.  Every dart that no walk
+    reaches lies on the outer face.  Nothing is cached on ``g``.
+    """
+    m, tail, head = g.m, g.tail, g.head
+    out_start, in_edges, in_start = g.out_start, g.in_edges, g.in_start
+    # a face is named by its source corner, the outer face by m
+    face_of_dart = [m] * (2 * m)
+    sink = [-1] * (m + 1)
+    for c in range(m - 1):
+        if tail[c] != tail[c + 1]:
+            continue
+        # last edges and odd darts on the left chain, first and even on
+        # the right one
+        for e, last in ((c, 1), (c + 1, 0)):
+            face_of_dart[2 * e + last] = c
+            while in_edges[in_start[head[e] + last] - last] == e:
+                e = out_start[head[e] + last] - last
+                face_of_dart[2 * e + last] = c
+        sink[c] = head[e]
+    # number the faces in the order of their first dart
+    fid = {c: f for f, c in enumerate(dict.fromkeys(face_of_dart))}
+    return FaceIndex(
+        face_source=_gather(tail + (-1,), fid),
+        face_sink=_gather(sink, fid),
+        outer_face=fid[m],
+        face_of_dart=_gather(fid, face_of_dart),
+    )

@@ -1,7 +1,7 @@
 """Recognition of bitonic st-orderings and their computation.
 
 The recognition pass walks every successor list once, reading the path
-direction between consecutive successors from ``FaceIndex.corner_dir``.
+direction between consecutive successors from the graph's ``corner_dir``.
 Gap edges are collected so that a plain topological sort of the augmented
 graph yields an ordering under which every successor list is bitonic.
 A graph is rejected exactly when some successor list contains a
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import lt
 
-from .graph import EmbeddedStGraph, _gather, _topological_order, compute_faces
+from .graph import EmbeddedStGraph, _gather, _topological_order
 
 
 @dataclass(frozen=True)
@@ -21,13 +21,12 @@ class BitonicOrdering:
     """A vertex ranking plus the gap edges that certified it.
 
     ``pi[v]`` is the rank of vertex ``v`` in ``1..n``.  ``augment_edges``
-    are the edges added between consecutive successors; ``augment_faces``
-    holds, per added edge, the inner face it was drawn into.
+    are the edges added between consecutive successors, one per corner
+    without a path across it, in edge id order.
     """
 
     pi: tuple[int, ...]
     augment_edges: tuple[tuple[int, int], ...]
-    augment_faces: tuple[int, ...]
 
     def by_rank(self) -> list[int]:
         """Vertices sorted by rank."""
@@ -69,12 +68,9 @@ def is_bitonic(seq) -> bool:
 
 def find_bitonic_ordering(g: EmbeddedStGraph):
     """Recognize and order: returns a BitonicOrdering or RejectionWitness."""
-    fi = compute_faces(g)
-    corner_dir, face_of_dart = fi.corner_dir, fi.face_of_dart
-    head, starts = g.head, g.out_start
+    corner_dir, head, starts = g.corner_dir, g.head, g.out_start
 
     aug: list[tuple[int, int]] = []
-    aug_faces: list[int] = []
     for u in range(g.n):
         e0, e1 = starts[u], starts[u + 1]
         decreasing = False
@@ -91,8 +87,6 @@ def find_bitonic_ordering(g: EmbeddedStGraph):
             else:
                 vi, vnext = head[e], head[e + 1]
                 aug.append((vnext, vi) if decreasing else (vi, vnext))
-                # the inner face at the corner after e is right of e
-                aug_faces.append(face_of_dart[2 * e + 1])
 
     # rank by the graph's own toposort over G plus the gap edges
     in_deg = [b - a for a, b in zip(g.in_start, g.in_start[1:])]
@@ -104,8 +98,7 @@ def find_bitonic_ordering(g: EmbeddedStGraph):
     for rank, v in enumerate(_topological_order(starts, head, in_deg,
                                                 extra), 1):
         pi[v] = rank
-    return BitonicOrdering(pi=tuple(pi), augment_edges=tuple(aug),
-                           augment_faces=tuple(aug_faces))
+    return BitonicOrdering(pi=tuple(pi), augment_edges=tuple(aug))
 
 
 def verify_bitonic_ordering(g: EmbeddedStGraph, ord: BitonicOrdering) -> bool:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from itertools import compress
 
 from .errors import EdgeNotFound
-from .graph import EmbeddedStGraph, _gather, compute_faces
+from .graph import EmbeddedStGraph, _gather
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ def minimum_split_plan(g: EmbeddedStGraph) -> SplitPlan:
     directions picks the apex (first position achieving the minimum), then
     the out-edges conflicting with that apex are collected.
     """
-    corner_dir = compute_faces(g).corner_dir
+    corner_dir = g.corner_dir
     head, starts = g.head, g.out_start
     apex = [0] * g.n
     split: list[tuple[int, int]] = []
@@ -78,7 +78,7 @@ def transitive_split_plan(g: EmbeddedStGraph) -> SplitPlan:
     corner after the last out-edge of a tail always has direction 0, so
     ``corner_dir[e - 1]`` is 0 for a first out-edge ``e``.
     """
-    corner_dir = compute_faces(g).corner_dir
+    corner_dir = g.corner_dir
     split = tuple((g.tail[e], g.head[e]) for e in range(g.m)
                   if corner_dir[e - 1] > 0 or corner_dir[e] < 0)
     return SplitPlan(apex=tuple([0] * g.n), split_edges=split)
@@ -87,11 +87,11 @@ def transitive_split_plan(g: EmbeddedStGraph) -> SplitPlan:
 def apply_splits(g: EmbeddedStGraph, plan: SplitPlan) -> SplitResult:
     """Replace each planned edge (u,v) by (u,d),(d,v) with a fresh dummy.
 
-    A split is a subdivision, so the embedding and the faces carry over and
-    the split graph extends the arrays of ``g``.  The ``i``-th split edge,
-    in id order, keeps its id and ends at ``d = g.n + i``; the new edge
-    ``(d, v)`` gets id ``g.m + i``, the split edge's place in the in-order
-    of ``v`` and its two faces.  An empty plan returns ``g`` itself.
+    A split is a subdivision, so the embedding carries over and the split
+    graph extends the arrays of ``g``.  The ``i``-th split edge, in id
+    order, keeps its id and ends at ``d = g.n + i``; the new edge
+    ``(d, v)`` gets id ``g.m + i`` and the split edge's place in the
+    in-order of ``v``.  An empty plan returns ``g`` itself.
     """
     if not plan.split_edges:
         return SplitResult(graph=g, dummy_of={})
@@ -104,19 +104,14 @@ def apply_splits(g: EmbeddedStGraph, plan: SplitPlan) -> SplitResult:
         raise EdgeNotFound(f"({u}, {v}) is not an edge")
 
     n, m, k = g.n, g.m, len(split)
-    fi = compute_faces(g)
     heads = _gather(g.head, split)
-    head, corner_dir = list(g.head), list(fi.corner_dir)
+    head, corner_dir = list(g.head), list(g.corner_dir)
     for i, e in enumerate(split):
         head[e] = n + i
         # only u reaches d, so no corner path next to e runs into it; at
         # e = 0, index -1 is the last edge's corner, which is always 0
         corner_dir[e - 1] = min(corner_dir[e - 1], 0)
         corner_dir[e] = max(corner_dir[e], 0)
-    # the edge (d, v) copies the two darts of its split edge
-    darts = list(fi.face_of_dart) + [0] * (2 * k)
-    darts[2 * m::2] = _gather(fi.face_of_dart[0::2], split)
-    darts[2 * m + 1::2] = _gather(fi.face_of_dart[1::2], split)
     lower = dict(zip(split, range(m, m + k)))  # split edge -> (d, v)
     one_each = tuple(range(m + 1, m + k + 1))  # a dummy has one edge each way
     graph = replace(
@@ -124,8 +119,7 @@ def apply_splits(g: EmbeddedStGraph, plan: SplitPlan) -> SplitResult:
         head=tuple(head) + heads, out_start=g.out_start + one_each,
         in_edges=tuple(map(lower.get, g.in_edges, g.in_edges)) + tuple(split),
         in_start=g.in_start + one_each,
-        _face_index=replace(fi, corner_dir=tuple(corner_dir) + (0,) * k,
-                            face_of_dart=tuple(darts)))
+        corner_dir=tuple(corner_dir) + (0,) * k)
     dummy_of = dict(zip(range(n, n + k), zip(_gather(g.tail, split), heads)))
     return SplitResult(graph=graph, dummy_of=dummy_of)
 

@@ -2,10 +2,12 @@
 
 * ``dart_trace_faces``: the face structure of a rotation system, traced
   dart by dart and classified face by face, with Euler's formula and the
-  per-face source/sink checks.  It is the reference for ``FaceIndex``.
+  per-face source/sink checks.  It is the reference for ``compute_faces``
+  and for the graph's ``corner_dir``.
 * ``exists_bitonic_bruteforce``: all topological orderings.
 * ``minimum_splits_bruteforce``: all edge subsets up to a budget.
 * ``face_sink``: the sink of the face between two consecutive successors.
+* ``gap_faces``: the inner face of every gap edge the ordering adds.
 * ``edges``, ``pred_ltr`` and ``left_right_counts``: readable views of a
   graph's arrays and corner directions, for assertions.
 * ``has_edge``, ``inner_faces``, ``reachable`` (a plain DFS) and
@@ -50,11 +52,11 @@ def dart_trace_faces(n, s, t, succ, in_ltr):
     left; following a dart into ``v``, the face continues along the
     clockwise-next edge at ``v``.  Dart ``2*e`` traverses edge ``e`` from
     tail to head, dart ``2*e + 1`` the other way.  Returns a dict with
-    the ``FaceIndex`` fields, ``faces`` holding each dart cycle in
-    traversal order.  Raises ``NotEmbedded`` when Euler's formula fails,
-    an inner face has other than one source and one sink, a corner of a
-    vertex other than ``s`` lies on the outer face, or ``s`` or ``t`` lies
-    off the outer face.
+    the ``FaceIndex`` fields and ``corner_dir``, ``faces`` holding each
+    dart cycle in traversal order.  Raises ``NotEmbedded`` when Euler's
+    formula fails, an inner face has other than one source and one sink,
+    a corner of a vertex other than ``s`` lies on the outer face, or ``s``
+    or ``t`` lies off the outer face.
     """
     tail, head, out_edge_ids = [], [], []
     for u in range(n):
@@ -147,11 +149,13 @@ def dart_trace_faces(n, s, t, succ, in_ltr):
                 face_of_dart=tuple(face_of_dart))
 
 
-def face_index_fields(fi: FaceIndex) -> dict:
-    """``fi`` in the form ``dart_trace_faces`` returns, face count for
-    faces (the trace keeps cycle order, ``FaceIndex`` keeps id order)."""
+def face_index_fields(g: EmbeddedStGraph) -> dict:
+    """``compute_faces(g)`` and ``g.corner_dir`` in the form
+    ``dart_trace_faces`` returns, face count for faces (the trace keeps
+    cycle order, ``FaceIndex`` keeps id order)."""
+    fi = compute_faces(g)
     return dict(faces=len(fi.faces), face_source=fi.face_source,
-                face_sink=fi.face_sink, corner_dir=fi.corner_dir,
+                face_sink=fi.face_sink, corner_dir=g.corner_dir,
                 outer_face=fi.outer_face,
                 face_of_dart=fi.face_of_dart)
 
@@ -168,6 +172,16 @@ def face_sink(fi: FaceIndex, g: EmbeddedStGraph, u: int, i: int) -> int:
     if not (1 <= i < g.out_start[u + 1] - g.out_start[u]):
         raise IndexError(f"successor position {i} out of range at {u}")
     return fi.face_sink[fi.face_of_dart[2 * e + 1]]
+
+
+def gap_faces(g: EmbeddedStGraph) -> tuple[int, ...]:
+    """The face right of each out-edge ``e`` that is not its tail's last
+    and has ``corner_dir[e] == 0``, in id order: for an accepted graph,
+    the inner face that each of ``find_bitonic_ordering``'s gap edges is
+    drawn into."""
+    face_of_dart = compute_faces(g).face_of_dart
+    return tuple(face_of_dart[2 * e + 1] for e in range(g.m - 1)
+                 if g.tail[e] == g.tail[e + 1] and g.corner_dir[e] == 0)
 
 
 def edges(g: EmbeddedStGraph) -> list[tuple[int, int]]:
@@ -190,7 +204,7 @@ def left_right_counts(g: EmbeddedStGraph, u: int):
     """
     e0, e1 = g.out_start[u], g.out_start[u + 1]
     L, R = [0] * (e1 - e0), [0] * (e1 - e0)
-    for i, d in enumerate(compute_faces(g).corner_dir[e0:e1 - 1], 1):
+    for i, d in enumerate(g.corner_dir[e0:e1 - 1], 1):
         L[i] = L[i - 1] + (d < 0)
         R[i] = R[i - 1] + (d > 0)
     return L, R
@@ -221,16 +235,17 @@ def reachable(g: EmbeddedStGraph, u: int, v: int) -> bool:
     return False
 
 
-def corner_pos_at(g: EmbeddedStGraph, f: int, x: int) -> int:
+def corner_pos_at(fi: FaceIndex, g: EmbeddedStGraph, f: int, x: int) -> int:
     """Successor-list position where an edge leaving ``x`` into face ``f``
-    must be inserted to preserve the embedding; ``-1`` when ``x`` has no
-    corner on ``f`` but its sink (or lies off ``f``).
+    of ``fi = compute_faces(g)`` must be inserted to preserve the
+    embedding; ``-1`` when ``x`` has no corner on ``f`` but its sink (or
+    lies off ``f``).
 
     ``f`` is right of an out-edge ``e`` of ``x`` when ``x`` is its source or
     on its left boundary (insert after ``e``), and left of the first
     out-edge when ``x`` is on its right boundary (insert first).
     """
-    face_of_dart = compute_faces(g).face_of_dart
+    face_of_dart = fi.face_of_dart
     e0, e1 = g.out_start[x], g.out_start[x + 1]
     for e in range(e0, e1):
         if face_of_dart[2 * e + 1] == f:
@@ -248,9 +263,10 @@ def augmented_graph(g: EmbeddedStGraph,
     the corner where its face touches the tail.  The result is validated
     by ``build_graph``, which checks st-planarity of the augmentation.
     """
+    fi = compute_faces(g)
     inserts: dict[int, list[tuple[int, int]]] = {}
-    for (x, y), f in zip(ord.augment_edges, ord.augment_faces):
-        pos = corner_pos_at(g, f, x)
+    for (x, y), f in zip(ord.augment_edges, gap_faces(g)):
+        pos = corner_pos_at(fi, g, f, x)
         inserts.setdefault(x, []).append((pos, y))
     rows = [list(r) for r in g.succ]
     for x, ins in inserts.items():
@@ -277,7 +293,7 @@ def add_random_chords(g: EmbeddedStGraph, count: int,
                              | {g.head[d >> 1] for d in fi.faces[f]})
             rng.shuffle(on_face)
             for x in on_face:
-                pos = corner_pos_at(g, f, x)
+                pos = corner_pos_at(fi, g, f, x)
                 if pos < 0:
                     continue  # x is the sink of f: no corner to leave from
                 targets = [y for y in on_face

@@ -87,9 +87,9 @@ def test_criterion_2_face_sink_correctness(capsys):
                 back = bool(desc[b] >> a & 1)
                 if (w == b) != fwd or (w == a) != back:
                     bad += 1
-                if fi.corner_dir[ids[i - 1]] != fwd - back:
+                if g.corner_dir[ids[i - 1]] != fwd - back:
                     bad += 1
-            if row and fi.corner_dir[ids[-1]] != 0:
+            if row and g.corner_dir[ids[-1]] != 0:
                 bad += 1
     ok = bad == 0
     report(capsys, 2, "face-sink path decisions", ok,

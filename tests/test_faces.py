@@ -1,8 +1,11 @@
-"""The frontier sweep against independent references for the faces.
+"""The face structure against independent references.
 
-``build_graph`` derives the in-edge orders and the faces in one sweep.
-These tests compare it with a dart-by-dart face trace (``oracles``) and
-with networkx's planar-embedding check.
+``build_graph`` derives the in-edge orders and the corner directions in
+one sweep, and ``compute_faces`` derives the faces from the graph's
+arrays on demand.  These tests compare both, on graphs and on split
+graphs, with a dart-by-dart face trace (``oracles``) and with networkx's
+planar-embedding check, and check that no pipeline stage builds the
+faces.
 """
 
 from __future__ import annotations
@@ -12,8 +15,14 @@ import random
 
 import pytest
 
+import stlayout.graph
 from stlayout import (GeneratorConfig, NotPlanarEmbedding, StGraphError,
-                      build_graph, compute_faces, generate_random_st_graph)
+                      apply_splits, build_graph, check_bounds,
+                      check_upward_planar, compute_faces, draw_polyline,
+                      drawing_from_text, drawing_to_text,
+                      find_bitonic_ordering, generate_random_st_graph,
+                      graph_from_text, graph_to_text, minimum_split_plan,
+                      transitive_split_plan)
 from stlayout.generate import add_random_chords
 from conftest import all_fixture_graphs, corpus, fan, zig
 from oracles import (NotEmbedded, dart_trace_faces, face_index_fields,
@@ -70,7 +79,8 @@ def test_accept_iff_embeddable():
     for _ in range(1500):
         n, s, t, succ = random_dag(rng)
         try:
-            build_graph(n, s, t, succ)
+            g = build_graph(n, s, t, succ)
+            assert_matches_dart_trace(g)
             got = True
         except NotPlanarEmbedding:
             got = False
@@ -97,12 +107,49 @@ def in_ltr(g):
     return [g.in_edges[a:b] for a, b in zip(g.in_start, g.in_start[1:])]
 
 
+def assert_matches_dart_trace(g):
+    """``compute_faces(g)`` and ``g.corner_dir`` equal the dart trace of
+    the rotation system of ``g``."""
+    want = dart_trace_faces(g.n, g.s, g.t, g.succ, in_ltr(g))
+    assert face_index_fields(g) == dict(want, faces=len(want["faces"]))
+    assert compute_faces(g).faces == tuple(tuple(sorted(c))
+                                           for c in want["faces"])
+
+
 def test_face_index_matches_dart_trace():
+    split = 0
     for g in face_graphs():
-        want = dart_trace_faces(g.n, g.s, g.t, g.succ, in_ltr(g))
-        fi = compute_faces(g)
-        assert face_index_fields(fi) == dict(want, faces=len(want["faces"]))
-        assert fi.faces == tuple(tuple(sorted(c)) for c in want["faces"])
+        assert_matches_dart_trace(g)
+        for plan in (minimum_split_plan(g), transitive_split_plan(g)):
+            if plan.split_edges:
+                assert_matches_dart_trace(apply_splits(g, plan).graph)
+                split += 1
+    assert split > 50
+
+
+def test_pipeline_builds_no_face_index(monkeypatch):
+    # the chorded graph is made first: add_random_chords reads the faces
+    chorded = corpus(sizes=(60,), seeds=(3,))[0]
+    texts = [graph_to_text(g) for g in (fan(50), chorded)]
+
+    def no_faces(*args, **kwargs):
+        raise AssertionError("a pipeline stage built the face index")
+
+    monkeypatch.setattr(stlayout.graph, "FaceIndex", no_faces)
+    for text in texts:
+        g = graph_from_text(text)
+        plan = minimum_split_plan(g)
+        assert plan.split_edges
+        transitive = transitive_split_plan(g)
+        assert apply_splits(g, transitive).graph.n == g.n + len(
+            transitive.split_edges)
+        find_bitonic_ordering(g)
+        d = draw_polyline(g)
+        d = drawing_from_text(drawing_to_text(g, d), g)
+        assert check_upward_planar(g, d).ok
+        assert check_bounds(d, g.n, "polyline")
+    with pytest.raises(AssertionError, match="built the face index"):
+        compute_faces(g)
 
 
 def check_with_networkx(g):

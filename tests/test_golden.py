@@ -25,6 +25,7 @@ from stlayout.ordering import ordering_to_text, witness_to_text
 from stlayout.splitting import plan_to_text
 from stlayout.validate import _find_proper_intersection
 from conftest import all_fixture_graphs, comb_pieces, corpus, fan, zig
+from oracles import gap_faces
 
 GOLDEN = Path(__file__).with_name("golden.json")
 FAMILIES = ("graph", "ordering", "plan", "split", "faces", "straightline",
@@ -46,12 +47,12 @@ def golden_graphs():
 def ordering_text(g, ord):
     if isinstance(ord, RejectionWitness):
         return witness_to_text(ord)
-    return ordering_to_text(g, ord) + repr(ord.augment_faces)
+    return ordering_to_text(g, ord) + repr(gap_faces(g))
 
 
 def faces_text(g):
     fi = compute_faces(g)
-    return repr((fi.face_source, fi.face_sink, fi.corner_dir,
+    return repr((fi.face_source, fi.face_sink, g.corner_dir,
                  fi.outer_face, fi.face_of_dart))
 
 

@@ -94,22 +94,20 @@ def test_corner_pos_at_places_chords_into_the_face():
         for f in inner_faces(fi):
             z = fi.face_sink[f]
             for x in {g.tail[d >> 1] for d in fi.faces[f]}:
-                pos = corner_pos_at(g, f, x)
+                pos = corner_pos_at(fi, g, f, x)
                 assert (pos < 0) == (x == z)
                 if pos >= 0 and z not in g.succ[x]:
                     rows = [list(r) for r in g.succ]
                     rows[x].insert(pos, z)
                     build_graph(g.n, g.s, g.t, rows)
-            assert corner_pos_at(g, f, z) == -1
+            assert corner_pos_at(fi, g, f, z) == -1
 
 
 def test_verify_rejects_wrong_orderings(triangle):
     assert not verify_bitonic_ordering(
-        triangle, BitonicOrdering(pi=(2, 1, 3), augment_edges=(),
-                                  augment_faces=()))
+        triangle, BitonicOrdering(pi=(2, 1, 3), augment_edges=()))
     assert not verify_bitonic_ordering(
-        triangle, BitonicOrdering(pi=(1, 1, 2), augment_edges=(),
-                                  augment_faces=()))
+        triangle, BitonicOrdering(pi=(1, 1, 2), augment_edges=()))
 
 
 def test_ordering_text_format(split_f1):

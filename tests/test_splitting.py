@@ -141,9 +141,8 @@ def test_apply_splits_matches_rebuilt_graph():
             ref, dummy_of = rebuilt_split_graph(g, plan)
             assert res.dummy_of == dummy_of
             for f in fields(ref):
-                if f.name != "_face_index":
-                    assert (getattr(res.graph, f.name)
-                            == getattr(ref, f.name)), f.name
+                assert (getattr(res.graph, f.name)
+                        == getattr(ref, f.name)), f.name
             got, want = compute_faces(res.graph), compute_faces(ref)
             for f in fields(want):
                 assert getattr(got, f.name) == getattr(want, f.name), f.name
