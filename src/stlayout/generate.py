@@ -19,7 +19,7 @@ import random
 from bisect import insort
 from dataclasses import dataclass
 
-from .graph import EmbeddedStGraph, _gc_paused, build_graph, compute_faces
+from .graph import EmbeddedStGraph, _face_chains, _gc_paused, build_graph
 
 RNG_ALGORITHM = "mt19937"
 # probabilities of vertex insertion and chord insertion; the rest splits
@@ -140,29 +140,19 @@ def add_random_chords(g: EmbeddedStGraph, count: int,
     ``x`` are exactly those before it on its own chain.
     """
     rng = random.Random(seed)
-    head, starts = g.head, g.out_start
+    tail, head, starts = g.tail, g.head, g.out_start
     rows = [list(head[a:b]) for a, b in zip(starts, starts[1:])]
-    # each corner between consecutive successors of u is the source corner
-    # of one inner face; its left chain follows the last out-edge of each
-    # vertex to the face's sink, its right chain the first out-edge
-    fi = compute_faces(g)
-    inner = [None] * len(fi.face_sink)
-    for u, row in enumerate(rows):
-        for p in range(len(row) - 1):
-            f = fi.face_of_dart[2 * (starts[u] + p) + 1]
-            left, right = [u, row[p]], [u, row[p + 1]]
-            while left[-1] != fi.face_sink[f]:
-                left.append(rows[left[-1]][-1])
-            while right[-1] != fi.face_sink[f]:
-                right.append(rows[right[-1]][0])
-            inner[f] = _face(left, right)
-    inner = [face for face in inner if face is not None]  # face-id order
 
     def first_dart(face):
         # the dart order of build_graph: edge ids run by tail, then row
         # position, and the dart right of an edge follows the one left of it
         u, v, right_of = face[0]
         return u, rows[u].index(v), right_of
+
+    # the inner faces in face-id order, which is the order of first darts
+    inner = sorted((_face([tail[c], *map(head.__getitem__, left)],
+                          [tail[c], *map(head.__getitem__, right)])
+                    for c, left, right in _face_chains(g)), key=first_dart)
 
     for _ in range(count if inner else 0):
         for _attempt in range(8):

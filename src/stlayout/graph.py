@@ -25,8 +25,8 @@ import gc
 import heapq
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from itertools import accumulate, repeat
-from operator import itemgetter
+from itertools import accumulate, compress, repeat
+from operator import eq, itemgetter
 
 from .errors import (GraphFormatError, MultipleSourcesOrSinks, NotAcyclic,
                      NotPlanarEmbedding, ParallelEdge)
@@ -303,39 +303,48 @@ def build_graph(n: int, s: VertexId, t: VertexId,
     )
 
 
+def _face_chains(g: EmbeddedStGraph):
+    """Yield ``(c, left, right)`` per inner face: its source corner, between
+    out-edges ``c`` and ``c + 1``, and its two boundary chains of edge ids.
+    The left chain is ``c`` and then each vertex's last out-edge, the right
+    one ``c + 1`` and then each first out-edge.  A chain ends at the face's
+    sink, the first vertex that it enters other than by that vertex's last
+    (left chain) or first (right chain) in-edge.  O(m) in all.
+    """
+    tail, head = g.tail, g.head
+    out_start, in_edges, in_start = g.out_start, g.in_edges, g.in_start
+    for c in compress(range(g.m - 1), map(eq, tail, tail[1:])):
+        chains = ([c], [c + 1])
+        for chain, last in zip(chains, (1, 0)):
+            e = chain[0]
+            while in_edges[in_start[head[e] + last] - last] == e:
+                e = out_start[head[e] + last] - last
+                chain.append(e)
+        yield c, *chains
+
+
 def compute_faces(g: EmbeddedStGraph) -> FaceIndex:
     """Face structure of ``g``, derived from its arrays in O(m) time.
 
-    The faces of the rotation system (out-edges clockwise, then in-edges
-    right to left) are the sweep's gaps: dart ``2e`` runs along the face
-    left of ``e``, dart ``2e + 1`` along the face right of it.  Each inner
-    face is walked from its source corner ``c`` along two chains: the left
-    one is ``c`` and then each vertex's last out-edge, the right one
-    ``c + 1`` and then each first out-edge.  A chain ends at the face's
-    sink, the first vertex that it enters other than by that vertex's last
-    (left chain) or first (right chain) in-edge.  Every dart that no walk
-    reaches lies on the outer face.  Nothing is cached on ``g``.
+    Dart ``2e`` runs along the face left of edge ``e``, dart ``2e + 1``
+    along the face right of it.  An inner face lies right of its left
+    chain and left of its right chain (:func:`_face_chains`); every other
+    dart is on the outer face.  Nothing is cached on ``g``.
     """
-    m, tail, head = g.m, g.tail, g.head
-    out_start, in_edges, in_start = g.out_start, g.in_edges, g.in_start
+    m, head = g.m, g.head
     # a face is named by its source corner, the outer face by m
     face_of_dart = [m] * (2 * m)
     sink = [-1] * (m + 1)
-    for c in range(m - 1):
-        if tail[c] != tail[c + 1]:
-            continue
-        # last edges and odd darts on the left chain, first and even on
-        # the right one
-        for e, last in ((c, 1), (c + 1, 0)):
-            face_of_dart[2 * e + last] = c
-            while in_edges[in_start[head[e] + last] - last] == e:
-                e = out_start[head[e] + last] - last
-                face_of_dart[2 * e + last] = c
-        sink[c] = head[e]
+    for c, left, right in _face_chains(g):
+        for e in left:
+            face_of_dart[2 * e + 1] = c
+        for e in right:
+            face_of_dart[2 * e] = c
+        sink[c] = head[left[-1]]
     # number the faces in the order of their first dart
     fid = {c: f for f, c in enumerate(dict.fromkeys(face_of_dart))}
     return FaceIndex(
-        face_source=_gather(tail + (-1,), fid),
+        face_source=_gather(g.tail + (-1,), fid),
         face_sink=_gather(sink, fid),
         outer_face=fid[m],
         face_of_dart=_gather(fid, face_of_dart),

@@ -128,15 +128,12 @@ def test_face_index_matches_dart_trace():
 
 
 def test_pipeline_builds_no_face_index(monkeypatch):
-    # the chorded graph is made first: add_random_chords reads the faces
-    chorded = corpus(sizes=(60,), seeds=(3,))[0]
-    texts = [graph_to_text(g) for g in (fan(50), chorded)]
-
     def no_faces(*args, **kwargs):
         raise AssertionError("a pipeline stage built the face index")
 
     monkeypatch.setattr(stlayout.graph, "FaceIndex", no_faces)
-    for text in texts:
+    chorded = corpus(sizes=(60,), seeds=(3,))[0]
+    for text in (graph_to_text(fan(50)), graph_to_text(chorded)):
         g = graph_from_text(text)
         plan = minimum_split_plan(g)
         assert plan.split_edges
