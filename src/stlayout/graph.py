@@ -22,7 +22,6 @@ themselves are a view derived on demand by :func:`compute_faces`.
 from __future__ import annotations
 
 import gc
-import heapq
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from itertools import accumulate, compress, repeat
@@ -149,28 +148,28 @@ def _check_basic(n, s, t, out_rotation):
 
 
 def _topological_order(out_start, head, in_deg, extra=None):
-    """Smallest-ready-vertex-id-first topological order (deterministic).
+    """Kahn's topological order, last-ready-first, in O(n + m) time.
 
-    The successors of ``u`` are ``head[out_start[u]:out_start[u + 1]]``
-    plus ``extra[u]``, if ``u`` is a key of ``extra``.
+    The successors of ``u`` are ``head[out_start[u]:out_start[u + 1]]``,
+    clockwise, then ``extra.get(u, ())``.  Ready vertices wait on a stack,
+    at first in id order; the one readied last is placed next.
     """
     extra = extra or {}
     deg = list(in_deg)
     ready = [v for v, d in enumerate(deg) if d == 0]
-    heapq.heapify(ready)
     order = []
     while ready:
-        u = heapq.heappop(ready)
+        u = ready.pop()
         order.append(u)
         # two loops: joining the two lists would cost a copy per vertex
         for v in head[out_start[u]:out_start[u + 1]]:
             deg[v] -= 1
             if deg[v] == 0:
-                heapq.heappush(ready, v)
+                ready.append(v)
         for v in extra.get(u, ()):
             deg[v] -= 1
             if deg[v] == 0:
-                heapq.heappush(ready, v)
+                ready.append(v)
     if len(order) != len(deg):
         raise NotAcyclic("successor lists contain a directed cycle")
     return order

@@ -2,10 +2,10 @@
 
 The recognition pass walks every successor list once, reading the path
 direction between consecutive successors from the graph's ``corner_dir``.
-Gap edges are collected so that a plain topological sort of the augmented
-graph yields an ordering under which every successor list is bitonic.
-A graph is rejected exactly when some successor list contains a
-right-to-left path followed by a left-to-right path.
+Its gap edges make every successor list bitonic under any topological
+order of the augmented graph; Kahn's sort on a ready stack ranks the
+vertices in linear time.  A graph is rejected exactly when some successor
+list contains a right-to-left path followed by a left-to-right path.
 """
 
 from __future__ import annotations
@@ -67,28 +67,30 @@ def is_bitonic(seq) -> bool:
 
 
 def find_bitonic_ordering(g: EmbeddedStGraph):
-    """Recognize and order: returns a BitonicOrdering or RejectionWitness."""
+    """Recognize and order: returns a BitonicOrdering or RejectionWitness.
+
+    In O(n + m).  Ranks follow Kahn's sort of ``g`` plus its gap edges on a
+    ready stack: the vertex readied last is ranked next, with each vertex's
+    successors taken clockwise and then its gap edges.
+    """
     corner_dir, head, starts = g.corner_dir, g.head, g.out_start
 
     aug: list[tuple[int, int]] = []
     for u in range(g.n):
         e0, e1 = starts[u], starts[u + 1]
-        decreasing = False
-        first_desc = 0
+        first_desc = 0  # 1-based position of the first descent, if any
         for e in range(e0, e1 - 1):
             d = corner_dir[e]
             if d > 0:
-                if decreasing:
+                if first_desc:
                     return RejectionWitness(u=u, i=first_desc, j=e - e0 + 1)
             elif d < 0:
-                if not decreasing:
-                    decreasing = True
+                if not first_desc:
                     first_desc = e - e0 + 1
             else:
                 vi, vnext = head[e], head[e + 1]
-                aug.append((vnext, vi) if decreasing else (vi, vnext))
+                aug.append((vnext, vi) if first_desc else (vi, vnext))
 
-    # rank by the graph's own toposort over G plus the gap edges
     in_deg = [b - a for a, b in zip(g.in_start, g.in_start[1:])]
     extra: dict[int, list[int]] = {}
     for a, b in aug:

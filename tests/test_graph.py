@@ -109,13 +109,22 @@ def test_mirrored_rotations_still_embed():
     assert len(inner_faces(compute_faces(g))) == 1
 
 
-def test_topo_order_is_smallest_ready_first(sixteen):
+def test_topo_order_places_the_vertex_readied_last_first(sixteen):
     in_deg = [len(pred_ltr(sixteen, v)) for v in range(sixteen.n)]
     order = _topological_order(sixteen.out_start, sixteen.head, in_deg)
     pos = {v: i for i, v in enumerate(order)}
     for u, v in edges(sixteen):
         assert pos[u] < pos[v]
     assert order[0] == sixteen.s and order[-1] == sixteen.t
+    # the diamond 0 -> {1, 2} -> 3: 0 readies 1 and then 2, so 2 comes
+    # next, where the smallest ready id would be 1
+    diamond = build_graph(4, 0, 3, [[1, 2], [3], [3], []])
+    assert _topological_order(diamond.out_start, diamond.head,
+                              [0, 1, 1, 2]) == [0, 2, 1, 3]
+    # extra successors come after the successor list: 0 -> 1, then 2
+    # through extra[0]
+    assert _topological_order((0, 1, 2, 3, 3), (1, 3, 3), [0, 1, 1, 2],
+                              {0: [2]}) == [0, 2, 1, 3]
 
 
 def test_flat_arrays_of_f1(f1):

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from stlayout import (BitonicOrdering, RejectionWitness, build_graph,
-                      compute_faces, find_bitonic_ordering,
-                      verify_bitonic_ordering)
+from stlayout import (BitonicOrdering, RejectionWitness, apply_splits,
+                      build_graph, compute_faces, find_bitonic_ordering,
+                      minimum_split_plan, verify_bitonic_ordering)
 from stlayout.ordering import is_bitonic, ordering_to_text, witness_to_text
 from conftest import corpus
 from oracles import (TooLarge, augmented_graph, corner_pos_at,
@@ -53,6 +53,16 @@ def test_split_f1_ordering(split_f1):
     assert res.pi == (1, 4, 3, 5, 6, 2)
     assert verify_bitonic_ordering(split_f1, res)
     assert res.by_rank() == [0, 5, 2, 1, 3, 4]
+
+
+def test_ranks_follow_the_ready_stack(seven):
+    # seven split at (0, 1); placing 4 readies 2 and then 3, so 3 is
+    # ranked before 2, where the smallest ready id would rank 2 first
+    h = apply_splits(seven, minimum_split_plan(seven)).graph
+    res = find_bitonic_ordering(h)
+    assert res.augment_edges == ((7, 5),)
+    assert res.pi == (1, 8, 6, 5, 4, 3, 7, 2)
+    assert verify_bitonic_ordering(h, res)
 
 
 def test_oracle_agreement_fixtures(triangle, f1, split_f1, seven,
