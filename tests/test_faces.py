@@ -16,10 +16,10 @@ import random
 import pytest
 
 import stlayout.graph
-from stlayout import (GeneratorConfig, NotPlanarEmbedding, StGraphError,
-                      apply_splits, build_graph, check_bounds,
+from stlayout import (BitonicOrdering, GeneratorConfig, NotPlanarEmbedding,
+                      StGraphError, apply_splits, build_graph, check_bounds,
                       check_upward_planar, compute_faces, draw_polyline,
-                      drawing_from_text, drawing_to_text,
+                      draw_straightline, drawing_from_text, drawing_to_text,
                       find_bitonic_ordering, generate_random_st_graph,
                       graph_from_text, graph_to_text, minimum_split_plan,
                       transitive_split_plan)
@@ -75,7 +75,7 @@ def embeddable(n, s, t, succ):
 
 def test_accept_iff_embeddable():
     rng = random.Random(7)
-    accepted = not_contiguous = 0
+    accepted = not_contiguous = straight = 0
     for _ in range(1500):
         n, s, t, succ = random_dag(rng)
         try:
@@ -89,7 +89,18 @@ def test_accept_iff_embeddable():
             got = False
         assert got == embeddable(n, s, t, succ), (n, s, t, succ)
         accepted += got
+        if got:  # every accepted embedding draws within its bounds
+            d = draw_polyline(g)
+            assert check_upward_planar(g, d).ok
+            assert check_bounds(d, g.n, "polyline")
+            ord = find_bitonic_ordering(g)
+            if isinstance(ord, BitonicOrdering):
+                d = draw_straightline(g, ord)
+                assert check_upward_planar(g, d).ok
+                assert check_bounds(d, g.n, "straightline")
+                straight += 1
     assert 300 < accepted < 1200 and not_contiguous > 100
+    assert 0 < straight < accepted
 
 
 def face_graphs():
