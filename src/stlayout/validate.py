@@ -3,25 +3,29 @@
 The checks here never reuse the layout machinery: each edge's pieces are
 built from its vertices' points and its bend, if it has one, upwardness
 is read off them directly, and planarity is decided by one plane sweep
-over exact integers, whatever the drawing's size.  It visits once each grid
-point where a piece starts or ends, locates it in the sweep status with
-one bisect on an exact integer test, removes the pieces that end there
-and inserts those that start there as whole slices, and decides each pair
-of pieces that became neighbours with one comparison of their integer
-keys.  A zero-length piece costs that lookup and nothing else.  Where
-exactly one piece ends, as at a bend or at a vertex of a path or a tree,
-the ending piece's status entry is already known, so the point needs no
-lookup: one piece starting there takes the entry over, and any other
-number replaces it in its block.
+over exact integers, whatever the drawing's size.  The sweep sorts the
+grid points where pieces start or end once, in (y, x) order, and visits
+each once: it locates the point in the sweep status with one bisect on an
+orientation test, removes the pieces that end there and inserts those
+that start there as whole slices, and decides each pair of pieces that
+became neighbours with one more orientation test.  Every test is a sign
+of a cross product of the drawing's own small coordinates.  A zero-length
+piece costs that lookup and nothing else.  Where exactly one piece ends,
+as at a bend or at a vertex of a path or a tree, the ending piece's
+status entry is already known, so the point needs no lookup: one piece
+starting there takes the entry over, and any other number replaces it in
+its block.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
-from itertools import pairwise
-from operator import itemgetter, lt
+from itertools import compress, pairwise
+from math import inf
+from operator import itemgetter, lt, ne
 
 from .errors import MissingCoordinate
 from .graph import EmbeddedStGraph, _gather, _gc_paused
@@ -68,25 +72,28 @@ def check_upward_planar(g: EmbeddedStGraph,
     """
     if why := _mismatch(d, g):
         raise MissingCoordinate(why)
-    coords = d.coords
     violations = []
 
-    nodes = [*coords, *d.bends]
-    distinct = len(set(nodes)) == len(nodes)
+    # node v lies at points[v]: the vertices, then the bends
+    points = [*d.coords, *d.bends]
+    distinct = len(set(points)) == len(points)
     if not distinct:
         violations.append("two vertices or bends share a coordinate")
 
-    # one piece per straight edge, two in its place for a bent one
-    straight = list(zip(_gather(coords, d.tail), _gather(coords, d.head)))
-    pieces, e0 = [], 0
-    for e, p in d.bend_points:
-        pieces += straight[e0:e]
-        pieces += (straight[e][0], p), (p, straight[e][1])
+    # the nodes of each piece: one piece per straight edge, two in its
+    # place for a bent one
+    tails, heads, e0 = [], [], 0
+    for v, (e, _) in enumerate(d.bend_points, len(d.coords)):
+        tails += d.tail[e0:e]
+        tails += d.tail[e], v
+        heads += d.head[e0:e]
+        heads += v, d.head[e]
         e0 = e + 1
-    pieces += straight[e0:]
+    tails += d.tail[e0:]
+    heads += d.head[e0:]
     y = itemgetter(1)
-    upward = all(map(lt, map(y, map(itemgetter(0), pieces)),
-                     map(y, map(y, pieces))))
+    upward = all(map(lt, map(y, _gather(points, tails)),
+                     map(y, _gather(points, heads))))
     if not upward:  # one whole-list test; the loop words what failed
         for u, v, path in zip(g.tail, g.head, d.edge_paths):
             for a, b in pairwise(path):
@@ -95,12 +102,13 @@ def check_upward_planar(g: EmbeddedStGraph,
                                       f"not strictly upward")
                     break
 
-    crossing = _find_proper_intersection(pieces)
+    crossing = _find_proper_intersection(points, tails, heads)
     planar = crossing is None and distinct
     if crossing is not None:
         i, j = crossing
         violations.append(
-            f"edge pieces {pieces[i]} and {pieces[j]} properly intersect")
+            f"edge pieces {(points[tails[i]], points[heads[i]])} and "
+            f"{(points[tails[j]], points[heads[j]])} properly intersect")
 
     return ValidationReport(
         upward=upward,
@@ -147,46 +155,78 @@ def _chunks(records, home):
     return blocks
 
 
-def _find_proper_intersection(pieces):
+def _overlap_pair(p, run, pts):
+    """The index pair named among pieces that start at ``p`` in one
+    direction, any two of which overlap.
+
+    The choice is a fixed convention, kept so that the reported pair never
+    moves: the first two records by (K*(p x e) + x0*dx, dx, K*dy + dx,
+    index), with e = (dx, dy) a piece's extent, x0 the least x and K the
+    x-range plus one.
+    """
+    x0 = min(map(itemgetter(0), pts))
+    K = max(map(itemgetter(0), pts)) - x0 + 1
+    px, py = p
+    ra, rb = sorted(run, key=lambda r: (K * (px * r[2] - py * r[1])
+                                        + x0 * r[1], r[1],
+                                        K * r[2] + r[1], r[4]))[:2]
+    return (ra[4], rb[4]) if ra[4] < rb[4] else (rb[4], ra[4])
+
+
+def _find_proper_intersection(points, tails, heads):
     """Index pair of some properly intersecting pieces, or None.
 
+    Piece ``i`` joins the nodes ``tails[i]`` and ``heads[i]``, and node
+    ``v`` lies at the grid point ``points[v]``.  Nodes may share a point,
+    and every node is an end of some piece.
+
     Neighbour-testing plane sweep (Shamos & Hoey, intersection existence),
-    batched by grid point.  Pieces are sheared by
-    (x, y) -> (x, y*K + x - min x) with K wider than the x-range: the map
-    is linear up to a translation and invertible, so proper intersections
-    and shared endpoints are preserved, every piece of nonzero length is
+    batched by grid point.  It is the sweep over the sheared plane
+    (x, y) -> (x, K*y + x), K wider than the x-range, run on the raw
+    coordinates.  In the sheared plane every piece of nonzero length is
     strictly monotone in the sweep coordinate, horizontal ones included,
-    and each sweep height holds at most one grid point, whose x is the
-    height mod K.
+    and each sweep height holds at most one grid point; the order of the
+    heights is the (y, x) lexicographic order of the points, so the points
+    are sorted once in that order and visited once each, and each piece
+    runs from its first end in it, a, to its last.  The shear is linear
+    with determinant K > 0, so it multiplies every cross product by K and
+    keeps the orientation of any three points.  Every test below is such
+    an orientation: with (dx, dy) = b - a and C = dx*a.y - dy*a.x for a
+    piece r from a to b, ``dx*q.y - dy*q.x - C`` is positive iff q lies
+    left of r in the sheared plane, and two directions from one point are
+    ranked by the sign of their cross product.  So the event order, the
+    status order and every verdict are the sheared sweep's, and the same
+    pair is reported, while all arithmetic is on the small raw coordinates.
 
     The status holds the active pieces in x order at the sweep height.  At
-    each endpoint height Y, with grid point p:
+    each point p:
 
     1. one bisect (over the blocks, then within one) finds the first
-       piece whose x at Y is at least p's x, that is with
-       A + dx*Y >= px*dy.  The pieces through p follow it as ties, and
-       they are all that p's removals, insertions and zero-length pieces
-       touch, so no other search is needed;
+       piece that p is at or left of, ``dx*p.y - dy*p.x >= C``.  The
+       pieces through p follow it as ties (equality), and they are all
+       that p's removals, insertions and zero-length pieces touch, so no
+       other search is needed;
     2. every tie must end at p: one that does not passes through p's
-       interior and properly meets any piece with an endpoint at p;
+       interior and properly meets any piece with an end at p;
     3. the ties leave the status as one slice;
-    4. the pieces starting at p enter it as one slice sorted by slope
-       (two or three by their cross products, more by an exact integer
-       key), and two equal slopes there are a collinear overlap;
+    4. the pieces starting at p enter it as one slice in left-to-right
+       order (two or three by their cross products, more by the exact
+       integer key dx*H*H // dy, H the y-range, horizontal pieces last),
+       and two equal directions there are a collinear overlap;
     5. the pieces either side of the removed ties, or of the inserted
-       slice, are tested: with r left of s at Y and h the lower of their
-       ends, they meet properly iff r is right of s at h, or level there
-       with a different end (equal ends are a shared endpoint, as a
-       height holds one grid point).  Nothing reported before Y means no
-       proper intersection below Y, so they can only meet in (Y, h], and
-       this one comparison is exact.
+       slice, are tested: with r left of s at p and q the first of their
+       last ends, they meet properly iff q ends r and lies on or right of
+       s, or ends s and lies on or left of r (an end they share is a
+       shared endpoint).  Nothing reported before p means no proper
+       intersection before p, so they can only meet in (p, q], and this
+       one test is exact.
 
-    Pieces starting at one point meet nowhere else unless their slopes
-    are equal, so pairs inside an inserted slice need no test.  As long
-    as nothing was reported, the status order is the true order just
-    below Y, and the lowest proper intersection is either a crossing of
-    two pieces that were neighbours since an earlier point, or a point p
-    handled by steps 2 and 4.
+    Pieces starting at one point meet nowhere else unless their
+    directions are equal, so pairs inside an inserted slice need no test.
+    As long as nothing was reported, the status order is the true order
+    just before p, and the first proper intersection is either a crossing
+    of two pieces that were neighbours since an earlier point, or a point
+    p handled by steps 2 and 4.
 
     Each status entry also links to its two neighbours, and steps 3 and 4
     update the links around the slice they change.  A point p where
@@ -195,7 +235,7 @@ def _find_proper_intersection(pieces):
     tested when they become neighbours and again whenever one of them is
     rewritten (pieces from one point aside, which meet nowhere else), and
     the test reports r against any neighbour that runs on through r's
-    upper end, which is p.  The pieces through p are consecutive in the
+    last end, which is p.  The pieces through p are consecutive in the
     status, so if nothing was reported, r is the only one: steps 1 and 2
     would find r as the only tie, and r's linked neighbours are the
     pieces either side of it.  So:
@@ -219,109 +259,119 @@ def _find_proper_intersection(pieces):
     removal or insertion moves O(block) entries, not O(status); a plain
     list would move tens of thousands at every point of a large drawing.
     """
-    if len(pieces) <= 1:
+    if len(tails) <= 1:
         return None
-    xs = [p[0] for seg in pieces for p in seg]
-    x0 = min(xs)
-    K = max(xs) - x0 + 1
+    # the distinct points in event order, sorted once by the keys
+    # y*K + x, K wider than the x-range, which order them by (y, x); a
+    # node's rank is its point's place there
+    xs = list(map(itemgetter(0), points))
+    K = max(xs) - min(xs) + 1
     del xs
-    # height -> [the record of the one piece of nonzero length that ends
-    # there (None until that piece starts, False if two or more end there),
-    # then the index and end height of each piece that starts there]
-    events = {}
-    for idx, (a, b) in enumerate(pieces):
-        ya = a[1] * K + a[0] - x0
-        yb = b[1] * K + b[0] - x0
-        if ya > yb:
-            ya, yb = yb, ya
-        ev = events.get(ya)
-        if ev is None:
-            events[ya] = ev = [None]
-        if ya != yb:
-            ev += idx, yb
-            if yb not in events:
-                events[yb] = [None]
-    heights = sorted(events)
-    # slopes dx/dy with dy <= span differ by at least 1/span^2, so this
-    # integer key orders them exactly
-    slope_scale = (heights[-1] - heights[0]) ** 2
+    keys = [y * K + x for x, y in points]
+    at_key = dict(zip(keys, points))
+    order = sorted(at_key)
+    pts = list(map(at_key.__getitem__, order))
+    del at_key
+    rank = dict(zip(order, range(len(order))))
+    rank = list(map(rank.__getitem__, keys))
+    del keys, order
+    rt, rh = _gather(rank, tails), _gather(rank, heads)
+    # top[j] is the first piece of nonzero length to start at point j, in
+    # index order, and nxt[i] the next after piece i (-1 for none); last[i]
+    # is the rank of piece i's last end
+    top = array('i', [-1]) * len(pts)
+    nxt, last = array('i', [-1]) * len(rt), array('i', [0]) * len(rt)
+    for i in range(len(rt) - 1, -1, -1):
+        a, b = rt[i], rh[i]
+        if a > b:
+            a, b = b, a
+        if a != b:
+            nxt[i], top[a], last[i] = top[a], i, b
+    del rt, rh, rank
+    # slopes dx/dy with 0 < dy <= H differ by at least 1/H^2, so this
+    # integer key orders them exactly, horizontal pieces last
+    slope_scale = (pts[-1][1] - pts[0][1]) ** 2
 
     def pair(i, j):
         return (i, j) if i < j else (j, i)
 
-    def at_or_right(r):  # r's x at the current sweep height Y is >= px
-        return r[0] + r[1] * Y >= px * r[2]
+    def at_or_right(r):  # p is at or left of r
+        return r[1] * py - r[2] * px >= r[0]
 
     def last_at_or_right(blk):  # at_or_right(blk[-1]) in one call
         r = blk[-1]
-        return r[0] + r[1] * Y >= px * r[2]
+        return r[1] * py - r[2] * px >= r[0]
 
-    # A record is [A, dx, dy, end height, idx, slot], built when its piece
-    # starts: its x at height Y is (A + dx*Y) / dy.  slot is the idx the
-    # entry entered the status with; lft[slot] and rgt[slot] are its
-    # neighbours there (None at either end) and home[slot] is the block
-    # that holds it.  Keeping these out of the records keeps them free of
-    # reference cycles.
-    lft, rgt = [None] * len(pieces), [None] * len(pieces)
-    home = [None] * len(pieces)
+    # A record is [C, dx, dy, last end's rank, idx, slot], built when its
+    # piece starts.  slot is the idx the entry entered the status with;
+    # lft[slot] and rgt[slot] are its neighbours there (None at either
+    # end) and home[slot] is the block that holds it.  Keeping these out
+    # of the records keeps them free of reference cycles.  ending[j] is
+    # the record of the one piece of nonzero length that ends at point j
+    # (None until that piece starts, False if two or more end there).
+    lft, rgt = [None] * len(tails), [None] * len(tails)
+    home = [None] * len(tails)
+    ending = [None] * len(pts)
     blocks = []
-    for Y in heights:
-        ev = events.pop(Y)
-        px = x0 + Y % K
-        r = ev[0]
-        if len(ev) == 3 and r:  # one piece ends here and one starts
-            end = ev[2]
-            dx, dy = x0 + end % K - px, end - Y
-            r[:5] = px * dy - dx * Y, dx, dy, end, ev[1]
-            at_end = events[end]
-            at_end[0] = r if at_end[0] is None else False
+    for j, (px, py) in enumerate(pts):
+        r = ending[j]
+        idx = top[j]
+        if r and idx >= 0 and nxt[idx] < 0:  # one piece ends, one starts
+            end = last[idx]
+            qx, qy = pts[end]
+            dx, dy = qx - px, qy - py
+            r[:5] = dx * py - dy * px, dx, dy, end, idx
+            ending[end] = r if ending[end] is None else False
             pairs = (lft[r[5]], r), (r, rgt[r[5]])
         else:
             if r:  # one piece ends here, and none or two or more start
                 slot = r[5]
                 left, right, blk = lft[slot], rgt[slot], home[slot]
-                home[slot] = None  # r leaves; its slot keeps no block alive
-                k = bisect_left(blk, True, key=at_or_right)
-                kj, bi = k + 1, None
+                # r leaves; neither it nor its slot keeps it or a block alive
+                ending[j] = home[slot] = None
+                kl = bisect_left(blk, True, key=at_or_right)
+                kr, bi = kl + 1, None
             else:
-                bi = k = 0
+                bi = kl = 0
                 if blocks:
                     bi = bisect_left(blocks, True, key=last_at_or_right)
                     if bi == len(blocks):
                         bi -= 1
-                        k = len(blocks[bi])
+                        kl = len(blocks[bi])
                     else:
-                        k = bisect_left(blocks[bi], True, key=at_or_right)
-                left = (blocks[bi][k - 1] if k else
+                        kl = bisect_left(blocks[bi], True, key=at_or_right)
+                left = (blocks[bi][kl - 1] if kl else
                         blocks[bi - 1][-1] if bi else None)
 
-                bj, kj = bi, k  # end of the ties, the pieces with x = px
+                bj, kr = bi, kl  # end of the ties, the pieces through p
                 while bj < len(blocks):
                     blk = blocks[bj]
-                    while kj < len(blk):
-                        A, dx, dy, end, idx, _ = blk[kj]
-                        if A + dx * Y != px * dy:
+                    while kr < len(blk):
+                        C, dx, dy, end, tie, _ = blk[kr]
+                        if dx * py - dy * px != C:
                             break
-                        if end != Y:
-                            p = (px, Y // K)
-                            return pair(idx, next(
-                                i for i, seg in enumerate(pieces)
-                                if p in seg))
-                        kj += 1
-                    if kj < len(blk):
+                        if end != j:
+                            return pair(tie, next(
+                                e for e, ends in enumerate(zip(
+                                    _gather(points, tails),
+                                    _gather(points, heads)))
+                                if (px, py) in ends))
+                        kr += 1
+                    if kr < len(blk):
                         break
-                    bj, kj = bj + 1, 0
-                right = blocks[bj][kj] if bj < len(blocks) else None
+                    bj, kr = bj + 1, 0
+                right = blocks[bj][kr] if bj < len(blocks) else None
                 blk = blocks[bi] if bi == bj < len(blocks) else None
 
             new = []
-            for j in range(1, len(ev), 2):
-                idx, end = ev[j], ev[j + 1]
-                dx, dy = x0 + end % K - px, end - Y
-                r = [px * dy - dx * Y, dx, dy, end, idx, idx]
+            while idx >= 0:
+                end = last[idx]
+                qx, qy = pts[end]
+                dx, dy = qx - px, qy - py
+                r = [dx * py - dy * px, dx, dy, end, idx, idx]
                 new.append(r)
-                at_end = events[end]
-                at_end[0] = r if at_end[0] is None else False
+                ending[end] = r if ending[end] is None else False
+                idx = nxt[idx]
             if len(new) == 2:  # the usual case, by one cross product
                 ra, rb = new
                 d = ra[1] * rb[2] - rb[1] * ra[2]
@@ -336,30 +386,31 @@ def _find_proper_intersection(pieces):
                     ab = ra[1] * rb[2] - rb[1] * ra[2]
                     ac = ra[1] * rc[2] - rc[1] * ra[2]
                     bc = rb[1] * rc[2] - rc[1] * rb[2]
-                if ab and ac and bc:  # three slopes, ranked
+                if ab and ac and bc:  # three directions, ranked
                     new[(ab > 0) + (ac > 0)] = ra
                     new[(ab < 0) + (bc > 0)] = rb
                     new[(ac < 0) + (bc < 0)] = rc
-                else:  # four or more, or equal slopes among three
-                    keyed = sorted([(r[1] * slope_scale // r[2], r)
-                                    for r in new])
-                    for (ka, ra), (kb, rb) in pairwise(keyed):
-                        if ka == kb:
-                            return pair(ra[4], rb[4])
-                    new = [r for _, r in keyed]
+                else:  # four or more, or equal directions among three
+                    new.sort(key=lambda r: r[1] * slope_scale // r[2]
+                             if r[2] else inf)
+                    for ra, rb in pairwise(new):
+                        if ra[1] * rb[2] == rb[1] * ra[2]:
+                            return _overlap_pair((px, py), [
+                                r for r in new
+                                if r[1] * ra[2] == ra[1] * r[2]], pts)
 
             if blk is None:  # the ties crossed a block end, or no status
-                rest = (blocks[bi][:k] if blocks else []) + new
+                rest = (blocks[bi][:kl] if blocks else []) + new
                 if bj < len(blocks):
-                    rest += blocks[bj][kj:]
+                    rest += blocks[bj][kr:]
                 blocks[bi:bj + 1] = _chunks(rest, home)
             else:
-                size = len(blk) - (kj - k) + len(new)
+                size = len(blk) - (kr - kl) + len(new)
                 if bi is None and not 0 < size <= 2 * _BLOCK:
                     # the block empties or splits: find it, before the
                     # splice, by its last entry
                     bi = bisect_left(blocks, True, key=last_at_or_right)
-                blk[k:kj] = new
+                blk[kl:kr] = new
                 for r in new:
                     home[r[5]] = blk
                 if not blk:
@@ -378,15 +429,19 @@ def _find_proper_intersection(pieces):
             if right is not None:
                 lft[right[5]] = r
             # a point with only zero-length pieces retests two neighbours;
-            # the test is exact at any height, so that cannot change the
+            # the test is exact at any point, so that cannot change the
             # answer
             pairs = ((left, new[0]), (r, right)) if new else ((left, right),)
 
         for r, s in pairs:
             if r is None or s is None:
                 continue
-            h = min(r[3], s[3])
-            d = (r[0] + r[1] * h) * s[2] - (s[0] + s[1] * h) * r[2]
-            if d > 0 or d == 0 and r[3] != s[3]:
-                return pair(r[4], s[4])
+            if r[3] < s[3]:  # r ends first, at q: is q on or right of s?
+                qx, qy = pts[r[3]]
+                if s[1] * qy - s[2] * qx <= s[0]:
+                    return pair(r[4], s[4])
+            elif s[3] < r[3]:  # s ends first, at q: on or left of r?
+                qx, qy = pts[s[3]]
+                if r[1] * qy - r[2] * qx >= r[0]:
+                    return pair(r[4], s[4])
     return None

@@ -19,6 +19,7 @@
   point in any decision.
 * ``all_pairs_intersection``: the first properly intersecting pair of
   pieces over all pairs, the reference for the validator's sweep.
+* ``sweep_input``: a list of point-pair pieces as the sweep's arguments.
 """
 
 from __future__ import annotations
@@ -422,3 +423,16 @@ def all_pairs_intersection(pieces):
             if segments_properly_intersect(*pieces[i], *pieces[j]):
                 return i, j
     return None
+
+
+def sweep_input(pieces):
+    """``(points, tails, heads)`` for ``validate._find_proper_intersection``
+    from pieces given as point pairs: one node per distinct point, in
+    order of first appearance, and piece ``i`` from the node of its first
+    point to the node of its second."""
+    node = {}
+    for seg in pieces:
+        for p in seg:
+            node.setdefault(p, len(node))
+    return (list(node), [node[a] for a, _ in pieces],
+            [node[b] for _, b in pieces])

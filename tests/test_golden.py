@@ -25,7 +25,7 @@ from stlayout.ordering import ordering_to_text, witness_to_text
 from stlayout.splitting import plan_to_text
 from stlayout.validate import _find_proper_intersection
 from conftest import all_fixture_graphs, comb_pieces, corpus, fan, zig
-from oracles import gap_faces
+from oracles import gap_faces, sweep_input
 
 GOLDEN = Path(__file__).with_name("golden.json")
 FAMILIES = ("graph", "ordering", "plan", "split", "faces", "straightline",
@@ -142,7 +142,7 @@ def digests() -> dict[str, str]:
                 put("sweep", check_upward_planar(g, moved).to_json())
                 put("bounds", bounds_text(moved, g.n))
     for pieces in (*sweep_piece_sets(), *comb_piece_sets()):
-        put("sweep", repr(_find_proper_intersection(pieces)))
+        put("sweep", repr(_find_proper_intersection(*sweep_input(pieces))))
     return {name: h[name].hexdigest() for name in FAMILIES}
 
 

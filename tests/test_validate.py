@@ -18,7 +18,8 @@ from stlayout import (GeneratorConfig, GridDrawing, MissingCoordinate,
 from stlayout import validate
 from stlayout.validate import _find_proper_intersection
 from conftest import LINEAR_GATE, comb_pieces, corpus, doubling_ratios
-from oracles import all_pairs_intersection, segments_properly_intersect
+from oracles import (all_pairs_intersection, segments_properly_intersect,
+                     sweep_input)
 
 
 def test_report_fields(triangle):
@@ -140,7 +141,7 @@ def test_sweep_matches_bruteforce_on_random_pieces(monkeypatch, block):
     verdicts = set()
     for pieces in sets:
         brute = all_pairs_intersection(pieces)
-        sweep = _find_proper_intersection(pieces)
+        sweep = _find_proper_intersection(*sweep_input(pieces))
         assert (brute is None) == (sweep is None), pieces
         if sweep is not None:
             i, j = sweep
@@ -213,7 +214,7 @@ def test_sweep_matches_bruteforce_on_lane_polylines(monkeypatch, block):
                                  through=rng.choice((0, 0, 1, 2)),
                                  jump=rng.choice((0.0, 0.0, 0.1)))
         brute = all_pairs_intersection(pieces)
-        sweep = _find_proper_intersection(pieces)
+        sweep = _find_proper_intersection(*sweep_input(pieces))
         assert (brute is None) == (sweep is None), pieces
         if sweep is not None:
             i, j = sweep
@@ -246,7 +247,7 @@ def test_sweep_matches_bruteforce_on_combs(monkeypatch, block):
     verdicts, kinds = set(), Counter()
     for pieces in sets:
         brute = all_pairs_intersection(pieces)
-        sweep = _find_proper_intersection(pieces)
+        sweep = _find_proper_intersection(*sweep_input(pieces))
         assert (brute is None) == (sweep is None), pieces
         if sweep is not None:
             i, j = sweep
@@ -271,9 +272,9 @@ def test_sweep_matches_bruteforce_on_combs(monkeypatch, block):
     ([((2, 0), (2, 2)), ((2, 2), (0, 4)), ((1, 0), (1, 4))], (1, 2)),
 ], ids=["through-left", "through-right", "continuing-crosses"])
 def test_sweep_reports_at_a_continued_point(pieces, hit):
-    assert _find_proper_intersection(pieces) == hit
+    assert _find_proper_intersection(*sweep_input(pieces)) == hit
     assert segments_properly_intersect(*pieces[hit[0]], *pieces[hit[1]])
-    assert _find_proper_intersection(pieces[:-1]) is None
+    assert _find_proper_intersection(*sweep_input(pieces[:-1])) is None
 
 
 GRID_POINT = st.tuples(st.integers(0, 5), st.integers(0, 5))
@@ -284,7 +285,7 @@ GRID_POINT = st.tuples(st.integers(0, 5), st.integers(0, 5))
     st.tuples(GRID_POINT, GRID_POINT),
     GRID_POINT.map(lambda p: (p, p))), max_size=12))  # zero-length too
 def test_sweep_verdict_matches_bruteforce_property(pieces):
-    sweep = _find_proper_intersection(pieces)
+    sweep = _find_proper_intersection(*sweep_input(pieces))
     assert (sweep is None) == (all_pairs_intersection(pieces) is None)
     if sweep is not None:
         i, j = sweep
@@ -297,7 +298,7 @@ def test_sweep_path_on_large_drawing():
     pieces = [(a, b) for path in d.edge_paths
               for a, b in zip(path, path[1:])]
     assert len(pieces) > 1200
-    assert _find_proper_intersection(pieces) is None
+    assert _find_proper_intersection(*sweep_input(pieces)) is None
     rep = check_upward_planar(g, d)
     assert rep.ok
 
@@ -307,7 +308,7 @@ def test_sweep_finds_single_crossing_in_large_set():
     pieces = [((3 * i, 0), (3 * i, 5)) for i in range(800)]
     pieces.append(((-10, 1), (-4, 4)))
     pieces.append(((-10, 4), (-4, 1)))
-    hit = _find_proper_intersection(pieces)
+    hit = _find_proper_intersection(*sweep_input(pieces))
     assert hit == (800, 801)
 
 
