@@ -74,23 +74,25 @@ def check_upward_planar(g: EmbeddedStGraph,
         raise MissingCoordinate(why)
     violations = []
 
-    # node v lies at points[v]: the vertices, then the bends
-    points = [*d.coords, *d.bends]
+    # node v lies at points[v], and piece i runs from node tails[i] to
+    # node heads[i]: the vertices and edges, and where edges are bent, the
+    # bends after the vertices and two pieces in each bent edge's place
+    points, tails, heads = d.coords, d.tail, d.head
+    if d.bend_points:
+        points = [*d.coords, *d.bends]
+        tails, heads, e0 = [], [], 0
+        for v, (e, _) in enumerate(d.bend_points, len(d.coords)):
+            tails += d.tail[e0:e]
+            tails += d.tail[e], v
+            heads += d.head[e0:e]
+            heads += v, d.head[e]
+            e0 = e + 1
+        tails += d.tail[e0:]
+        heads += d.head[e0:]
     distinct = len(set(points)) == len(points)
     if not distinct:
         violations.append("two vertices or bends share a coordinate")
 
-    # the nodes of each piece: one piece per straight edge, two in its
-    # place for a bent one
-    tails, heads, e0 = [], [], 0
-    for v, (e, _) in enumerate(d.bend_points, len(d.coords)):
-        tails += d.tail[e0:e]
-        tails += d.tail[e], v
-        heads += d.head[e0:e]
-        heads += v, d.head[e]
-        e0 = e + 1
-    tails += d.tail[e0:]
-    heads += d.head[e0:]
     y = itemgetter(1)
     upward = all(map(lt, map(y, _gather(points, tails)),
                      map(y, _gather(points, heads))))
@@ -279,8 +281,8 @@ def _find_proper_intersection(points, tails, heads):
     # top[j] is the first piece of nonzero length to start at point j, in
     # index order, and nxt[i] the next after piece i (-1 for none); last[i]
     # is the rank of piece i's last end
-    top = array('i', [-1]) * len(pts)
-    nxt, last = array('i', [-1]) * len(rt), array('i', [0]) * len(rt)
+    top, nxt = [-1] * len(pts), [-1] * len(rt)
+    last = array('i', [0]) * len(rt)  # no int object per piece
     for i in range(len(rt) - 1, -1, -1):
         a, b = rt[i], rh[i]
         if a > b:

@@ -96,7 +96,8 @@ def test_draw_path_never_reads_succ(monkeypatch, f1):
 def test_draw_path_never_builds_edge_paths(monkeypatch, f1):
     # a drawing stores vertex points and one bend per bent edge; the path
     # of every edge is a view for SVG and for users, which drawing,
-    # writing, reading and bounds checking never build
+    # writing, reading, bounds checking and validating a valid drawing
+    # never build (the validator builds it only to word a downward piece)
     def no_paths(d):
         raise AssertionError("the draw path built edge paths")
 
@@ -105,6 +106,7 @@ def test_draw_path_never_builds_edge_paths(monkeypatch, f1):
         d = draw_polyline(g)
         d2 = drawing_from_text(drawing_to_text(g, d), g)
         assert d2.bend_points and check_bounds(d2, g.n, "polyline")
+        assert check_upward_planar(g, d).ok and check_upward_planar(g, d2).ok
 
 
 def test_drawing_holds_at_most_one_bend_per_edge(f1):

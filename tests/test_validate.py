@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import replace
+from itertools import pairwise
 from statistics import median
 
 import pytest
@@ -17,7 +18,7 @@ from stlayout import (GeneratorConfig, GridDrawing, MissingCoordinate,
                       draw_straightline, generate_random_st_graph)
 from stlayout import validate
 from stlayout.validate import _find_proper_intersection
-from conftest import LINEAR_GATE, comb_pieces, corpus, doubling_ratios
+from conftest import LINEAR_GATE, comb_pieces, corpus, doubling_ratios, fan
 from oracles import (all_pairs_intersection, segments_properly_intersect,
                      sweep_input)
 
@@ -290,6 +291,51 @@ def test_sweep_verdict_matches_bruteforce_property(pieces):
     if sweep is not None:
         i, j = sweep
         assert segments_properly_intersect(*pieces[i], *pieces[j])
+
+
+# the triangle, f1 and fan(6)
+SMALL_GRAPHS = (build_graph(3, 0, 2, [[1, 2], [2], []]),
+                build_graph(5, 0, 4, [[1, 2, 3], [4], [1, 3], [4], []]),
+                fan(6))
+
+
+@st.composite
+def small_drawings(draw):
+    """A small graph drawn with random points on a 4 x 4 grid, or its own
+    poly-line drawing with up to two points moved by one unit, and a
+    random bend on some edges: equal y, downward pieces, shared points,
+    zero-length pieces, touches and crossings are all common."""
+    g = draw(st.sampled_from(SMALL_GRAPHS))
+    point = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    if draw(st.booleans()):
+        coords = draw(st.lists(point, min_size=g.n, max_size=g.n))
+        bends = []
+    else:
+        d = draw_polyline(g)
+        coords, bends = list(d.coords), list(d.bend_points)
+        for v in draw(st.lists(st.integers(0, g.n - 1), max_size=2)):
+            x, y = coords[v]
+            coords[v] = (x + draw(st.integers(-1, 1)),
+                         y + draw(st.integers(-1, 1)))
+    bent = dict(bends)
+    for e in draw(st.lists(st.integers(0, g.m - 1), max_size=3)):
+        bent[e] = draw(point)
+    return g, GridDrawing(coords=tuple(coords), tail=g.tail, head=g.head,
+                          bend_points=tuple(sorted(bent.items())))
+
+
+@settings(derandomize=True, database=None, max_examples=400)
+@given(small_drawings())
+def test_validator_verdicts_match_bruteforce_property(drawn):
+    # through check_upward_planar: its node-id pieces, bends included, and
+    # the sweep's re-orientation of pieces that do not rise
+    g, d = drawn
+    rep = check_upward_planar(g, d)
+    pieces = [piece for path in d.edge_paths for piece in pairwise(path)]
+    points = [*d.coords, *d.bends]
+    assert rep.upward == all(a[1] < b[1] for a, b in pieces)
+    assert rep.planar == (all_pairs_intersection(pieces) is None
+                          and len(set(points)) == len(points))
 
 
 def test_sweep_path_on_large_drawing():
