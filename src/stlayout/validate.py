@@ -8,8 +8,8 @@ grid points where pieces start or end once, in (y, x) order, and visits
 each once: it locates the point in the sweep status with one bisect on an
 orientation test, removes the pieces that end there and inserts those
 that start there as whole slices, and decides each pair of pieces that
-became neighbours with one more orientation test.  Every test is a sign
-of a cross product of the drawing's own small coordinates.  A zero-length
+became neighbours with one more orientation test.  Every test is the
+sign of a cross product of the drawing's own coordinates.  A zero-length
 piece costs that lookup and nothing else.  Where exactly one piece ends,
 as at a bend or at a vertex of a path or a tree, the ending piece's
 status entry is already known, so the point needs no lookup: one piece
@@ -20,7 +20,6 @@ its block.
 from __future__ import annotations
 
 import json
-from array import array
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from itertools import compress, pairwise
@@ -157,18 +156,15 @@ def _chunks(records, home):
     return blocks
 
 
-def _overlap_pair(p, run, pts):
-    """The index pair named among pieces that start at ``p`` in one
-    direction, any two of which overlap.
+def _overlap_pair(px, py, run, x0, K):
+    """The index pair named among the records in ``run``, pieces that start
+    at (px, py) in one direction, any two of which overlap.
 
     The choice is a fixed convention, kept so that the reported pair never
-    moves: the first two records by (K*(p x e) + x0*dx, dx, K*dy + dx,
-    index), with e = (dx, dy) a piece's extent, x0 the least x and K the
-    x-range plus one.
+    moves: the first two by (K*(p x e) + x0*dx, dx, K*dy + dx, index),
+    with e = (dx, dy) a piece's extent, x0 the least x and K the x-range
+    plus one.
     """
-    x0 = min(map(itemgetter(0), pts))
-    K = max(map(itemgetter(0), pts)) - x0 + 1
-    px, py = p
     ra, rb = sorted(run, key=lambda r: (K * (px * r[2] - py * r[1])
                                         + x0 * r[1], r[1],
                                         K * r[2] + r[1], r[4]))[:2]
@@ -214,7 +210,8 @@ def _find_proper_intersection(points, tails, heads):
     4. the pieces starting at p enter it as one slice in left-to-right
        order (two or three by their cross products, more by the exact
        integer key dx*H*H // dy, H the y-range, horizontal pieces last),
-       and two equal directions there are a collinear overlap;
+       and two equal directions there are a collinear overlap (which
+       pair of three or more is named is ``_overlap_pair``'s convention);
     5. the pieces either side of the removed ties, or of the inserted
        slice, are tested: with r left of s at p and q the first of their
        last ends, they meet properly iff q ends r and lies on or right of
@@ -267,7 +264,8 @@ def _find_proper_intersection(points, tails, heads):
     # y*K + x, K wider than the x-range, which order them by (y, x); a
     # node's rank is its point's place there
     xs = list(map(itemgetter(0), points))
-    K = max(xs) - min(xs) + 1
+    x0 = min(xs)
+    K = max(xs) - x0 + 1
     del xs
     keys = [y * K + x for x, y in points]
     at_key = dict(zip(keys, points))
@@ -281,8 +279,7 @@ def _find_proper_intersection(points, tails, heads):
     # top[j] is the first piece of nonzero length to start at point j, in
     # index order, and nxt[i] the next after piece i (-1 for none); last[i]
     # is the rank of piece i's last end
-    top, nxt = [-1] * len(pts), [-1] * len(rt)
-    last = array('i', [0]) * len(rt)  # no int object per piece
+    top, nxt, last = [-1] * len(pts), [-1] * len(rt), [0] * len(rt)
     for i in range(len(rt) - 1, -1, -1):
         a, b = rt[i], rh[i]
         if a > b:
@@ -397,9 +394,9 @@ def _find_proper_intersection(points, tails, heads):
                              if r[2] else inf)
                     for ra, rb in pairwise(new):
                         if ra[1] * rb[2] == rb[1] * ra[2]:
-                            return _overlap_pair((px, py), [
+                            return _overlap_pair(px, py, [
                                 r for r in new
-                                if r[1] * ra[2] == ra[1] * r[2]], pts)
+                                if r[1] * ra[2] == ra[1] * r[2]], x0, K)
 
             if blk is None:  # the ties crossed a block end, or no status
                 rest = (blocks[bi][:kl] if blocks else []) + new
