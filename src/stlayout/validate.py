@@ -22,9 +22,9 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
-from itertools import compress, pairwise
+from itertools import pairwise
 from math import inf
-from operator import itemgetter, lt, ne
+from operator import itemgetter, lt
 
 from .errors import MissingCoordinate
 from .graph import EmbeddedStGraph, _gather, _gc_paused
@@ -328,25 +328,25 @@ def _find_proper_intersection(points, tails, heads):
                 left, right, blk = lft[slot], rgt[slot], home[slot]
                 # r leaves; neither it nor its slot keeps it or a block alive
                 ending[j] = home[slot] = None
-                kl = bisect_left(blk, True, key=at_or_right)
-                kr, bi = kl + 1, None
+                k = bisect_left(blk, True, key=at_or_right)
+                kj, bi = k + 1, None
             else:
-                bi = kl = 0
+                bi = k = 0
                 if blocks:
                     bi = bisect_left(blocks, True, key=last_at_or_right)
                     if bi == len(blocks):
                         bi -= 1
-                        kl = len(blocks[bi])
+                        k = len(blocks[bi])
                     else:
-                        kl = bisect_left(blocks[bi], True, key=at_or_right)
-                left = (blocks[bi][kl - 1] if kl else
+                        k = bisect_left(blocks[bi], True, key=at_or_right)
+                left = (blocks[bi][k - 1] if k else
                         blocks[bi - 1][-1] if bi else None)
 
-                bj, kr = bi, kl  # end of the ties, the pieces through p
+                bj, kj = bi, k  # end of the ties, the pieces through p
                 while bj < len(blocks):
                     blk = blocks[bj]
-                    while kr < len(blk):
-                        C, dx, dy, end, tie, _ = blk[kr]
+                    while kj < len(blk):
+                        C, dx, dy, end, tie, _ = blk[kj]
                         if dx * py - dy * px != C:
                             break
                         if end != j:
@@ -355,11 +355,11 @@ def _find_proper_intersection(points, tails, heads):
                                     _gather(points, tails),
                                     _gather(points, heads)))
                                 if (px, py) in ends))
-                        kr += 1
-                    if kr < len(blk):
+                        kj += 1
+                    if kj < len(blk):
                         break
-                    bj, kr = bj + 1, 0
-                right = blocks[bj][kr] if bj < len(blocks) else None
+                    bj, kj = bj + 1, 0
+                right = blocks[bj][kj] if bj < len(blocks) else None
                 blk = blocks[bi] if bi == bj < len(blocks) else None
 
             new = []
@@ -399,17 +399,17 @@ def _find_proper_intersection(points, tails, heads):
                                 if r[1] * ra[2] == ra[1] * r[2]], x0, K)
 
             if blk is None:  # the ties crossed a block end, or no status
-                rest = (blocks[bi][:kl] if blocks else []) + new
+                rest = (blocks[bi][:k] if blocks else []) + new
                 if bj < len(blocks):
-                    rest += blocks[bj][kr:]
+                    rest += blocks[bj][kj:]
                 blocks[bi:bj + 1] = _chunks(rest, home)
             else:
-                size = len(blk) - (kr - kl) + len(new)
+                size = len(blk) - (kj - k) + len(new)
                 if bi is None and not 0 < size <= 2 * _BLOCK:
                     # the block empties or splits: find it, before the
                     # splice, by its last entry
                     bi = bisect_left(blocks, True, key=last_at_or_right)
-                blk[kl:kr] = new
+                blk[k:kj] = new
                 for r in new:
                     home[r[5]] = blk
                 if not blk:
