@@ -32,11 +32,12 @@ def fan(k):
 
 f1 = build_graph(5, 0, 4, [[1, 2, 3], [4], [1, 3], [4], []])
 plan = minimum_split_plan(f1)
-print("f1 minimum split plan:", plan.split_edges)
+print("f1 minimum split plan:",
+      [(f1.tail[e], f1.head[e]) for e in plan.split_edges])
 
-res = apply_splits(f1, plan)
-ordering = find_bitonic_ordering(res.graph)
-d_split = draw_straightline(res.graph, ordering)
+split = apply_splits(f1, plan)
+ordering = find_bitonic_ordering(split)
+d_split = draw_straightline(split, ordering)
 print("split graph drawn on a", d_split.width, "x", d_split.height, "grid")
 
 d = draw_polyline(f1)

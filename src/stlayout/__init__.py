@@ -17,8 +17,8 @@ from .layout import (GridDrawing, draw_polyline, draw_straightline,
                      emit_svg)
 from .ordering import (BitonicOrdering, RejectionWitness,
                        find_bitonic_ordering, verify_bitonic_ordering)
-from .splitting import (SplitPlan, SplitResult, apply_splits,
-                        minimum_split_plan, transitive_split_plan)
+from .splitting import (SplitPlan, apply_splits, minimum_split_plan,
+                        transitive_split_plan)
 from .validate import ValidationReport, check_bounds, check_upward_planar
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "ParallelEdge",
     "RejectionWitness",
     "SplitPlan",
-    "SplitResult",
     "StGraphError",
     "ValidationReport",
     "apply_splits",

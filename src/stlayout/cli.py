@@ -40,7 +40,7 @@ def _cmd_split(args) -> int:
     g = load_graph(args.graph)
     plan = (transitive_split_plan(g) if args.all_transitive
             else minimum_split_plan(g))
-    sys.stdout.write(plan_to_text(plan))
+    sys.stdout.write(plan_to_text(g, plan))
     return 0
 
 
@@ -95,11 +95,12 @@ def run_bench(sizes, seed):
         ok = (check_upward_planar(g, d).ok
               and check_bounds(d, g.n, "polyline"))
         t2 = time.perf_counter()
+        bends = len(d.bend_points)  # one per split edge
         rows.append({
             "n": n,
             "edges": g.m,
-            "splits": len(d.splits),
-            "bends": len(d.bends),
+            "splits": bends,
+            "bends": bends,
             "width": d.width,
             "height": d.height,
             "ms_total": (t1 - t0) * 1000.0,

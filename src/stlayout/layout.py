@@ -99,8 +99,7 @@ def draw_straightline(g: EmbeddedStGraph,
         raise OrderingInvalid("not a bitonic st-ordering for this graph")
 
     n = g.n
-    pi = ord.pi
-    order = ord.by_rank()
+    pi, order = ord.pi, ord.order
     VL, VR = n, n + 1
 
     xoff = [0] * (n + 2)
@@ -184,16 +183,16 @@ def draw_straightline(g: EmbeddedStGraph,
 def draw_polyline(g: EmbeddedStGraph) -> GridDrawing:
     """Split, order, draw, and fold each dummy vertex into a bend."""
     plan = minimum_split_plan(g)
-    res = apply_splits(g, plan)
-    ord = find_bitonic_ordering(res.graph)
+    h = apply_splits(g, plan)
+    ord = find_bitonic_ordering(h)
     if isinstance(ord, RejectionWitness):
         raise AssertionError("split graph unexpectedly rejected")
-    base = draw_straightline(res.graph, ord)
+    base = draw_straightline(h, ord)
 
-    # a split edge keeps its id and ends at its dummy; the dummies, and in
-    # in_edges their in-edges, come last: each dummy's point is a bend
+    # the i-th split edge keeps its id and ends at dummy g.n + i, whose
+    # point is its bend
     return GridDrawing(coords=base.coords[:g.n], tail=g.tail, head=g.head,
-                       bend_points=tuple(zip(res.graph.in_edges[g.m:],
+                       bend_points=tuple(zip(plan.split_edges,
                                              base.coords[g.n:])))
 
 

@@ -11,6 +11,7 @@ list contains a right-to-left path followed by a left-to-right path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import lt
 
 from .graph import EmbeddedStGraph, _gather, _topological_order
@@ -20,20 +21,22 @@ from .graph import EmbeddedStGraph, _gather, _topological_order
 class BitonicOrdering:
     """A vertex ranking plus the gap edges that certified it.
 
-    ``pi[v]`` is the rank of vertex ``v`` in ``1..n``.  ``augment_edges``
-    are the edges added between consecutive successors, one per corner
-    without a path across it, in edge id order.
+    ``order`` lists the vertices by rank, so ``order[r - 1]`` has rank
+    ``r`` in ``1..n``.  ``augment_edges`` are the edges added between
+    consecutive successors, one per corner without a path across it, in
+    edge id order.
     """
 
-    pi: tuple[int, ...]
+    order: list[int]
     augment_edges: tuple[tuple[int, int], ...]
 
-    def by_rank(self) -> list[int]:
-        """Vertices sorted by rank."""
-        order = [0] * len(self.pi)
-        for v, r in enumerate(self.pi):
-            order[r - 1] = v
-        return order
+    @cached_property
+    def pi(self) -> tuple[int, ...]:
+        """``pi[v]`` is the rank of vertex ``v``; derived on first use."""
+        pi = [0] * len(self.order)
+        for rank, v in enumerate(self.order, 1):
+            pi[v] = rank
+        return tuple(pi)
 
 
 @dataclass(frozen=True)
@@ -96,11 +99,9 @@ def find_bitonic_ordering(g: EmbeddedStGraph):
     for a, b in aug:
         extra.setdefault(a, []).append(b)
         in_deg[b] += 1
-    pi = [0] * g.n
-    for rank, v in enumerate(_topological_order(starts, head, in_deg,
-                                                extra), 1):
-        pi[v] = rank
-    return BitonicOrdering(pi=tuple(pi), augment_edges=tuple(aug))
+    return BitonicOrdering(order=_topological_order(starts, head, in_deg,
+                                                    extra),
+                           augment_edges=tuple(aug))
 
 
 def verify_bitonic_ordering(g: EmbeddedStGraph, ord: BitonicOrdering) -> bool:
@@ -108,9 +109,9 @@ def verify_bitonic_ordering(g: EmbeddedStGraph, ord: BitonicOrdering) -> bool:
 
     Does not consult the augmentation edges.
     """
-    pi = ord.pi
-    if sorted(pi) != list(range(1, g.n + 1)):
+    if sorted(ord.order) != list(range(g.n)):
         return False
+    pi = ord.pi
     ranks = _gather(pi, g.head)
     if not all(map(lt, _gather(pi, g.tail), ranks)):
         return False
@@ -122,7 +123,7 @@ def verify_bitonic_ordering(g: EmbeddedStGraph, ord: BitonicOrdering) -> bool:
 
 def ordering_to_text(g: EmbeddedStGraph, ord: BitonicOrdering) -> str:
     """One line ``rank v`` per vertex; gap edges as comments."""
-    lines = [f"{ord.pi[v]} {v}" for v in ord.by_rank()]
+    lines = [f"{rank} {v}" for rank, v in enumerate(ord.order, 1)]
     for a, b in ord.augment_edges:
         lines.append(f"# aug {a} {b}")
     return "\n".join(lines) + "\n"

@@ -10,7 +10,7 @@ between original vertices, so the per-vertex choices are globally optimal.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import compress
+from operator import lt
 
 from .errors import EdgeNotFound
 from .graph import EmbeddedStGraph, _gather
@@ -21,20 +21,12 @@ class SplitPlan:
     """Chosen apex per vertex and the edges to split.
 
     ``apex[u]`` is the 1-based successor position of the apex of ``S(u)``
-    (0 for vertices without successors).  ``split_edges`` is ordered by
-    tail vertex id, then successor position.
+    (0 for vertices without successors).  ``split_edges`` holds the ids
+    of the edges to split, in increasing order.
     """
 
     apex: tuple[int, ...]
-    split_edges: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class SplitResult:
-    """Graph with dummy vertices substituted for the split edges."""
-
-    graph: EmbeddedStGraph
-    dummy_of: dict[int, tuple[int, int]]
+    split_edges: tuple[int, ...]
 
 
 def minimum_split_plan(g: EmbeddedStGraph) -> SplitPlan:
@@ -45,9 +37,9 @@ def minimum_split_plan(g: EmbeddedStGraph) -> SplitPlan:
     the out-edges conflicting with that apex are collected.
     """
     corner_dir = g.corner_dir
-    head, starts = g.head, g.out_start
+    starts = g.out_start
     apex = [0] * g.n
-    split: list[tuple[int, int]] = []
+    split: list[int] = []
     for u in range(g.n):
         e0, e1 = starts[u], starts[u + 1]
         if e0 == e1:
@@ -63,10 +55,10 @@ def minimum_split_plan(g: EmbeddedStGraph) -> SplitPlan:
         apex[u] = top - e0 + 1
         for e in range(e0, top):
             if corner_dir[e] < 0:
-                split.append((u, head[e]))
+                split.append(e)
         for e in range(top + 1, e1):
             if corner_dir[e - 1] > 0:
-                split.append((u, head[e]))
+                split.append(e)
     return SplitPlan(apex=tuple(apex), split_edges=tuple(split))
 
 
@@ -79,29 +71,27 @@ def transitive_split_plan(g: EmbeddedStGraph) -> SplitPlan:
     ``corner_dir[e - 1]`` is 0 for a first out-edge ``e``.
     """
     corner_dir = g.corner_dir
-    split = tuple((g.tail[e], g.head[e]) for e in range(g.m)
+    split = tuple(e for e in range(g.m)
                   if corner_dir[e - 1] > 0 or corner_dir[e] < 0)
     return SplitPlan(apex=tuple([0] * g.n), split_edges=split)
 
 
-def apply_splits(g: EmbeddedStGraph, plan: SplitPlan) -> SplitResult:
+def apply_splits(g: EmbeddedStGraph, plan: SplitPlan) -> EmbeddedStGraph:
     """Replace each planned edge (u,v) by (u,d),(d,v) with a fresh dummy.
 
     A split is a subdivision, so the embedding carries over and the split
-    graph extends the arrays of ``g``.  The ``i``-th split edge, in id
-    order, keeps its id and ends at ``d = g.n + i``; the new edge
-    ``(d, v)`` gets id ``g.m + i`` and the split edge's place in the
-    in-order of ``v``.  An empty plan returns ``g`` itself.
+    graph extends the arrays of ``g``.  The ``i``-th split edge keeps its
+    id and ends at ``d = g.n + i``; the new edge ``(d, v)`` gets id
+    ``g.m + i`` and the split edge's place in the in-order of ``v``.  An
+    empty plan returns ``g`` itself.
     """
-    if not plan.split_edges:
-        return SplitResult(graph=g, dummy_of={})
-    planned = set(plan.split_edges)
-    split = list(compress(range(g.m), map(planned.__contains__,
-                                          zip(g.tail, g.head))))
-    if len(split) != len(planned):
-        found = {(g.tail[e], g.head[e]) for e in split}
-        u, v = next(uv for uv in plan.split_edges if uv not in found)
-        raise EdgeNotFound(f"({u}, {v}) is not an edge")
+    split = plan.split_edges
+    if not split:
+        return g
+    ids = [-1, *split, g.m]
+    if not all(map(lt, ids, ids[1:])):
+        raise EdgeNotFound(f"split edge ids must increase strictly and "
+                           f"lie in 0..{g.m - 1}")
 
     n, m, k = g.n, g.m, len(split)
     heads = _gather(g.head, split)
@@ -114,17 +104,15 @@ def apply_splits(g: EmbeddedStGraph, plan: SplitPlan) -> SplitResult:
         corner_dir[e] = max(corner_dir[e], 0)
     lower = dict(zip(split, range(m, m + k)))  # split edge -> (d, v)
     one_each = tuple(range(m + 1, m + k + 1))  # a dummy has one edge each way
-    graph = replace(
+    return replace(
         g, n=n + k, tail=g.tail + tuple(range(n, n + k)),
         head=tuple(head) + heads, out_start=g.out_start + one_each,
         in_edges=tuple(map(lower.get, g.in_edges, g.in_edges)) + tuple(split),
         in_start=g.in_start + one_each,
         corner_dir=tuple(corner_dir) + (0,) * k)
-    dummy_of = dict(zip(range(n, n + k), zip(_gather(g.tail, split), heads)))
-    return SplitResult(graph=graph, dummy_of=dummy_of)
 
 
-def plan_to_text(plan: SplitPlan) -> str:
-    lines = [f"split {u} {v}" for u, v in plan.split_edges]
+def plan_to_text(g: EmbeddedStGraph, plan: SplitPlan) -> str:
+    lines = [f"split {g.tail[e]} {g.head[e]}" for e in plan.split_edges]
     lines.append(f"total {len(plan.split_edges)}")
     return "\n".join(lines) + "\n"

@@ -190,6 +190,15 @@ def edges(g: EmbeddedStGraph) -> list[tuple[int, int]]:
     return list(zip(g.tail, g.head))
 
 
+def split_dummies(g: EmbeddedStGraph,
+                  h: EmbeddedStGraph) -> dict[int, tuple[int, int]]:
+    """``{d: (u, v)}`` for each dummy ``d`` of ``h``, a split graph of
+    ``g``: the edge of ``g`` that ``d`` subdivides, read off ``h``'s
+    arrays (the tail of ``d``'s in-edge, the head of its out-edge)."""
+    return {d: (h.tail[h.in_edges[h.in_start[d]]], h.head[h.out_start[d]])
+            for d in range(g.n, h.n)}
+
+
 def pred_ltr(g: EmbeddedStGraph, v: int) -> list[int]:
     """The predecessors of ``v``, from left to right."""
     ids = g.in_edges[g.in_start[v]:g.in_start[v + 1]]
@@ -354,12 +363,11 @@ def minimum_splits_bruteforce(g: EmbeddedStGraph, budget: int,
     """
     if g.m > max_edges:
         raise TooLarge(f"{g.m} edges exceeds the oracle bound {max_edges}")
-    all_edges = edges(g)
     for k in range(budget + 1):
-        for subset in itertools.combinations(all_edges, k):
-            res = apply_splits(g, SplitPlan(apex=tuple([0] * g.n),
-                                            split_edges=subset))
-            if isinstance(find_bitonic_ordering(res.graph), BitonicOrdering):
+        for subset in itertools.combinations(range(g.m), k):
+            h = apply_splits(g, SplitPlan(apex=tuple([0] * g.n),
+                                          split_edges=subset))
+            if isinstance(find_bitonic_ordering(h), BitonicOrdering):
                 return k
     return budget + 1
 

@@ -1,4 +1,4 @@
-"""The first two demos run to completion from a temporary copy."""
+"""Every demo runs to completion from a temporary copy."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("prefix", ["01_", "02_"])
+@pytest.mark.parametrize("prefix", ["01_", "02_", "03_"])
 def test_demo_runs(prefix, tmp_path):
     # the demos write their SVG files next to themselves
     (demo,) = (ROOT / "demos").glob(f"{prefix}*.py")

@@ -133,7 +133,7 @@ def test_face_index_matches_dart_trace():
         assert_matches_dart_trace(g)
         for plan in (minimum_split_plan(g), transitive_split_plan(g)):
             if plan.split_edges:
-                assert_matches_dart_trace(apply_splits(g, plan).graph)
+                assert_matches_dart_trace(apply_splits(g, plan))
                 split += 1
     assert split > 50
 
@@ -149,7 +149,7 @@ def test_pipeline_builds_no_face_index(monkeypatch):
         plan = minimum_split_plan(g)
         assert plan.split_edges
         transitive = transitive_split_plan(g)
-        assert apply_splits(g, transitive).graph.n == g.n + len(
+        assert apply_splits(g, transitive).n == g.n + len(
             transitive.split_edges)
         find_bitonic_ordering(g)
         d = draw_polyline(g)

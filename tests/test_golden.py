@@ -25,7 +25,7 @@ from stlayout.ordering import ordering_to_text, witness_to_text
 from stlayout.splitting import plan_to_text
 from stlayout.validate import _find_proper_intersection
 from conftest import all_fixture_graphs, comb_pieces, corpus, fan, zig
-from oracles import gap_faces, sweep_input
+from oracles import gap_faces, split_dummies, sweep_input
 
 GOLDEN = Path(__file__).with_name("golden.json")
 FAMILIES = ("graph", "ordering", "plan", "split", "faces", "straightline",
@@ -116,14 +116,14 @@ def digests() -> dict[str, str]:
         ord = find_bitonic_ordering(g)
         put("ordering", ordering_text(g, ord))
         for plan in (minimum_split_plan(g), transitive_split_plan(g)):
-            put("plan", plan_to_text(plan) + repr(plan.apex))
-            res = apply_splits(g, plan)
-            put("split", graph_to_text(res.graph)
-                + repr(sorted(res.dummy_of.items())))
-            put("faces", faces_text(res.graph))
+            put("plan", plan_to_text(g, plan) + repr(plan.apex))
+            split = apply_splits(g, plan)
+            put("split", graph_to_text(split)
+                + repr(sorted(split_dummies(g, split).items())))
+            put("faces", faces_text(split))
         # the straight-line drawing of g, or of its minimum split graph
         if isinstance(ord, RejectionWitness):
-            h_graph = apply_splits(g, minimum_split_plan(g)).graph
+            h_graph = apply_splits(g, minimum_split_plan(g))
             ord = find_bitonic_ordering(h_graph)
             put("ordering", ordering_text(h_graph, ord))
         else:

@@ -31,7 +31,7 @@ def test_single_edge_drawing(single_edge):
 
 
 def test_straightline_needs_valid_ordering(triangle):
-    bad = BitonicOrdering(pi=(2, 1, 3), augment_edges=())
+    bad = BitonicOrdering(order=[1, 0, 2], augment_edges=())
     with pytest.raises(OrderingInvalid):
         draw_straightline(triangle, bad)
 

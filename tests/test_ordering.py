@@ -52,13 +52,13 @@ def test_split_f1_ordering(split_f1):
     # s=1, d=2, v2=3, v1=4, v3=5, t=6
     assert res.pi == (1, 4, 3, 5, 6, 2)
     assert verify_bitonic_ordering(split_f1, res)
-    assert res.by_rank() == [0, 5, 2, 1, 3, 4]
+    assert res.order == [0, 5, 2, 1, 3, 4]
 
 
 def test_ranks_follow_the_ready_stack(seven):
     # seven split at (0, 1); placing 4 readies 2 and then 3, so 3 is
     # ranked before 2, where the smallest ready id would rank 2 first
-    h = apply_splits(seven, minimum_split_plan(seven)).graph
+    h = apply_splits(seven, minimum_split_plan(seven))
     res = find_bitonic_ordering(h)
     assert res.augment_edges == ((7, 5),)
     assert res.pi == (1, 8, 6, 5, 4, 3, 7, 2)
@@ -114,10 +114,12 @@ def test_corner_pos_at_places_chords_into_the_face():
 
 
 def test_verify_rejects_wrong_orderings(triangle):
-    assert not verify_bitonic_ordering(
-        triangle, BitonicOrdering(pi=(2, 1, 3), augment_edges=()))
-    assert not verify_bitonic_ordering(
-        triangle, BitonicOrdering(pi=(1, 1, 2), augment_edges=()))
+    # the source ranked second; then orders that are no permutation of the
+    # vertices: a repeat, one out of range either way, too short, too long
+    for order in ([1, 0, 2], [0, 0, 2], [0, 1, 3], [-1, 1, 2], [0, 1],
+                  [0, 1, 2, 2]):
+        bad = BitonicOrdering(order=order, augment_edges=())
+        assert verify_bitonic_ordering(triangle, bad) is False
 
 
 def test_ordering_text_format(split_f1):

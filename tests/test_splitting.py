@@ -13,18 +13,18 @@ from stlayout import (BitonicOrdering, EdgeNotFound, apply_splits,
 from stlayout.splitting import SplitPlan, plan_to_text
 from conftest import all_fixture_graphs, corpus, fan, zig
 from oracles import (edges, left_right_counts, minimum_splits_bruteforce,
-                     reachable)
+                     reachable, split_dummies)
 
 
 def test_triangle_plan_empty(triangle):
     assert minimum_split_plan(triangle).split_edges == ()
-    # the chord (s, t) is transitive, so the baseline does split it
-    assert transitive_split_plan(triangle).split_edges == ((0, 2),)
+    # the chord (s, t), edge 1, is transitive, so the baseline splits it
+    assert transitive_split_plan(triangle).split_edges == (1,)
 
 
 def test_f1_plan(f1):
     plan = minimum_split_plan(f1)
-    assert plan.split_edges == ((0, 3),)
+    assert plan.split_edges == (2,)  # the edge (0, 3)
     assert plan.apex[0] == 1
 
 
@@ -35,24 +35,25 @@ def test_f1_left_right_counts(f1):
 
 
 def test_apply_splits_f1(f1):
-    res = apply_splits(f1, minimum_split_plan(f1))
-    assert res.graph.n == 6
-    assert res.dummy_of == {5: (0, 3)}
-    assert isinstance(find_bitonic_ordering(res.graph), BitonicOrdering)
+    h = apply_splits(f1, minimum_split_plan(f1))
+    assert h.n == 6
+    assert split_dummies(f1, h) == {5: (0, 3)}
+    assert isinstance(find_bitonic_ordering(h), BitonicOrdering)
 
 
 def test_apply_splits_missing_edge(triangle):
-    # a reversed edge, a negative tail and a tail beyond the last vertex
-    for pair in ((1, 0), (-3, 1), (5, 1)):
-        plan = SplitPlan(apex=(0, 0, 0), split_edges=((0, 1), pair))
+    # the triangle has edges 0..2: an id past the last one, a negative id,
+    # a repeated id and a decreasing pair
+    for ids in ((0, 3), (-1, 1), (1, 1), (2, 0)):
+        plan = SplitPlan(apex=(0, 0, 0), split_edges=ids)
         with pytest.raises(EdgeNotFound):
             apply_splits(triangle, plan)
 
 
 def test_split_graph_always_accepted():
     for g in corpus(sizes=(8, 15, 30), seeds=range(12)):
-        res = apply_splits(g, minimum_split_plan(g))
-        assert isinstance(find_bitonic_ordering(res.graph), BitonicOrdering)
+        h = apply_splits(g, minimum_split_plan(g))
+        assert isinstance(find_bitonic_ordering(h), BitonicOrdering)
 
 
 def test_split_count_bound():
@@ -67,14 +68,14 @@ def test_minimum_not_larger_than_transitive_baseline():
         k_min = len(minimum_split_plan(g).split_edges)
         baseline = transitive_split_plan(g)
         assert k_min <= len(baseline.split_edges)
-        res = apply_splits(g, baseline)
-        assert isinstance(find_bitonic_ordering(res.graph), BitonicOrdering)
+        h = apply_splits(g, baseline)
+        assert isinstance(find_bitonic_ordering(h), BitonicOrdering)
 
 
 def test_transitive_baseline_splits_only_transitive_edges():
     for g in corpus(sizes=(8, 15), seeds=range(8)):
-        for u, v in transitive_split_plan(g).split_edges:
-            assert v in g.succ[u]
+        for e in transitive_split_plan(g).split_edges:
+            u, v = g.tail[e], g.head[e]
             others = [w for w in g.succ[u] if w != v]
             assert any(reachable(g, w, v) for w in others)
 
@@ -94,14 +95,14 @@ def test_bruteforce_agreement_small(f1, triangle):
 
 def test_reachability_preserved_by_splits():
     for g in corpus(sizes=(7, 10), seeds=range(8)):
-        res = apply_splits(g, minimum_split_plan(g))
+        h = apply_splits(g, minimum_split_plan(g))
         for u in range(g.n):
             for v in range(g.n):
-                assert reachable(g, u, v) == reachable(res.graph, u, v)
+                assert reachable(g, u, v) == reachable(h, u, v)
 
 
 def test_plan_text(f1):
-    assert plan_to_text(minimum_split_plan(f1)) == "split 0 3\ntotal 1\n"
+    assert plan_to_text(f1, minimum_split_plan(f1)) == "split 0 3\ntotal 1\n"
 
 
 def rebuilt_split_graph(g, plan):
@@ -109,12 +110,11 @@ def rebuilt_split_graph(g, plan):
     planned = set(plan.split_edges)
     rows = [list(r) for r in g.succ]
     dummy_of = {}
-    for u, row in enumerate(rows):
-        for pos, v in enumerate(row):
-            if (u, v) in planned:
-                d = g.n + len(dummy_of)
-                row[pos] = d
-                dummy_of[d] = (u, v)
+    for e, (u, v) in enumerate(edges(g)):
+        if e in planned:
+            d = g.n + len(dummy_of)
+            rows[u][e - g.out_start[u]] = d
+            dummy_of[d] = (u, v)
     rows += [[v] for _, v in dummy_of.values()]
     return build_graph(len(rows), g.s, g.t, rows), dummy_of
 
@@ -129,21 +129,19 @@ def test_apply_splits_matches_rebuilt_graph():
     for g in graphs:
         plans = [minimum_split_plan(g), transitive_split_plan(g)]
         for _ in range(3):
-            # in any order: dummies are numbered by edge id regardless
-            chosen = rng.sample(edges(g), rng.randint(1, g.m))
+            chosen = sorted(rng.sample(range(g.m), rng.randint(1, g.m)))
             plans.append(SplitPlan(apex=(0,) * g.n,
                                    split_edges=tuple(chosen)))
         for plan in plans:
-            res = apply_splits(g, plan)
+            h = apply_splits(g, plan)
             if not plan.split_edges:
-                assert res.graph is g and res.dummy_of == {}
+                assert h is g
                 continue
             ref, dummy_of = rebuilt_split_graph(g, plan)
-            assert res.dummy_of == dummy_of
+            assert split_dummies(g, h) == dummy_of
             for f in fields(ref):
-                assert (getattr(res.graph, f.name)
-                        == getattr(ref, f.name)), f.name
-            got, want = compute_faces(res.graph), compute_faces(ref)
+                assert getattr(h, f.name) == getattr(ref, f.name), f.name
+            got, want = compute_faces(h), compute_faces(ref)
             for f in fields(want):
                 assert getattr(got, f.name) == getattr(want, f.name), f.name
             compared += 1
