@@ -25,14 +25,28 @@ from .validate import check_bounds, check_upward_planar
 
 
 def _cmd_order(args) -> int:
-    """``check`` prints accept, ``order`` the ordering; both reject alike."""
+    """``check`` prints accept, ``order`` the ordering, ``draw`` a drawing.
+
+    All but ``draw --mode poly`` need the ordering and reject alike: the
+    witness on stdout, exit code 1.
+    """
     g = load_graph(args.graph)
-    res = find_bitonic_ordering(g)
-    if isinstance(res, RejectionWitness):
-        sys.stdout.write(witness_to_text(res))
-        return 1
-    sys.stdout.write(ordering_to_text(g, res) if args.command == "order"
-                     else "accept\n")
+    if args.command == "draw" and args.mode == "poly":
+        d = draw_polyline(g)
+    else:
+        res = find_bitonic_ordering(g)
+        if isinstance(res, RejectionWitness):
+            sys.stdout.write(witness_to_text(res))
+            return 1
+        if args.command != "draw":
+            sys.stdout.write(ordering_to_text(g, res)
+                             if args.command == "order" else "accept\n")
+            return 0
+        d = draw_straightline(g, res)
+    sys.stdout.write(drawing_to_text(g, d))
+    if args.svg:
+        with open(args.svg, "w") as fh:
+            fh.write(emit_svg(d, scale=args.scale))
     return 0
 
 
@@ -41,23 +55,6 @@ def _cmd_split(args) -> int:
     plan = (transitive_split_plan(g) if args.all_transitive
             else minimum_split_plan(g))
     sys.stdout.write(plan_to_text(g, plan))
-    return 0
-
-
-def _cmd_draw(args) -> int:
-    g = load_graph(args.graph)
-    if args.mode == "straight":
-        res = find_bitonic_ordering(g)
-        if isinstance(res, RejectionWitness):
-            sys.stdout.write(witness_to_text(res))
-            return 1
-        d = draw_straightline(g, res)
-    else:
-        d = draw_polyline(g)
-    sys.stdout.write(drawing_to_text(g, d))
-    if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(emit_svg(d, scale=args.scale))
     return 0
 
 
@@ -79,47 +76,31 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def run_bench(sizes, seed):
-    """Generate, draw poly-line, check, and collect per-size statistics.
+def _cmd_bench(args) -> int:
+    """Generate, draw poly-line and check each size: one CSV row per size.
 
-    Returns CSV rows (dicts): ``ms_total`` times the drawing,
-    ``ms_validate`` the upward-planarity and bound checks, and ``ok``
-    says whether the drawing passed them.
+    ``ms_total`` times the drawing and ``ms_validate`` the upward-planarity
+    and bound checks.  The rows are written after the last size, so a size
+    that raises prints none of them.
     """
-    rows = []
-    for n in sizes:
-        g = generate_random_st_graph(GeneratorConfig(n_target=n, seed=seed))
+    rows, failed = [], []
+    for n in args.sizes:
+        g = generate_random_st_graph(GeneratorConfig(n_target=n,
+                                                     seed=args.seed))
         t0 = time.perf_counter()
         d = draw_polyline(g)
         t1 = time.perf_counter()
         ok = (check_upward_planar(g, d).ok
               and check_bounds(d, g.n, "polyline"))
         t2 = time.perf_counter()
+        if not ok:
+            failed.append(str(n))
         bends = len(d.bend_points)  # one per split edge
-        rows.append({
-            "n": n,
-            "edges": g.m,
-            "splits": bends,
-            "bends": bends,
-            "width": d.width,
-            "height": d.height,
-            "ms_total": (t1 - t0) * 1000.0,
-            "ms_validate": (t2 - t1) * 1000.0,
-            "ok": ok,
-        })
-    return rows
-
-
-def _cmd_bench(args) -> int:
-    rows = run_bench(args.sizes, args.seed)
+        rows.append(f"{n},{g.m},{bends},{bends},{d.width},{d.height},"
+                    f"{(t1 - t0) * 1000.0:.1f},{(t2 - t1) * 1000.0:.1f}\n")
     sys.stdout.write("n,edges,splits,bends,width,height,ms_total,"
                      "ms_validate\n")
-    for r in rows:
-        sys.stdout.write(
-            f"{r['n']},{r['edges']},{r['splits']},{r['bends']},"
-            f"{r['width']},{r['height']},{r['ms_total']:.1f},"
-            f"{r['ms_validate']:.1f}\n")
-    failed = [str(r["n"]) for r in rows if not r["ok"]]
+    sys.stdout.writelines(rows)
     if failed:
         sys.stderr.write(f"error: the drawing fails its checks for "
                          f"n = {', '.join(failed)}\n")
@@ -169,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--svg", help="also write an SVG file")
     sp.add_argument("--scale", type=int_at_least(1), default=20,
                     help="SVG pixels per grid unit, at least 1")
-    sp.set_defaults(func=_cmd_draw)
+    sp.set_defaults(func=_cmd_order)
 
     sp = sub.add_parser("validate", help="verify a drawing file")
     sp.add_argument("graph")

@@ -165,7 +165,8 @@ def drawing_from_text(text: str, g: EmbeddedStGraph) -> GridDrawing:
         if key in seen:
             raise GraphFormatError(f"line {lineno}: duplicate {what} {key}")
         seen[key] = (x, y)
-    if sorted(coords) != list(range(g.n)):
+    # the keys are distinct, so n of them within 0..n-1 are all of them
+    if len(coords) != g.n or min(coords) < 0 or max(coords) >= g.n:
         raise GraphFormatError("drawing must assign every vertex exactly once")
     bend_points = ()
     if bends:

@@ -79,6 +79,9 @@ def find_bitonic_ordering(g: EmbeddedStGraph):
     corner_dir, head, starts = g.corner_dir, g.head, g.out_start
 
     aug: list[tuple[int, int]] = []
+    # the ranking's adjacency and in-degrees, gap edges included
+    extra: dict[int, list[int]] = {}
+    in_deg = [b - a for a, b in zip(g.in_start, g.in_start[1:])]
     for u in range(g.n):
         e0, e1 = starts[u], starts[u + 1]
         first_desc = 0  # 1-based position of the first descent, if any
@@ -92,13 +95,10 @@ def find_bitonic_ordering(g: EmbeddedStGraph):
                     first_desc = e - e0 + 1
             else:
                 vi, vnext = head[e], head[e + 1]
-                aug.append((vnext, vi) if first_desc else (vi, vnext))
-
-    in_deg = [b - a for a, b in zip(g.in_start, g.in_start[1:])]
-    extra: dict[int, list[int]] = {}
-    for a, b in aug:
-        extra.setdefault(a, []).append(b)
-        in_deg[b] += 1
+                a, b = (vnext, vi) if first_desc else (vi, vnext)
+                aug.append((a, b))
+                extra.setdefault(a, []).append(b)
+                in_deg[b] += 1
     return BitonicOrdering(order=_topological_order(starts, head, in_deg,
                                                     extra),
                            augment_edges=tuple(aug))
@@ -109,7 +109,9 @@ def verify_bitonic_ordering(g: EmbeddedStGraph, ord: BitonicOrdering) -> bool:
 
     Does not consult the augmentation edges.
     """
-    if sorted(ord.order) != list(range(g.n)):
+    order = ord.order
+    if (len(order) != g.n or len(set(order)) != g.n
+            or min(order) < 0 or max(order) >= g.n):
         return False
     pi = ord.pi
     ranks = _gather(pi, g.head)

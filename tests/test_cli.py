@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from stlayout import graph_to_text
+from stlayout import (GeneratorConfig, draw_polyline,
+                      generate_random_st_graph, graph_to_text,
+                      minimum_split_plan)
 from stlayout import cli
 from stlayout.cli import cli_main
 
@@ -133,7 +135,12 @@ def test_bench_csv(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "n,edges,splits,bends,width,height,ms_total,ms_validate"
     assert len(lines) == 3
-    assert lines[1].startswith("50,") and lines[2].startswith("100,")
+    for n, line in zip((50, 100), lines[1:]):
+        g = generate_random_st_graph(GeneratorConfig(n_target=n, seed=2))
+        d = draw_polyline(g)
+        expected = (n, g.m, len(minimum_split_plan(g).split_edges),
+                    len(d.bends), d.width, d.height)
+        assert line.split(",")[:6] == list(map(str, expected))
 
 
 def test_bench_exit_1_when_a_drawing_fails_its_checks(monkeypatch, capsys):

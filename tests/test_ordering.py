@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from stlayout import (BitonicOrdering, RejectionWitness, apply_splits,
                       build_graph, compute_faces, find_bitonic_ordering,
@@ -120,6 +122,23 @@ def test_verify_rejects_wrong_orderings(triangle):
                   [0, 1, 2, 2]):
         bad = BitonicOrdering(order=order, augment_edges=())
         assert verify_bitonic_ordering(triangle, bad) is False
+
+
+# the fixtures build fresh graphs that nothing mutates, so one set of them
+# can serve every example
+@settings(derandomize=True, database=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_verify_rejects_every_non_permutation(triangle, single_edge, f1,
+                                              split_f1, data):
+    g = data.draw(st.sampled_from((triangle, single_edge, f1, split_f1)))
+    # unique lists are the near-permutations that only the bounds tell apart
+    order = data.draw(st.lists(st.integers(-1, g.n), min_size=g.n - 1,
+                               max_size=g.n + 1,
+                               unique=data.draw(st.booleans())))
+    assume(sorted(order) != list(range(g.n)))
+    bad = BitonicOrdering(order=order, augment_edges=())
+    assert verify_bitonic_ordering(g, bad) is False
 
 
 def test_ordering_text_format(split_f1):
