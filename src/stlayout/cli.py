@@ -3,7 +3,7 @@
 Subcommands: check, order, split, draw, validate, gen, bench.
 Exit codes: 0 success, 1 rejection (check of a non-bitonic graph, a
 drawing that fails validation or a bench drawing that fails its checks),
-2 malformed input.
+2 malformed input or a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -43,10 +43,11 @@ def _cmd_order(args) -> int:
                              if args.command == "order" else "accept\n")
             return 0
         d = draw_straightline(g, res)
-    sys.stdout.write(drawing_to_text(g, d))
+    # the SVG first: a file that cannot be written leaves stdout empty
     if args.svg:
         with open(args.svg, "w") as fh:
             fh.write(emit_svg(d, scale=args.scale))
+    sys.stdout.write(drawing_to_text(g, d))
     return 0
 
 

@@ -34,11 +34,6 @@ class OrderingInvalid(StGraphError):
     pass
 
 
-class NonIntegerCoordinate(StGraphError):
-    """The parity invariant of the placement formulas was violated.  This
-    signals an implementation bug, not bad input."""
-
-
 class MissingCoordinate(StGraphError):
     pass
 

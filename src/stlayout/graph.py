@@ -76,8 +76,7 @@ class EmbeddedStGraph:
     ``corner_dir[e]`` is the path direction across the corner after ``e``,
     read off the sink of the face there: ``+1`` for a path ``head[e] ~>
     head[e + 1]`` (left to right), ``-1`` for one ``head[e + 1] ~> head[e]``
-    and ``0`` for none or when ``e`` is its tail's last out-edge.  ``succ``
-    is a derived view, built on first use.
+    and ``0`` for none or when ``e`` is its tail's last out-edge.
     """
 
     n: int
@@ -93,12 +92,6 @@ class EmbeddedStGraph:
     @property
     def m(self) -> int:
         return len(self.tail)
-
-    @cached_property
-    def succ(self) -> tuple[tuple[VertexId, ...], ...]:
-        """``succ[u]`` is the clockwise successor list of ``u``."""
-        head, starts = self.head, self.out_start
-        return tuple(head[a:b] for a, b in zip(starts, starts[1:]))
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,10 @@ from .layout import GridDrawing, _mismatch
 
 
 def graph_to_text(g: EmbeddedStGraph) -> str:
+    head, starts = g.head, g.out_start
     lines = [f"{g.n} {g.s} {g.t}"]
-    for u in range(g.n):
-        row = " ".join(str(v) for v in g.succ[u])
+    for u, (a, b) in enumerate(zip(starts, starts[1:])):
+        row = " ".join(map(str, head[a:b]))
         lines.append(f"{u}: {row}".rstrip())
     return "\n".join(lines) + "\n"
 
@@ -94,8 +95,9 @@ def graph_from_text(text: str) -> EmbeddedStGraph:
 
 
 def graph_to_json(g: EmbeddedStGraph) -> str:
-    return json.dumps({"n": g.n, "s": g.s, "t": g.t,
-                       "succ": [list(r) for r in g.succ]})
+    head, starts = g.head, g.out_start
+    rows = [head[a:b] for a, b in zip(starts, starts[1:])]
+    return json.dumps({"n": g.n, "s": g.s, "t": g.t, "succ": rows})
 
 
 @_gc_paused

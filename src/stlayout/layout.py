@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import chain, repeat
 from operator import itemgetter, lt, sub
 
-from .errors import NonIntegerCoordinate, OrderingInvalid
+from .errors import OrderingInvalid
 from .graph import EmbeddedStGraph, _gather, _gc_paused
 from .ordering import (BitonicOrdering, RejectionWitness,
                        find_bitonic_ordering, verify_bitonic_ordering)
@@ -123,14 +123,13 @@ def draw_straightline(g: EmbeddedStGraph,
         wl = tail[first]
         wr = tail[in_edges[in_start[vk + 1] - 1]]
         if wl == wr:
+            # vk's one in-edge is from w.  Its row is verified bitonic, so
+            # on one side at least, vk ends the row or has a placed neighbour
             w = wl
             if first == out_start[w] or pi[head[first - 1]] <= k:
                 wl = prv[w]
             if first == out_start[w + 1] - 1 or pi[head[first + 1]] <= k:
                 wr = nxt[w]
-            if wl == wr:
-                raise OrderingInvalid(
-                    f"vertex {vk} has neither left nor right support")
 
         # walk the run strictly between wl and wr twice: once to sum its
         # offsets, once to make them relative to vk
@@ -141,11 +140,8 @@ def draw_straightline(g: EmbeddedStGraph,
             node = nxt[node]
         d += xoff[wr] + 2
 
-        num = d + yabs[wr] - yabs[wl]
-        if num & 1:
-            raise NonIntegerCoordinate(
-                f"odd placement numerator at vertex {vk}")
-        x_vk = num // 2
+        # x + y is even at every contour vertex, so both halves are exact
+        x_vk = (d + yabs[wr] - yabs[wl]) // 2
         yabs[vk] = (d + yabs[wr] + yabs[wl]) // 2
 
         acc = 1 - x_vk

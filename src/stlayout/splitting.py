@@ -21,8 +21,10 @@ class SplitPlan:
     """Chosen apex per vertex and the edges to split.
 
     ``apex[u]`` is the 1-based successor position of the apex of ``S(u)``
-    (0 for vertices without successors).  ``split_edges`` holds the ids
-    of the edges to split, in increasing order.
+    that :func:`minimum_split_plan` chose (0 for vertices without
+    successors); :func:`transitive_split_plan` picks no apex, so its
+    ``apex`` is all 0.  ``split_edges`` holds the ids of the edges to
+    split, in increasing order.
     """
 
     apex: tuple[int, ...]

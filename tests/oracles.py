@@ -8,8 +8,8 @@
 * ``minimum_splits_bruteforce``: all edge subsets up to a budget.
 * ``face_sink``: the sink of the face between two consecutive successors.
 * ``gap_faces``: the inner face of every gap edge the ordering adds.
-* ``edges``, ``pred_ltr`` and ``left_right_counts``: readable views of a
-  graph's arrays and corner directions, for assertions.
+* ``succ``, ``edges``, ``pred_ltr`` and ``left_right_counts``: readable
+  views of a graph's arrays and corner directions, for assertions.
 * ``has_edge``, ``inner_faces``, ``reachable`` (a plain DFS) and
   ``corner_pos_at``: per-query helpers, and ``augmented_graph`` and
   ``add_random_chords``, the references built on them that rebuild a
@@ -185,6 +185,12 @@ def gap_faces(g: EmbeddedStGraph) -> tuple[int, ...]:
                  if g.tail[e] == g.tail[e + 1] and g.corner_dir[e] == 0)
 
 
+def succ(g: EmbeddedStGraph) -> list[list[int]]:
+    """The clockwise successor list of each vertex, as new lists."""
+    head, starts = g.head, g.out_start
+    return [list(head[a:b]) for a, b in zip(starts, starts[1:])]
+
+
 def edges(g: EmbeddedStGraph) -> list[tuple[int, int]]:
     """``(tail, head)`` of every edge, in id order."""
     return list(zip(g.tail, g.head))
@@ -232,11 +238,12 @@ def reachable(g: EmbeddedStGraph, u: int, v: int) -> bool:
     """Directed path u -> v?  Plain DFS, independent of the face structure."""
     if u == v:
         return True
+    rows = succ(g)
     seen = {u}
     stack = [u]
     while stack:
         w = stack.pop()
-        for x in g.succ[w]:
+        for x in rows[w]:
             if x == v:
                 return True
             if x not in seen:
@@ -278,7 +285,7 @@ def augmented_graph(g: EmbeddedStGraph,
     for (x, y), f in zip(ord.augment_edges, gap_faces(g)):
         pos = corner_pos_at(fi, g, f, x)
         inserts.setdefault(x, []).append((pos, y))
-    rows = [list(r) for r in g.succ]
+    rows = succ(g)
     for x, ins in inserts.items():
         for pos, y in sorted(ins, reverse=True):
             rows[x].insert(pos, y)
@@ -312,7 +319,7 @@ def add_random_chords(g: EmbeddedStGraph, count: int,
                 if not targets:
                     continue
                 y = rng.choice(targets)
-                rows = [list(r) for r in g.succ]
+                rows = succ(g)
                 rows[x].insert(pos, y)
                 g = build_graph(g.n, g.s, g.t, rows)
                 placed = True
@@ -330,6 +337,7 @@ def exists_bitonic_bruteforce(g: EmbeddedStGraph, max_n: int = 10) -> bool:
     if g.n > max_n:
         raise TooLarge(f"{g.n} vertices exceeds the oracle bound {max_n}")
     n = g.n
+    rows = succ(g)
     in_deg = [0] * n
     for v in g.head:
         in_deg[v] += 1
@@ -337,16 +345,16 @@ def exists_bitonic_bruteforce(g: EmbeddedStGraph, max_n: int = 10) -> bool:
 
     def rec(rank: int) -> bool:
         if rank > n:
-            return all(is_bitonic([pi[v] for v in g.succ[u]])
+            return all(is_bitonic([pi[v] for v in rows[u]])
                        for u in range(n))
         for u in range(n):
             if in_deg[u] == 0 and pi[u] == 0:
                 pi[u] = rank
-                for v in g.succ[u]:
+                for v in rows[u]:
                     in_deg[v] -= 1
                 if rec(rank + 1):
                     return True
-                for v in g.succ[u]:
+                for v in rows[u]:
                     in_deg[v] += 1
                 pi[u] = 0
         return False

@@ -21,7 +21,7 @@ from stlayout.splitting import plan_to_text
 from conftest import (LINEAR_GATE, all_fixture_graphs, doubling_ratios, fan,
                       timed)
 from oracles import (exists_bitonic_bruteforce, face_sink,
-                     minimum_splits_bruteforce, pred_ltr)
+                     minimum_splits_bruteforce, pred_ltr, succ)
 
 
 def report(capsys, num, name, ok, detail=""):
@@ -45,10 +45,11 @@ def small_corpus(sizes, seeds):
 def descendants(g):
     """Reachability bitmasks per vertex (independent of face machinery)."""
     in_deg = [len(pred_ltr(g, v)) for v in range(g.n)]
+    rows = succ(g)
     desc = [0] * g.n
     for u in reversed(_topological_order(g.out_start, g.head, in_deg)):
         mask = 1 << u
-        for v in g.succ[u]:
+        for v in rows[u]:
             mask |= desc[v]
         desc[u] = mask
     return desc
@@ -77,8 +78,7 @@ def test_criterion_2_face_sink_correctness(capsys):
     for g in graphs:
         fi = compute_faces(g)
         desc = descendants(g)
-        for u in range(g.n):
-            row = g.succ[u]
+        for u, row in enumerate(succ(g)):
             ids = range(g.out_start[u], g.out_start[u + 1])
             for i in range(1, len(row)):
                 a, b = row[i - 1], row[i]

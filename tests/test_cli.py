@@ -224,3 +224,37 @@ def test_json_successor_that_is_not_an_integer_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "GraphFormatError: bad JSON graph: n, s, t and successors must be "
         "integers, got bool\n")
+
+
+@pytest.mark.parametrize("name,content,err", [
+    pytest.param("g.json", '{"n": 3, "s": 0, "t": 2, "succ": [[1, 2], [2]]}',
+                 "GraphFormatError: successor lists must cover every vertex",
+                 id="json-rows-fewer-than-n"),
+    pytest.param("g.txt", "2 0 1\n0: 5\n",
+                 "GraphFormatError: successor 5 of 0 out of range",
+                 id="successor-out-of-range"),
+    pytest.param("g.txt", "2 0 1\n0: 1\n1: 0\n",
+                 "MultipleSourcesOrSinks: s has incoming edges",
+                 id="s-has-in-edges"),
+    pytest.param("g.txt", "3 0 1\n0: 1\n1: 2\n2: 1\n",
+                 "MultipleSourcesOrSinks: t has outgoing edges",
+                 id="t-has-out-edges"),
+    pytest.param("g.txt", "3 0 2\n0: 1\n5: 2\n",
+                 "GraphFormatError: vertex id out of range",
+                 id="vertex-line-out-of-range"),
+])
+def test_malformed_graph_exit_2_names_the_fault(tmp_path, capsys, name,
+                                                content, err):
+    p = tmp_path / name
+    p.write_text(content)
+    assert cli_main(["check", str(p)]) == 2
+    assert capsys.readouterr() == ("", err + "\n")
+
+
+def test_draw_svg_unwritable_exit_2_prints_nothing(tri_file, tmp_path,
+                                                   capsys):
+    svg = tmp_path / "missing" / "out.svg"
+    assert cli_main(["draw", tri_file, "--svg", str(svg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert not svg.exists()

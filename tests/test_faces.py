@@ -26,7 +26,7 @@ from stlayout import (BitonicOrdering, GeneratorConfig, NotPlanarEmbedding,
 from stlayout.generate import add_random_chords
 from conftest import all_fixture_graphs, corpus, fan, zig
 from oracles import (NotEmbedded, dart_trace_faces, face_index_fields,
-                     pred_ltr)
+                     pred_ltr, succ)
 
 
 def random_dag(rng):
@@ -121,7 +121,7 @@ def in_ltr(g):
 def assert_matches_dart_trace(g):
     """``compute_faces(g)`` and ``g.corner_dir`` equal the dart trace of
     the rotation system of ``g``."""
-    want = dart_trace_faces(g.n, g.s, g.t, g.succ, in_ltr(g))
+    want = dart_trace_faces(g.n, g.s, g.t, succ(g), in_ltr(g))
     assert face_index_fields(g) == dict(want, faces=len(want["faces"]))
     assert compute_faces(g).faces == tuple(tuple(sorted(c))
                                            for c in want["faces"])
@@ -164,8 +164,8 @@ def check_with_networkx(g):
     """The full rotation of ``g`` is a planar embedding with m - n + 2
     faces, as many as ``compute_faces`` has."""
     nx = pytest.importorskip("networkx")
-    rotation = {v: list(g.succ[v]) + pred_ltr(g, v)[::-1]
-                for v in range(g.n)}
+    rotation = {v: row + pred_ltr(g, v)[::-1]
+                for v, row in enumerate(succ(g))}
     emb = nx.PlanarEmbedding()
     emb.set_data(rotation)
     emb.check_structure()
@@ -177,7 +177,7 @@ def check_with_networkx(g):
 
 def swapped(g, rng):
     """The successor lists of ``g`` with 1-3 random pairs swapped."""
-    rows = [list(r) for r in g.succ]
+    rows = succ(g)
     wide = [u for u in range(g.n) if len(rows[u]) > 1]
     for _ in range(rng.randint(1, 3)):
         row = rows[rng.choice(wide)]

@@ -17,6 +17,7 @@ from stlayout import (GeneratorConfig, GridDrawing, NotAcyclic, build_graph,
                       graph_from_text, graph_to_json, graph_to_text)
 from stlayout.generate import add_random_chords
 from conftest import fan
+from oracles import succ
 
 CYCLIC = (4, 0, 3, [[1], [2, 3], [1], []])
 
@@ -26,10 +27,11 @@ def entry_calls(g):
     d = draw_polyline(g)
     text, jtext = graph_to_text(g), graph_to_json(g)
     dtext = drawing_to_text(g, d)
+    rows = succ(g)  # outside the thunks: allocating them may collect
     return [lambda: generate_random_st_graph(GeneratorConfig(n_target=g.n,
                                                              seed=1)),
             lambda: add_random_chords(g, g.n, 1),
-            lambda: build_graph(g.n, g.s, g.t, g.succ),
+            lambda: build_graph(g.n, g.s, g.t, rows),
             lambda: graph_from_text(text),
             lambda: graph_from_json(jtext),
             lambda: draw_polyline(g),

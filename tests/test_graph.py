@@ -129,7 +129,7 @@ def test_topo_order_places_the_vertex_readied_last_first(sixteen):
 
 def test_flat_arrays_of_f1(f1):
     assert f1.out_start == (0, 3, 4, 6, 7, 7)
-    assert f1.head == tuple(v for row in f1.succ for v in row)
+    assert f1.head == (1, 2, 3, 4, 1, 3, 4)
     assert f1.in_start == (0, 0, 2, 3, 5, 7)
     # in-edges of 4 from left to right: (1, 4), then (3, 4)
     assert f1.in_edges[5:7] == (3, 6) and pred_ltr(f1, 4) == [1, 3]

@@ -6,11 +6,11 @@ from dataclasses import replace
 from statistics import median
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stlayout import (GraphFormatError, StGraphError,
-                      build_graph, draw_polyline,
+from stlayout import (GraphFormatError, StGraphError, build_graph,
+                      check_bounds, check_upward_planar, draw_polyline,
                       drawing_from_text, drawing_to_text, graph_from_json,
                       graph_from_text, graph_to_json, graph_to_text,
                       load_graph)
@@ -20,25 +20,22 @@ from conftest import LINEAR_GATE, corpus, doubling_ratios, fan, zig
 def test_text_roundtrip(f1):
     text = graph_to_text(f1)
     assert text.splitlines()[0] == "5 0 4"
-    g2 = graph_from_text(text)
-    assert g2.succ == f1.succ and (g2.s, g2.t) == (f1.s, f1.t)
+    assert graph_from_text(text) == f1
 
 
 def test_text_comments_and_blanks(triangle):
     text = "# a comment\n\n3 0 2\n0: 1 2\n1: 2   # chord\n2:\n"
-    g = graph_from_text(text)
-    assert g.succ == triangle.succ
+    assert graph_from_text(text) == triangle
 
 
 def test_json_roundtrip(sixteen):
-    g2 = graph_from_json(graph_to_json(sixteen))
-    assert g2.succ == sixteen.succ
+    assert graph_from_json(graph_to_json(sixteen)) == sixteen
 
 
 def test_roundtrip_corpus():
     for g in corpus(sizes=(5, 20), seeds=range(5)):
-        assert graph_from_text(graph_to_text(g)).succ == g.succ
-        assert graph_from_json(graph_to_json(g)).succ == g.succ
+        assert graph_from_text(graph_to_text(g)) == g
+        assert graph_from_json(graph_to_json(g)) == g
 
 
 @pytest.mark.parametrize("bad", [
@@ -89,8 +86,8 @@ def test_load_graph_dispatch(tmp_path, triangle):
     t.write_text(graph_to_text(triangle))
     j = tmp_path / "g.json"
     j.write_text(graph_to_json(triangle))
-    assert load_graph(str(t)).succ == triangle.succ
-    assert load_graph(str(j)).succ == triangle.succ
+    assert load_graph(str(t)) == triangle
+    assert load_graph(str(j)) == triangle
 
 
 def test_drawing_roundtrip(f1):
@@ -164,6 +161,49 @@ def test_drawing_lines_parse_or_raise_format_error(coords, extra):
     assert len(d.coords) == g.n and len(d.edge_paths) == g.m
 
 
+@st.composite
+def forward_rows(draw):
+    """``(n, s, t, rows)`` for ``n <= 7`` with every successor above its
+    tail, in a drawn order: acyclic, and often a planar st-graph."""
+    n = draw(st.integers(2, 7))
+    rows = [draw(st.permutations(range(u + 1, n)))[:draw(st.integers(1, 3))]
+            for u in range(n - 1)]
+    return n, 0, n - 1, rows + [[]]
+
+
+@st.composite
+def any_rows(draw):
+    """``(n, s, t, rows)`` with ``n <= 7`` and any ids near ``0..n-1``."""
+    n = draw(st.integers(0, 7))
+    vertex = st.integers(-1, n)
+    rows = draw(st.lists(st.lists(vertex, max_size=4),
+                         min_size=max(n - 1, 0), max_size=n + 1))
+    return n, draw(vertex), draw(vertex), rows
+
+
+@settings(derandomize=True, database=None, max_examples=400)
+@given(st.one_of(forward_rows(), any_rows()))
+def test_successor_lists_build_or_raise_st_graph_error(args):
+    # any other exception fails the test
+    try:
+        build_graph(*args)
+    except StGraphError:
+        pass
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(forward_rows())
+def test_built_graphs_round_trip_and_draw_within_bounds(args):
+    try:
+        g = build_graph(*args)
+    except StGraphError:
+        assume(False)
+    assert graph_from_text(graph_to_text(g)) == g
+    assert graph_from_json(graph_to_json(g)) == g
+    d = draw_polyline(g)
+    assert check_upward_planar(g, d).ok and check_bounds(d, g.n, "polyline")
+
+
 TRIANGLE = build_graph(3, 0, 2, [[1, 2], [2], []])
 DOCUMENTS = (["3 0 2", "0: 1 2", "1: 2", "2:"],
              ["0 3 0", "1 0 1", "2 1 2", "bend 0 2 2 1"])
@@ -197,7 +237,7 @@ def texts(draw):
 def parse_outcome(text):
     """What each parser makes of ``text``: its result or its error."""
     outcome = []
-    for parse in (lambda: graph_from_text(text).succ,
+    for parse in (lambda: graph_from_text(text),
                   lambda: drawing_from_text(text, TRIANGLE).edge_paths):
         try:
             outcome.append(parse())

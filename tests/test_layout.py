@@ -11,7 +11,8 @@ from stlayout import (BitonicOrdering, EmbeddedStGraph, GridDrawing,
                       OrderingInvalid, RejectionWitness, check_bounds,
                       check_upward_planar, draw_polyline, draw_straightline,
                       drawing_from_text, drawing_to_text, emit_svg,
-                      find_bitonic_ordering)
+                      find_bitonic_ordering, graph_from_json,
+                      graph_from_text, graph_to_json, graph_to_text)
 from conftest import LINEAR_GATE, corpus, doubling_ratios, fan, zig
 
 
@@ -74,23 +75,20 @@ def test_fan_family_bends():
         assert sum(len(p) - 2 for p in d.edge_paths) == k - 3
 
 
-def test_draw_path_never_reads_succ(monkeypatch, f1):
-    # succ is a derived view for io and tests; planning, splitting,
-    # ordering, verifying, the contour, the fold and emitting read the
-    # flat arrays
+def test_pipeline_caches_nothing_on_the_graph(f1):
+    # a graph is its stored arrays alone: parsing, drawing, emitting text
+    # and JSON and validating add no attribute to it
     graphs = [f1, fan(50), zig(101)] + corpus(sizes=(12, 40), seeds=range(3))
-
-    def no_succ(g):
-        raise AssertionError("the draw path read succ")
-
-    monkeypatch.setattr(EmbeddedStGraph, "succ", property(no_succ))
-    for g in graphs:
+    for g in map(graph_from_text, map(graph_to_text, graphs)):
         d = draw_polyline(g)
-        drawing_to_text(g, d)
         ord = find_bitonic_ordering(g)
         if not isinstance(ord, RejectionWitness):
             d = draw_straightline(g, ord)
+        d = drawing_from_text(drawing_to_text(g, d), g)
+        assert graph_from_text(graph_to_text(g)) == g
+        assert graph_from_json(graph_to_json(g)) == g
         assert check_upward_planar(g, d).ok
+        assert set(vars(g)) == set(EmbeddedStGraph.__dataclass_fields__)
 
 
 def test_draw_path_never_builds_edge_paths(monkeypatch, f1):

@@ -12,7 +12,7 @@ from stlayout import (BitonicOrdering, RejectionWitness, apply_splits,
 from stlayout.ordering import is_bitonic, ordering_to_text, witness_to_text
 from conftest import corpus
 from oracles import (TooLarge, augmented_graph, corner_pos_at,
-                     exists_bitonic_bruteforce, inner_faces, reachable)
+                     exists_bitonic_bruteforce, inner_faces, reachable, succ)
 
 
 def test_is_bitonic_basics():
@@ -43,7 +43,7 @@ def test_witness_names_real_paths(f1, seven):
     for g in (f1, seven):
         w = find_bitonic_ordering(g)
         assert isinstance(w, RejectionWitness)
-        row = g.succ[w.u]
+        row = succ(g)[w.u]
         assert reachable(g, row[w.i], row[w.i - 1])
         assert reachable(g, row[w.j - 1], row[w.j])
 
@@ -102,16 +102,16 @@ def test_corner_pos_at_places_chords_into_the_face():
     # -1 exactly at the face's sink; elsewhere a chord to the sink, drawn
     # into the face at the returned position, keeps the graph embedded
     for g in corpus(sizes=(6, 12, 25), seeds=range(6)):
-        fi = compute_faces(g)
+        fi, rows = compute_faces(g), succ(g)
         for f in inner_faces(fi):
             z = fi.face_sink[f]
             for x in {g.tail[d >> 1] for d in fi.faces[f]}:
                 pos = corner_pos_at(fi, g, f, x)
                 assert (pos < 0) == (x == z)
-                if pos >= 0 and z not in g.succ[x]:
-                    rows = [list(r) for r in g.succ]
-                    rows[x].insert(pos, z)
-                    build_graph(g.n, g.s, g.t, rows)
+                if pos >= 0 and z not in rows[x]:
+                    chorded = succ(g)
+                    chorded[x].insert(pos, z)
+                    build_graph(g.n, g.s, g.t, chorded)
             assert corner_pos_at(fi, g, f, z) == -1
 
 
