@@ -9,6 +9,7 @@ from stlayout import (GeneratorConfig, draw_polyline,
                       minimum_split_plan)
 from stlayout import cli
 from stlayout.cli import cli_main
+from conftest import fan
 
 
 @pytest.fixture
@@ -141,6 +142,15 @@ def test_bench_csv(capsys):
         expected = (n, g.m, len(minimum_split_plan(g).split_edges),
                     len(d.bends), d.width, d.height)
         assert line.split(",")[:6] == list(map(str, expected))
+
+
+def test_bench_counts_the_splits_and_bends_of_a_fan(monkeypatch, capsys):
+    # the seed generator's graphs never need a split; fan(k) needs k - 3
+    monkeypatch.setattr(cli, "generate_random_st_graph",
+                        lambda cfg: fan(cfg.n_target))
+    assert cli_main(["bench", "--sizes", "6,9"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[2:4] for row in rows] == [["3", "3"], ["6", "6"]]
 
 
 def test_bench_exit_1_when_a_drawing_fails_its_checks(monkeypatch, capsys):

@@ -11,6 +11,9 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 from stlayout import (GeneratorConfig, GridDrawing, RejectionWitness,
@@ -21,6 +24,7 @@ from stlayout import (GeneratorConfig, GridDrawing, RejectionWitness,
                       find_bitonic_ordering, generate_random_st_graph,
                       graph_to_json, graph_to_text, minimum_split_plan,
                       transitive_split_plan)
+from stlayout.cli import cli_main
 from stlayout.ordering import ordering_to_text, witness_to_text
 from stlayout.splitting import plan_to_text
 from stlayout.validate import _find_proper_intersection
@@ -29,7 +33,28 @@ from oracles import gap_faces, split_dummies, sweep_input
 
 GOLDEN = Path(__file__).with_name("golden.json")
 FAMILIES = ("graph", "ordering", "plan", "split", "faces", "straightline",
-            "polyline", "validation", "sweep", "bounds")
+            "polyline", "validation", "sweep", "bounds", "cli")
+
+# the malformed inputs of test_cli: graph files, then drawings of the
+# triangle, each as (file name, bytes)
+BAD_GRAPHS = (
+    ("bad.txt", b"3 0 2\n0: 1 1\n1: 2\n2:\n"),
+    ("g.txt", b"3 0 2\n0: 1 +2\n1: 2\n"),
+    ("g.json", b'{"n": 3, "s": 0, "t": 2, "succ": [[1, 2], [true], []]}'),
+    ("g.json", b'{"n": 3, "s": 0, "t": 2, "succ": [[1, 2], [2]]}'),
+    ("g.txt", b"2 0 1\n0: 5\n"),
+    ("g.txt", b"2 0 1\n0: 1\n1: 0\n"),
+    ("g.txt", b"3 0 1\n0: 1\n1: 2\n2: 1\n"),
+    ("g.txt", b"3 0 2\n0: 1\n5: 2\n"),
+    ("latin1.txt", b"3 0 2\n0: 1 2\n1: 2\n2:\n# caf\xe9\n"),
+)
+BAD_DRAWINGS = (
+    ("bad.txt", b"0 0 0\n1 1 1\n2 2 0\n"),
+    ("bad.txt", b"0 3 0\n1 0 1\n2 1 2\nbend 7 1 3 3\n"),
+    ("bad.txt", b"0 3 0\n1 0 1\n2 1 2\nbend -3 1 3 3\n"),
+    ("bad.txt", b"0 3 0\n1 0 1\n2 1 2\n0 9 9\n"),
+    ("drawing.txt", b"0 0 0\n# caf\xe9\n"),
+)
 
 
 def golden_graphs():
@@ -103,6 +128,47 @@ def bounds_text(d, n):
                  for mode in ("straightline", "polyline")])
 
 
+def cli_outputs():
+    """Exit code, stdout and stderr of ``cli_main`` on every command over
+    the fixture graphs, as text and as JSON, on ``gen`` and on malformed
+    files; the temporary directory's path reads ``<tmp>``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        def run(*argv):
+            out, err = StringIO(), StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli_main(list(argv))
+            return (f"{code}\0{out.getvalue()}\0{err.getvalue()}"
+                    .replace(tmp, "<tmp>"))
+
+        def put(name, data):
+            path = Path(tmp, name)
+            path.write_bytes(data)
+            return str(path)
+
+        for i, g in enumerate(all_fixture_graphs()):
+            drawing = put(f"d{i}.txt",
+                          drawing_to_text(g, draw_polyline(g)).encode())
+            for ext, text in (("txt", graph_to_text(g)),
+                              ("json", graph_to_json(g))):
+                path = put(f"g{i}.{ext}", text.encode())
+                for argv in (["check"], ["order"], ["split"],
+                             ["split", "--all-transitive"], ["draw"],
+                             ["draw", "--mode", "straight"]):
+                    yield run(*argv, path)
+                yield run("validate", path, drawing)
+                yield run("validate", path, drawing, "--json")
+        yield run("gen", "--n", "50", "--seed", "7")
+        tri = put("tri.txt", graph_to_text(all_fixture_graphs()[0]).encode())
+        for name, data in BAD_GRAPHS:
+            path = put(name, data)
+            yield run("check", path)
+            yield run("validate", path, tri)
+        for name, data in BAD_DRAWINGS:
+            yield run("validate", tri, put(name, data))
+        yield run("check", "/no/such/file")
+        yield run("check", tmp)
+
+
 def digests() -> dict[str, str]:
     h = {name: hashlib.sha256() for name in FAMILIES}
 
@@ -143,6 +209,8 @@ def digests() -> dict[str, str]:
                 put("bounds", bounds_text(moved, g.n))
     for pieces in (*sweep_piece_sets(), *comb_piece_sets()):
         put("sweep", repr(_find_proper_intersection(*sweep_input(pieces))))
+    for text in cli_outputs():
+        put("cli", text)
     return {name: h[name].hexdigest() for name in FAMILIES}
 
 
