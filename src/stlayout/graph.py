@@ -1,10 +1,9 @@
 """Embedded planar st-graphs: construction, validation and face structure.
 
-A graph is described by its clockwise successor lists alone.  The incoming
-edge order at every vertex (and with it the full rotation system) and the
-path direction across every corner are derived in one sweep over the
-vertices in topological order, which maintains the left-to-right frontier
-of pending edges.  The checks:
+A graph is described by its clockwise successor lists alone.  The first
+and last incoming edge of every vertex and the path direction across every
+corner are derived in one sweep over the vertices in topological order,
+which maintains the left-to-right frontier of pending edges.  The checks:
 
   * no self-loops, no parallel edges
   * single source ``s``, single sink ``t``
@@ -24,7 +23,7 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from itertools import accumulate, compress, repeat
+from itertools import chain, compress, repeat
 from operator import eq, itemgetter
 
 from .errors import (GraphFormatError, MultipleSourcesOrSinks, NotAcyclic,
@@ -71,8 +70,9 @@ class EmbeddedStGraph:
     Edges carry dense ids, numbered by tail and then clockwise: the
     out-edges of ``u`` are ``out_start[u] .. out_start[u + 1] - 1``, so
     ``head`` read in id order is every successor list, leftmost first.
-    ``in_edges[in_start[v]:in_start[v + 1]]`` lists the in-edges of ``v``
-    from left to right; the clockwise incoming rotation is its reverse.
+    ``first_in[v]`` and ``last_in[v]`` are the leftmost and rightmost
+    in-edges of ``v`` (-1 at ``s``); its in-edges lie between them on the
+    frontier of the sweep that built the graph.
     ``corner_dir[e]`` is the path direction across the corner after ``e``,
     read off the sink of the face there: ``+1`` for a path ``head[e] ~>
     head[e + 1]`` (left to right), ``-1`` for one ``head[e + 1] ~> head[e]``
@@ -85,8 +85,8 @@ class EmbeddedStGraph:
     tail: tuple[VertexId, ...]
     head: tuple[VertexId, ...]
     out_start: tuple[int, ...]
-    in_edges: tuple[int, ...]
-    in_start: tuple[int, ...]
+    first_in: tuple[int, ...]
+    last_in: tuple[int, ...]
     corner_dir: tuple[int, ...]
 
     @property
@@ -140,7 +140,7 @@ def _check_basic(n, s, t, out_rotation):
             seen.add(v)
 
 
-def _topological_order(out_start, head, in_deg, extra=None):
+def _topological_order(out_start, head, extra=None):
     """Kahn's topological order, last-ready-first, in O(n + m) time.
 
     The successors of ``u`` are ``head[out_start[u]:out_start[u + 1]]``,
@@ -148,7 +148,9 @@ def _topological_order(out_start, head, in_deg, extra=None):
     at first in id order; the one readied last is placed next.
     """
     extra = extra or {}
-    deg = list(in_deg)
+    deg = [0] * (len(out_start) - 1)
+    for v in chain(head, chain.from_iterable(extra.values())):
+        deg[v] += 1
     ready = [v for v, d in enumerate(deg) if d == 0]
     order = []
     while ready:
@@ -168,22 +170,22 @@ def _topological_order(out_start, head, in_deg, extra=None):
     return order
 
 
-def _frontier_sweep(s, head, out_start, in_deg, in_start):
-    """Incoming edge order and corner directions, in one frontier sweep.
+def _frontier_sweep(s, head, out_start, in_deg):
+    """First and last in-edges and corner directions, in one frontier sweep.
 
     The frontier holds the pending edges (tail placed, head not) from left
     to right as a doubly linked list over edge ids.  Each gap between two
     adjacent frontier edges is an open inner face; ``rgap[f]`` names the
     gap right of ``f`` by the corner ``e`` that opened it, between
     out-edges ``e`` and ``e + 1``.  Placing ``v`` requires its incoming
-    edges to form one contiguous block, whose left-to-right order is the
-    derived in-edge order.  The gaps inside the block close with sink
-    ``v``, which decides their corner directions; the out-edges of ``v``
-    replace the block.
+    edges to form one contiguous block, as long as its in-degree; the
+    block's two ends are the first and last in-edges of ``v``.  The gaps
+    inside the block close with sink ``v``, which decides their corner
+    directions; the out-edges of ``v`` replace the block.
 
     Vertices are placed in a topological order: ``v`` is ready once its
     last in-edge reaches the frontier, and ready vertices are placed last
-    in, first out.  In a planar st-graph the in-edge order and the faces
+    in, first out.  In a planar st-graph the in-edge ends and the faces
     do not depend on which topological order the sweep follows.  A vertex
     that never becomes ready lies on or after a directed cycle.  When an
     in-block is not contiguous, a full toposort first looks for a cycle,
@@ -208,7 +210,8 @@ def _frontier_sweep(s, head, out_start, in_deg, in_start):
     prv = list(range(-1, m - 1))
     rgap = list(range(m))
     corner_dir = [0] * m
-    in_edges = [0] * m
+    first_in = [-1] * len(in_deg)
+    last_in = first_in[:]
     waiting = in_deg[:]  # in-edges of each vertex not yet on the frontier
     ready = []  # per ready vertex, the in-edge that reached the frontier last
 
@@ -228,20 +231,21 @@ def _frontier_sweep(s, head, out_start, in_deg, in_start):
         while left >= 0 and head[left] == v:
             lo = left
             left = prv[lo]
-        # the block runs from lo to last; it fills v's slots of in_edges
-        k = in_start[v]
-        in_edges[k] = last = lo
+        # the block of k edges runs from lo to last
+        first_in[v] = last = lo
+        k = 1
         right = nxt[lo]
         while right >= 0 and head[right] == v:
             g = rgap[last]
             corner_dir[g] = (head[g + 1] == v) - (head[g] == v)
             k += 1
-            in_edges[k] = last = right
+            last = right
             right = nxt[right]
-        if k + 1 != in_start[v + 1]:
-            _topological_order(out_start, head, in_deg)  # raises on a cycle
+        if k != in_deg[v]:
+            _topological_order(out_start, head)  # raises on a cycle
             raise NotPlanarEmbedding(
                 f"incoming edges of {v} are not consecutive on the frontier")
+        last_in[v] = last
         f0, f1 = out_start[v], out_start[v + 1] - 1
         if f0 <= f1:
             prv[f0], nxt[f1] = left, right
@@ -252,7 +256,7 @@ def _frontier_sweep(s, head, out_start, in_deg, in_start):
                 prv[right] = f1
     if any(waiting):
         raise NotAcyclic("successor lists contain a directed cycle")
-    return in_edges, tuple(corner_dir)
+    return tuple(first_in), tuple(last_in), tuple(corner_dir)
 
 
 @_gc_paused
@@ -284,14 +288,13 @@ def build_graph(n: int, s: VertexId, t: VertexId,
     if out_start[t] != out_start[t + 1]:
         raise MultipleSourcesOrSinks("t has outgoing edges")
 
-    in_start = list(accumulate(in_deg, initial=0))
-    in_edges, corner_dir = _frontier_sweep(s, head, out_start, in_deg,
-                                           in_start)
+    first_in, last_in, corner_dir = _frontier_sweep(s, head, out_start,
+                                                    in_deg)
 
     return EmbeddedStGraph(
         n=n, s=s, t=t, tail=tuple(tail), head=tuple(head),
-        out_start=tuple(out_start), in_edges=tuple(in_edges),
-        in_start=tuple(in_start), corner_dir=corner_dir,
+        out_start=tuple(out_start), first_in=first_in, last_in=last_in,
+        corner_dir=corner_dir,
     )
 
 
@@ -303,15 +306,15 @@ def _face_chains(g: EmbeddedStGraph):
     sink, the first vertex that it enters other than by that vertex's last
     (left chain) or first (right chain) in-edge.  O(m) in all.
     """
-    tail, head = g.tail, g.head
-    out_start, in_edges, in_start = g.out_start, g.in_edges, g.in_start
+    tail, head, out_start = g.tail, g.head, g.out_start
     for c in compress(range(g.m - 1), map(eq, tail, tail[1:])):
         chains = ([c], [c + 1])
-        for chain, last in zip(chains, (1, 0)):
-            e = chain[0]
-            while in_edges[in_start[head[e] + last] - last] == e:
+        for edges, end_in, last in zip(chains, (g.last_in, g.first_in),
+                                       (1, 0)):
+            e = edges[0]
+            while end_in[head[e]] == e:
                 e = out_start[head[e] + last] - last
-                chain.append(e)
+                edges.append(e)
         yield c, *chains
 
 

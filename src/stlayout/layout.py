@@ -115,13 +115,13 @@ def draw_straightline(g: EmbeddedStGraph,
     nxt[VL], nxt[v1], prv[v1], prv[VR] = v1, VR, VL, v1
 
     head, tail = g.head, g.tail
-    out_start, in_edges, in_start = g.out_start, g.in_edges, g.in_start
+    out_start, first_in, last_in = g.out_start, g.first_in, g.last_in
 
     for k in range(2, n + 1):
         vk = order[k - 1]
-        first = in_edges[in_start[vk]]
+        first = first_in[vk]
         wl = tail[first]
-        wr = tail[in_edges[in_start[vk + 1] - 1]]
+        wr = tail[last_in[vk]]
         if wl == wr:
             # vk's one in-edge is from w.  Its row is verified bitonic, so
             # on one side at least, vk ends the row or has a placed neighbour

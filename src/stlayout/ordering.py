@@ -79,9 +79,7 @@ def find_bitonic_ordering(g: EmbeddedStGraph):
     corner_dir, head, starts = g.corner_dir, g.head, g.out_start
 
     aug: list[tuple[int, int]] = []
-    # the ranking's adjacency and in-degrees, gap edges included
-    extra: dict[int, list[int]] = {}
-    in_deg = [b - a for a, b in zip(g.in_start, g.in_start[1:])]
+    extra: dict[int, list[int]] = {}  # the gap edges, by tail
     for u in range(g.n):
         e0, e1 = starts[u], starts[u + 1]
         first_desc = 0  # 1-based position of the first descent, if any
@@ -98,9 +96,7 @@ def find_bitonic_ordering(g: EmbeddedStGraph):
                 a, b = (vnext, vi) if first_desc else (vi, vnext)
                 aug.append((a, b))
                 extra.setdefault(a, []).append(b)
-                in_deg[b] += 1
-    return BitonicOrdering(order=_topological_order(starts, head, in_deg,
-                                                    extra),
+    return BitonicOrdering(order=_topological_order(starts, head, extra),
                            augment_edges=tuple(aug))
 
 

@@ -84,8 +84,9 @@ def apply_splits(g: EmbeddedStGraph, plan: SplitPlan) -> EmbeddedStGraph:
     A split is a subdivision, so the embedding carries over and the split
     graph extends the arrays of ``g``.  The ``i``-th split edge keeps its
     id and ends at ``d = g.n + i``; the new edge ``(d, v)`` gets id
-    ``g.m + i`` and the split edge's place in the in-order of ``v``.  An
-    empty plan returns ``g`` itself.
+    ``g.m + i`` and takes the split edge's place as the first or last
+    in-edge of ``v``, where the split edge was one.  An empty plan returns
+    ``g`` itself.
     """
     split = plan.split_edges
     if not split:
@@ -109,8 +110,8 @@ def apply_splits(g: EmbeddedStGraph, plan: SplitPlan) -> EmbeddedStGraph:
     return replace(
         g, n=n + k, tail=g.tail + tuple(range(n, n + k)),
         head=tuple(head) + heads, out_start=g.out_start + one_each,
-        in_edges=tuple(map(lower.get, g.in_edges, g.in_edges)) + tuple(split),
-        in_start=g.in_start + one_each,
+        first_in=tuple(map(lower.get, g.first_in, g.first_in)) + split,
+        last_in=tuple(map(lower.get, g.last_in, g.last_in)) + split,
         corner_dir=tuple(corner_dir) + (0,) * k)
 
 

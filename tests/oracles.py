@@ -8,6 +8,8 @@
 * ``minimum_splits_bruteforce``: all edge subsets up to a budget.
 * ``face_sink``: the sink of the face between two consecutive successors.
 * ``gap_faces``: the inner face of every gap edge the ordering adds.
+* ``in_order``: the left-to-right in-edges of every vertex, read off a
+  plain frontier list; the graph stores only the two ends of each.
 * ``succ``, ``edges``, ``pred_ltr`` and ``left_right_counts``: readable
   views of a graph's arrays and corner directions, for assertions.
 * ``has_edge``, ``inner_faces``, ``reachable`` (a plain DFS) and
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 from stlayout import (BitonicOrdering, EmbeddedStGraph, FaceIndex,
                       StGraphError, apply_splits, build_graph,
@@ -185,6 +188,36 @@ def gap_faces(g: EmbeddedStGraph) -> tuple[int, ...]:
                  if g.tail[e] == g.tail[e + 1] and g.corner_dir[e] == 0)
 
 
+def in_order(g: EmbeddedStGraph) -> list[list[int]]:
+    """The in-edge ids of every vertex, from left to right.
+
+    The vertices are placed in first-in, first-out Kahn order on a plain
+    list of the pending edges, left to right.  Each vertex's in-edges
+    must lie side by side there; they are its in-order, and its
+    out-edges take their place.  O(n) per vertex.
+    """
+    head, starts = g.head, g.out_start
+    waiting = [0] * g.n
+    for v in head:
+        waiting[v] += 1
+    order = [[] for _ in range(g.n)]
+    frontier: list[int] = []
+    queue = deque([g.s])
+    while queue:
+        v = queue.popleft()
+        at = [i for i, e in enumerate(frontier) if head[e] == v]
+        i = at[0] if at else 0
+        assert at == list(range(i, i + len(at))), f"in-edges of {v} apart"
+        out = range(starts[v], starts[v + 1])
+        order[v] = frontier[i:i + len(at)]
+        frontier[i:i + len(at)] = out
+        for e in out:
+            waiting[head[e]] -= 1
+            if not waiting[head[e]]:
+                queue.append(head[e])
+    return order
+
+
 def succ(g: EmbeddedStGraph) -> list[list[int]]:
     """The clockwise successor list of each vertex, as new lists."""
     head, starts = g.head, g.out_start
@@ -201,14 +234,13 @@ def split_dummies(g: EmbeddedStGraph,
     """``{d: (u, v)}`` for each dummy ``d`` of ``h``, a split graph of
     ``g``: the edge of ``g`` that ``d`` subdivides, read off ``h``'s
     arrays (the tail of ``d``'s in-edge, the head of its out-edge)."""
-    return {d: (h.tail[h.in_edges[h.in_start[d]]], h.head[h.out_start[d]])
+    return {d: (h.tail[h.first_in[d]], h.head[h.out_start[d]])
             for d in range(g.n, h.n)}
 
 
-def pred_ltr(g: EmbeddedStGraph, v: int) -> list[int]:
-    """The predecessors of ``v``, from left to right."""
-    ids = g.in_edges[g.in_start[v]:g.in_start[v + 1]]
-    return [g.tail[e] for e in ids]
+def pred_ltr(g: EmbeddedStGraph) -> list[list[int]]:
+    """The predecessors of every vertex, from left to right."""
+    return [[g.tail[e] for e in row] for row in in_order(g)]
 
 
 def left_right_counts(g: EmbeddedStGraph, u: int):

@@ -21,7 +21,7 @@ from stlayout.splitting import plan_to_text
 from conftest import (LINEAR_GATE, all_fixture_graphs, doubling_ratios, fan,
                       timed)
 from oracles import (exists_bitonic_bruteforce, face_sink,
-                     minimum_splits_bruteforce, pred_ltr, succ)
+                     minimum_splits_bruteforce, succ)
 
 
 def report(capsys, num, name, ok, detail=""):
@@ -44,10 +44,9 @@ def small_corpus(sizes, seeds):
 
 def descendants(g):
     """Reachability bitmasks per vertex (independent of face machinery)."""
-    in_deg = [len(pred_ltr(g, v)) for v in range(g.n)]
     rows = succ(g)
     desc = [0] * g.n
-    for u in reversed(_topological_order(g.out_start, g.head, in_deg)):
+    for u in reversed(_topological_order(g.out_start, g.head)):
         mask = 1 << u
         for v in rows[u]:
             mask |= desc[v]

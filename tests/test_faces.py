@@ -1,6 +1,6 @@
 """The face structure against independent references.
 
-``build_graph`` derives the in-edge orders and the corner directions in
+``build_graph`` derives the in-edge ends and the corner directions in
 one sweep, and ``compute_faces`` derives the faces from the graph's
 arrays on demand.  These tests compare both, on graphs and on split
 graphs, with a dart-by-dart face trace (``oracles``) and with networkx's
@@ -26,7 +26,7 @@ from stlayout import (BitonicOrdering, GeneratorConfig, NotPlanarEmbedding,
 from stlayout.generate import add_random_chords
 from conftest import all_fixture_graphs, corpus, fan, zig
 from oracles import (NotEmbedded, dart_trace_faces, face_index_fields,
-                     pred_ltr, succ)
+                     in_order, pred_ltr, succ)
 
 
 def random_dag(rng):
@@ -113,15 +113,10 @@ def face_graphs():
     return graphs
 
 
-def in_ltr(g):
-    """The left-to-right in-edge ids of every vertex, one row each."""
-    return [g.in_edges[a:b] for a, b in zip(g.in_start, g.in_start[1:])]
-
-
 def assert_matches_dart_trace(g):
     """``compute_faces(g)`` and ``g.corner_dir`` equal the dart trace of
     the rotation system of ``g``."""
-    want = dart_trace_faces(g.n, g.s, g.t, succ(g), in_ltr(g))
+    want = dart_trace_faces(g.n, g.s, g.t, succ(g), in_order(g))
     assert face_index_fields(g) == dict(want, faces=len(want["faces"]))
     assert compute_faces(g).faces == tuple(tuple(sorted(c))
                                            for c in want["faces"])
@@ -164,8 +159,8 @@ def check_with_networkx(g):
     """The full rotation of ``g`` is a planar embedding with m - n + 2
     faces, as many as ``compute_faces`` has."""
     nx = pytest.importorskip("networkx")
-    rotation = {v: row + pred_ltr(g, v)[::-1]
-                for v, row in enumerate(succ(g))}
+    rotation = {v: row + pred[::-1]
+                for v, (row, pred) in enumerate(zip(succ(g), pred_ltr(g)))}
     emb = nx.PlanarEmbedding()
     emb.set_data(rotation)
     emb.check_structure()

@@ -5,17 +5,19 @@ from __future__ import annotations
 import pytest
 
 from stlayout import (GraphFormatError, MultipleSourcesOrSinks, NotAcyclic,
-                      NotPlanarEmbedding, ParallelEdge, build_graph,
-                      compute_faces)
+                      NotPlanarEmbedding, ParallelEdge, apply_splits,
+                      build_graph, compute_faces, minimum_split_plan,
+                      transitive_split_plan)
 from stlayout.graph import _topological_order
-from conftest import corpus
-from oracles import edges, face_sink, inner_faces, pred_ltr, reachable
+from conftest import all_fixture_graphs, corpus, fan
+from oracles import (edges, face_sink, in_order, inner_faces, pred_ltr,
+                     reachable)
 
 
 def test_triangle_structure(triangle):
     assert triangle.n == 3 and triangle.m == 3
     assert edges(triangle) == [(0, 1), (0, 2), (1, 2)]
-    assert pred_ltr(triangle, 2) == [1, 0]
+    assert pred_ltr(triangle)[2] == [1, 0]
 
 
 def test_single_edge(single_edge):
@@ -110,8 +112,7 @@ def test_mirrored_rotations_still_embed():
 
 
 def test_topo_order_places_the_vertex_readied_last_first(sixteen):
-    in_deg = [len(pred_ltr(sixteen, v)) for v in range(sixteen.n)]
-    order = _topological_order(sixteen.out_start, sixteen.head, in_deg)
+    order = _topological_order(sixteen.out_start, sixteen.head)
     pos = {v: i for i, v in enumerate(order)}
     for u, v in edges(sixteen):
         assert pos[u] < pos[v]
@@ -119,20 +120,37 @@ def test_topo_order_places_the_vertex_readied_last_first(sixteen):
     # the diamond 0 -> {1, 2} -> 3: 0 readies 1 and then 2, so 2 comes
     # next, where the smallest ready id would be 1
     diamond = build_graph(4, 0, 3, [[1, 2], [3], [3], []])
-    assert _topological_order(diamond.out_start, diamond.head,
-                              [0, 1, 1, 2]) == [0, 2, 1, 3]
+    assert _topological_order(diamond.out_start,
+                              diamond.head) == [0, 2, 1, 3]
     # extra successors come after the successor list: 0 -> 1, then 2
     # through extra[0]
-    assert _topological_order((0, 1, 2, 3, 3), (1, 3, 3), [0, 1, 1, 2],
+    assert _topological_order((0, 1, 2, 3, 3), (1, 3, 3),
                               {0: [2]}) == [0, 2, 1, 3]
 
 
 def test_flat_arrays_of_f1(f1):
     assert f1.out_start == (0, 3, 4, 6, 7, 7)
     assert f1.head == (1, 2, 3, 4, 1, 3, 4)
-    assert f1.in_start == (0, 0, 2, 3, 5, 7)
-    # in-edges of 4 from left to right: (1, 4), then (3, 4)
-    assert f1.in_edges[5:7] == (3, 6) and pred_ltr(f1, 4) == [1, 3]
+    # in-edges of 3 from left to right: (2, 3), then (0, 3)
+    assert in_order(f1) == [[], [0, 4], [1], [5, 2], [3, 6]]
+    assert pred_ltr(f1)[3] == [2, 0]
+    assert f1.first_in == (-1, 0, 1, 5, 3)
+    assert f1.last_in == (-1, 4, 1, 2, 6)
+
+
+def test_first_and_last_in_edges_end_the_in_order():
+    graphs = all_fixture_graphs()
+    graphs += corpus(sizes=(5, 10, 25, 50, 100), seeds=range(4))
+    graphs += [fan(k) for k in (50, 2000)]
+    split = 0
+    for g in graphs:
+        for plan in (None, minimum_split_plan(g), transitive_split_plan(g)):
+            h = apply_splits(g, plan) if plan else g
+            split += h is not g
+            rows = in_order(h)
+            assert h.first_in == tuple(row[0] if row else -1 for row in rows)
+            assert h.last_in == tuple(row[-1] if row else -1 for row in rows)
+    assert split > 50
 
 
 def test_generated_graphs_validate():
