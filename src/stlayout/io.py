@@ -111,7 +111,7 @@ def graph_from_json(text: str) -> EmbeddedStGraph:
     if not (isinstance(succ, list)
             and all(isinstance(row, list) for row in succ)):
         raise GraphFormatError("bad JSON graph: succ must be a list of lists")
-    for value in (n, s, t, *chain.from_iterable(succ)):
+    for value in chain((n, s, t), chain.from_iterable(succ)):
         if type(value) is not int:  # a bool, float, string or null
             raise GraphFormatError(
                 f"bad JSON graph: n, s, t and successors must be integers, "

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import lt
+from operator import ge, lt
 
 from .graph import EmbeddedStGraph, _gather, _topological_order
 
@@ -53,20 +53,15 @@ class RejectionWitness:
 
 
 def is_bitonic(seq) -> bool:
-    """True iff ``seq`` strictly rises to an apex and strictly falls after.
-
-    Elements must be pairwise distinct.  Equivalent formulation: no descent
-    is ever followed by an ascent.
+    """True iff ``seq`` strictly rises to its first maximum and never
+    rises after it: no step that does not rise is followed by one that
+    does.  For pairwise distinct elements, a strict rise and then a strict
+    fall.
     """
-    seq = list(seq)
-    descended = False
-    for a, b in zip(seq, seq[1:]):
-        if a < b:
-            if descended:
-                return False
-        else:
-            descended = True
-    return True
+    seq = tuple(seq)  # no copy of a tuple, such as a row of ranks
+    top = seq.index(max(seq)) if seq else 0
+    return (all(map(lt, seq[:top], seq[1:top + 1]))
+            and all(map(ge, seq[top:], seq[top + 1:])))
 
 
 def find_bitonic_ordering(g: EmbeddedStGraph):

@@ -23,6 +23,11 @@ def test_is_bitonic_basics():
     assert is_bitonic([1, 3, 2])
     assert not is_bitonic([2, 1, 3])
     assert not is_bitonic([1, 4, 2, 5, 3])
+    # equal neighbours: a rise must be strict, a fall need not be
+    assert is_bitonic([2, 2])
+    assert is_bitonic([1, 2, 2])
+    assert not is_bitonic([1, 1, 2])
+    assert not is_bitonic([3, 1, 3])
 
 
 def test_triangle_accepts(triangle):
