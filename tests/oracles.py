@@ -194,7 +194,7 @@ def in_order(g: EmbeddedStGraph) -> list[list[int]]:
     The vertices are placed in first-in, first-out Kahn order on a plain
     list of the pending edges, left to right.  Each vertex's in-edges
     must lie side by side there; they are its in-order, and its
-    out-edges take their place.  O(n) per vertex.
+    out-edges take their place.  O(m) per vertex.
     """
     head, starts = g.head, g.out_start
     waiting = [0] * g.n

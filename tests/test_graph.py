@@ -144,8 +144,8 @@ def test_first_and_last_in_edges_end_the_in_order():
     graphs += [fan(k) for k in (50, 2000)]
     split = 0
     for g in graphs:
-        for plan in (None, minimum_split_plan(g), transitive_split_plan(g)):
-            h = apply_splits(g, plan) if plan else g
+        for h in (g, apply_splits(g, minimum_split_plan(g)),
+                  apply_splits(g, transitive_split_plan(g))):
             split += h is not g
             rows = in_order(h)
             assert h.first_in == tuple(row[0] if row else -1 for row in rows)
