@@ -100,7 +100,22 @@ def draw_straightline(g: EmbeddedStGraph,
 
     n = g.n
     pi, order = ord.pi, ord.order
-    VL, VR = n, n + 1
+    tail, head = g.tail, g.head
+
+    # the contour works on ranks, not vertex ids: ranks 1..n, with the two
+    # sentinels at 0 (left) and n + 1 (right).  Contour neighbours are
+    # placed close together in time, so these arrays are read close
+    # together in memory, however the graph numbers its vertices.  Every
+    # per-vertex and per-edge fact the loop reads is first gathered into
+    # rank or edge order.  No vertex has rank 0, so the 0 appended to each
+    # edge array ends a row both after edge m - 1 and, read at index -1,
+    # before edge 0.
+    head_rank = _gather(pi, head) + (0,)
+    tail_rank = _gather(pi, tail) + (0,)
+    firsts = _gather(g.first_in, order)
+    wls = _gather(tail_rank, firsts)
+    wrs = _gather(tail_rank, _gather(g.last_in, order))
+    VL, VR = 0, n + 1
 
     xoff = [0] * (n + 2)
     yabs = [0] * (n + 2)
@@ -108,31 +123,24 @@ def draw_straightline(g: EmbeddedStGraph,
     prv = [-1] * (n + 2)
     parent = [-1] * (n + 2)
 
-    v1 = order[0]
-    xoff[VL], yabs[VL] = 0, 0
-    xoff[v1], yabs[v1] = 1, 1
-    xoff[VR], yabs[VR] = 1, 0
-    nxt[VL], nxt[v1], prv[v1], prv[VR] = v1, VR, VL, v1
-
-    head, tail = g.head, g.tail
-    out_start, first_in, last_in = g.out_start, g.first_in, g.last_in
+    xoff[1], yabs[1] = 1, 1
+    xoff[VR] = 1
+    nxt[VL], nxt[1], prv[1], prv[VR] = 1, VR, VL, 1
 
     for k in range(2, n + 1):
-        vk = order[k - 1]
-        first = first_in[vk]
-        wl = tail[first]
-        wr = tail[last_in[vk]]
+        wl = wls[k - 1]
+        wr = wrs[k - 1]
         if wl == wr:
-            # vk's one in-edge is from w.  Its row is verified bitonic, so
-            # on one side at least, vk ends the row or has a placed neighbour
-            w = wl
-            if first == out_start[w] or pi[head[first - 1]] <= k:
-                wl = prv[w]
-            if first == out_start[w + 1] - 1 or pi[head[first + 1]] <= k:
-                wr = nxt[w]
+            # k's one in-edge is from w.  Its row is verified bitonic, so
+            # on one side at least, k ends the row or has a placed neighbour
+            first = firsts[k - 1]
+            if tail_rank[first - 1] != wl or head_rank[first - 1] <= k:
+                wl = prv[wl]
+            if tail_rank[first + 1] != wr or head_rank[first + 1] <= k:
+                wr = nxt[wr]
 
         # walk the run strictly between wl and wr twice: once to sum its
-        # offsets, once to make them relative to vk
+        # offsets, once to make them relative to k
         d = 0
         node = nxt[wl]
         while node != wr:
@@ -141,20 +149,20 @@ def draw_straightline(g: EmbeddedStGraph,
         d += xoff[wr] + 2
 
         # x + y is even at every contour vertex, so both halves are exact
-        x_vk = (d + yabs[wr] - yabs[wl]) // 2
-        yabs[vk] = (d + yabs[wr] + yabs[wl]) // 2
+        x_k = (d + yabs[wr] - yabs[wl]) // 2
+        yabs[k] = (d + yabs[wr] + yabs[wl]) // 2
 
-        acc = 1 - x_vk
+        acc = 1 - x_k
         node = nxt[wl]
         while node != wr:
-            parent[node] = vk
+            parent[node] = k
             acc += xoff[node]
             xoff[node] = acc
             node = nxt[node]
-        xoff[vk] = x_vk
-        xoff[wr] = d - x_vk
-        nxt[wl], prv[vk] = vk, wl
-        nxt[vk], prv[wr] = wr, vk
+        xoff[k] = x_k
+        xoff[wr] = d - x_k
+        nxt[wl], prv[k] = k, wl
+        nxt[k], prv[wr] = wr, k
 
     # resolve offsets: along the final contour, then down the shift tree
     xabs = [0] * (n + 2)
@@ -165,13 +173,15 @@ def draw_straightline(g: EmbeddedStGraph,
         xabs[node] = run
         node = nxt[node]
     for k in range(n, 0, -1):
-        vk = order[k - 1]
-        if parent[vk] != -1:
-            xabs[vk] = xoff[vk] + xabs[parent[vk]]
+        if parent[k] != -1:
+            xabs[k] = xoff[k] + xabs[parent[k]]
 
-    xs, ys = xabs[:n], yabs[:n]
-    coords = tuple(zip(map(sub, xs, repeat(min(xs), n)),
-                       map(sub, ys, repeat(min(ys), n))))
+    # points in rank order, then each vertex picks its own; slot 0 is the
+    # left sentinel's, which no vertex picks
+    dx, dy = min(xabs[1:n + 1]), min(yabs[1:n + 1])
+    points = tuple(zip(map(sub, xabs, repeat(dx, n + 1)),
+                       map(sub, yabs, repeat(dy, n + 1))))
+    coords = _gather(points, pi)
     return GridDrawing(coords=coords, tail=tail, head=head)
 
 

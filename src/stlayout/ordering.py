@@ -101,10 +101,11 @@ def verify_bitonic_ordering(g: EmbeddedStGraph, ord: BitonicOrdering) -> bool:
     Does not consult the augmentation edges.
     """
     order = ord.order
-    if (len(order) != g.n or len(set(order)) != g.n
-            or min(order) < 0 or max(order) >= g.n):
+    if len(order) != g.n or min(order) < 0 or max(order) >= g.n:
         return False
     pi = ord.pi
+    if 0 in pi:  # a vertex listed twice leaves another one unranked
+        return False
     ranks = _gather(pi, g.head)
     if not all(map(lt, _gather(pi, g.tail), ranks)):
         return False
