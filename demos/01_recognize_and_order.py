@@ -32,4 +32,4 @@ print("f1 verdict:", witness_to_text(res).strip())
 split_f1 = build_graph(6, 0, 4, [[1, 2, 5], [4], [1, 3], [4], [], [3]])
 res = find_bitonic_ordering(split_f1)
 print("split f1 ordering:")
-print(ordering_to_text(split_f1, res))
+print(ordering_to_text(res))

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: check, order, split, draw, validate, gen, bench.
-Exit codes: 0 success, 1 rejection (check of a non-bitonic graph, a
-drawing that fails validation or a bench drawing that fails its checks),
-2 malformed input or a file that cannot be read or written.
+Exit codes: 0 success, 1 rejection (check, order or straight-line draw
+of a non-bitonic graph, a drawing that fails validation or a bench
+drawing that fails its checks), 2 malformed input or a file that cannot
+be read or written.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def _cmd_order(args) -> int:
             sys.stdout.write(witness_to_text(res))
             return 1
         if args.command != "draw":
-            sys.stdout.write(ordering_to_text(g, res)
+            sys.stdout.write(ordering_to_text(res)
                              if args.command == "order" else "accept\n")
             return 0
         d = draw_straightline(g, res)

@@ -18,8 +18,8 @@ from operator import itemgetter, lt, sub
 
 from .errors import OrderingInvalid
 from .graph import EmbeddedStGraph, _gather, _gc_paused
-from .ordering import (BitonicOrdering, RejectionWitness,
-                       find_bitonic_ordering, verify_bitonic_ordering)
+from .ordering import (BitonicOrdering, RejectionWitness, _edge_ranks,
+                       find_bitonic_ordering)
 from .splitting import apply_splits, minimum_split_plan
 
 Point = tuple[int, int]
@@ -95,23 +95,22 @@ def _mismatch(d: GridDrawing, g: EmbeddedStGraph) -> str | None:
 def draw_straightline(g: EmbeddedStGraph,
                       ord: BitonicOrdering) -> GridDrawing:
     """Run the contour shifting method for a verified bitonic ordering."""
-    if not verify_bitonic_ordering(g, ord):
+    if (ranks := _edge_ranks(g, ord)) is None:
         raise OrderingInvalid("not a bitonic st-ordering for this graph")
+    tail_rank, head_rank = ranks
 
     n = g.n
     pi, order = ord.pi, ord.order
-    tail, head = g.tail, g.head
 
     # the contour works on ranks, not vertex ids: ranks 1..n, with the two
     # sentinels at 0 (left) and n + 1 (right).  Contour neighbours are
     # placed close together in time, so these arrays are read close
     # together in memory, however the graph numbers its vertices.  Every
     # per-vertex and per-edge fact the loop reads is first gathered into
-    # rank or edge order.  No vertex has rank 0, so the 0 appended to each
-    # edge array ends a row both after edge m - 1 and, read at index -1,
-    # before edge 0.
-    head_rank = _gather(pi, head) + (0,)
-    tail_rank = _gather(pi, tail) + (0,)
+    # rank or edge order, the ranks of the edges' ends by the check.  No
+    # vertex has rank 0, so the 0 after tail_rank ends a row both after
+    # edge m - 1 and, read at index -1, before edge 0; head_rank[first ± 1]
+    # is read only once tail_rank[first ± 1] has matched.
     firsts = _gather(g.first_in, order)
     wls = _gather(tail_rank, firsts)
     wrs = _gather(tail_rank, _gather(g.last_in, order))
@@ -182,7 +181,7 @@ def draw_straightline(g: EmbeddedStGraph,
     points = tuple(zip(map(sub, xabs, repeat(dx, n + 1)),
                        map(sub, yabs, repeat(dy, n + 1))))
     coords = _gather(points, pi)
-    return GridDrawing(coords=coords, tail=tail, head=head)
+    return GridDrawing(coords=coords, tail=g.tail, head=g.head)
 
 
 @_gc_paused

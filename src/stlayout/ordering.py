@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import ge, lt
+from operator import gt, lt
 
 from .graph import EmbeddedStGraph, _gather, _topological_order
 
@@ -52,18 +52,6 @@ class RejectionWitness:
     j: int
 
 
-def is_bitonic(seq) -> bool:
-    """True iff ``seq`` strictly rises to its first maximum and never
-    rises after it: no step that does not rise is followed by one that
-    does.  For pairwise distinct elements, a strict rise and then a strict
-    fall.
-    """
-    seq = tuple(seq)  # no copy of a tuple, such as a row of ranks
-    top = seq.index(max(seq)) if seq else 0
-    return (all(map(lt, seq[:top], seq[1:top + 1]))
-            and all(map(ge, seq[top:], seq[top + 1:])))
-
-
 def find_bitonic_ordering(g: EmbeddedStGraph):
     """Recognize and order: returns a BitonicOrdering or RejectionWitness.
 
@@ -95,27 +83,38 @@ def find_bitonic_ordering(g: EmbeddedStGraph):
                            augment_edges=tuple(aug))
 
 
-def verify_bitonic_ordering(g: EmbeddedStGraph, ord: BitonicOrdering) -> bool:
-    """Independent check: st-ordering plus bitonic successor lists.
+def _edge_ranks(g: EmbeddedStGraph, ord: BitonicOrdering):
+    """``(tail_rank, head_rank)``, the ranks of each edge's ends in edge id
+    order, when ``ord`` is a bitonic st-ordering of ``g``; else None.
 
-    Does not consult the augmentation edges.
+    ``tail_rank`` ends in one extra 0.  Does not consult the gap edges.
     """
     order = ord.order
-    if len(order) != g.n or min(order) < 0 or max(order) >= g.n:
-        return False
+    # a vertex listed twice leaves another one unranked, at 0 in pi
+    if (len(order) != g.n or min(order) < 0 or max(order) >= g.n
+            or 0 in ord.pi):
+        return None
     pi = ord.pi
-    if 0 in pi:  # a vertex listed twice leaves another one unranked
-        return False
-    ranks = _gather(pi, g.head)
-    if not all(map(lt, _gather(pi, g.tail), ranks)):
-        return False
-    # a row of at most two distinct ranks is always bitonic
-    starts = g.out_start
-    return all(is_bitonic(ranks[a:b]) for a, b in zip(starts, starts[1:])
-               if b - a > 2)
+    head_rank = _gather(pi, g.head)
+    tail_rank = _gather(pi, g.tail) + (0,)
+    if not all(map(lt, tail_rank, head_rank)):
+        return None
+    # one step per edge: 1 where the next head ranks lower, 2 where the
+    # row ends.  A row's heads are distinct, so it is bitonic exactly when
+    # no fall is followed by a rise
+    steps = bytearray(map(gt, head_rank, head_rank[1:] + (0,)))
+    for e in g.out_start[1:]:
+        steps[e - 1] = 2
+    return None if b"\x01\x00" in steps else (tail_rank, head_rank)
 
 
-def ordering_to_text(g: EmbeddedStGraph, ord: BitonicOrdering) -> str:
+def verify_bitonic_ordering(g: EmbeddedStGraph, ord: BitonicOrdering) -> bool:
+    """Independent check, without the gap edges: st-ordering plus bitonic
+    successor lists."""
+    return _edge_ranks(g, ord) is not None
+
+
+def ordering_to_text(ord: BitonicOrdering) -> str:
     """One line ``rank v`` per vertex; gap edges as comments."""
     lines = [f"{rank} {v}" for rank, v in enumerate(ord.order, 1)]
     for a, b in ord.augment_edges:

@@ -4,6 +4,7 @@
   dart by dart and classified face by face, with Euler's formula and the
   per-face source/sink checks.  It is the reference for ``compute_faces``
   and for the graph's ``corner_dir``.
+* ``is_bitonic``: a sequence that strictly rises, then never rises.
 * ``exists_bitonic_bruteforce``: all topological orderings.
 * ``minimum_splits_bruteforce``: all edge subsets up to a budget.
 * ``face_sink``: the sink of the face between two consecutive successors.
@@ -33,7 +34,6 @@ from collections import deque
 from stlayout import (BitonicOrdering, EmbeddedStGraph, FaceIndex,
                       StGraphError, apply_splits, build_graph,
                       compute_faces, find_bitonic_ordering)
-from stlayout.ordering import is_bitonic
 from stlayout.splitting import SplitPlan
 
 
@@ -359,6 +359,18 @@ def add_random_chords(g: EmbeddedStGraph, count: int,
             if placed:
                 break
     return g
+
+
+def is_bitonic(seq) -> bool:
+    """True iff ``seq`` strictly rises to its first maximum and never
+    rises after it: no step that does not rise is followed by one that
+    does.  For pairwise distinct elements, a strict rise and then a strict
+    fall.
+    """
+    seq = list(seq)
+    top = seq.index(max(seq)) if seq else 0
+    return (all(a < b for a, b in zip(seq[:top], seq[1:top + 1]))
+            and all(a >= b for a, b in zip(seq[top:], seq[top + 1:])))
 
 
 def exists_bitonic_bruteforce(g: EmbeddedStGraph, max_n: int = 10) -> bool:

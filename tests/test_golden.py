@@ -72,7 +72,7 @@ def golden_graphs():
 def ordering_text(g, ord):
     if isinstance(ord, RejectionWitness):
         return witness_to_text(ord)
-    return ordering_to_text(g, ord) + repr(gap_faces(g))
+    return ordering_to_text(ord) + repr(gap_faces(g))
 
 
 def faces_text(g):

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from stlayout import (BitonicOrdering, RejectionWitness, apply_splits,
-                      build_graph, compute_faces, find_bitonic_ordering,
+from stlayout import (BitonicOrdering, OrderingInvalid, RejectionWitness,
+                      apply_splits, build_graph, compute_faces,
+                      draw_straightline, find_bitonic_ordering,
                       minimum_split_plan, verify_bitonic_ordering)
-from stlayout.ordering import is_bitonic, ordering_to_text, witness_to_text
-from conftest import corpus
+from stlayout.ordering import ordering_to_text, witness_to_text
+from conftest import corpus, fan
 from oracles import (TooLarge, augmented_graph, corner_pos_at,
-                     exists_bitonic_bruteforce, inner_faces, reachable, succ)
+                     exists_bitonic_bruteforce, inner_faces, is_bitonic,
+                     reachable, succ)
 
 
 def test_is_bitonic_basics():
@@ -129,6 +133,60 @@ def test_verify_rejects_wrong_orderings(triangle):
         assert verify_bitonic_ordering(triangle, bad) is False
 
 
+def random_topological_order(g, rng):
+    """Kahn's sort that takes a random ready vertex at every step."""
+    rows = succ(g)
+    deg = [0] * g.n
+    for v in g.head:
+        deg[v] += 1
+    ready = [v for v in range(g.n) if deg[v] == 0]
+    order = []
+    while ready:
+        u = ready.pop(rng.randrange(len(ready)))
+        order.append(u)
+        for v in rows[u]:
+            deg[v] -= 1
+            if deg[v] == 0:
+                ready.append(v)
+    return order
+
+
+def bitonic_oracle(g, order):
+    """Every edge rises in rank and every successor list is bitonic."""
+    pi = [0] * g.n
+    for rank, v in enumerate(order, 1):
+        pi[v] = rank
+    rows = succ(g)
+    return (all(pi[u] < pi[v] for u in range(g.n) for v in rows[u])
+            and all(is_bitonic([pi[v] for v in row]) for row in rows))
+
+
+def test_verify_agrees_with_the_oracle_on_random_orders():
+    graphs = corpus(sizes=(6, 10, 16, 24, 32, 40), seeds=range(8))
+    graphs += [apply_splits(g, minimum_split_plan(g)) for g in graphs]
+    graphs.append(fan(8))
+    rng = random.Random(23)
+    verdicts = []
+    for g in graphs:
+        for _ in range(14):
+            order = random_topological_order(g, rng)
+            got = verify_bitonic_ordering(
+                g, BitonicOrdering(order=order, augment_edges=()))
+            assert got == bitonic_oracle(g, order), (g.n, order)
+            verdicts.append(got)
+    assert True in verdicts and False in verdicts
+
+
+def test_f1_orders_fail_the_check(f1):
+    # f1 admits no bitonic ordering: v2, the middle of s's row, has paths
+    # to both its neighbours there, so it ranks below both
+    for order in ([0, 2, 1, 3, 4], [0, 2, 3, 1, 4]):
+        bad = BitonicOrdering(order=order, augment_edges=())
+        assert verify_bitonic_ordering(f1, bad) is False
+        with pytest.raises(OrderingInvalid):
+            draw_straightline(f1, bad)
+
+
 # the fixtures build fresh graphs that nothing mutates, so one set of them
 # can serve every example
 @settings(derandomize=True, database=None, max_examples=300,
@@ -148,7 +206,7 @@ def test_verify_rejects_every_non_permutation(triangle, single_edge, f1,
 
 def test_ordering_text_format(split_f1):
     res = find_bitonic_ordering(split_f1)
-    text = ordering_to_text(split_f1, res)
+    text = ordering_to_text(res)
     lines = text.splitlines()
     assert lines[0] == "1 0"
     assert lines[5] == "6 4"
