@@ -1,9 +1,10 @@
 """Embedded planar st-graphs: construction, validation and face structure.
 
-A graph is described by its clockwise successor lists alone.  The first
-and last incoming edge of every vertex and the path direction across every
-corner are derived in one sweep over the vertices in topological order,
-which maintains the left-to-right frontier of pending edges.  The checks:
+A graph is described by its clockwise successor lists alone.  One pass
+over them checks each successor, counts in-degrees and flattens them;
+one sweep over the vertices in topological order, keeping the frontier
+of pending edges from left to right, derives the first and last in-edge
+of every vertex and the path direction across every corner.  The checks:
 
   * no self-loops, no parallel edges
   * single source ``s``, single sink ``t``
@@ -121,25 +122,6 @@ class FaceIndex:
         return tuple(map(tuple, darts))
 
 
-def _check_basic(n, s, t, out_rotation):
-    if n < 2:
-        raise GraphFormatError("need at least 2 vertices")
-    if not (0 <= s < n and 0 <= t < n) or s == t:
-        raise GraphFormatError("invalid s/t")
-    if len(out_rotation) != n:
-        raise GraphFormatError("successor lists must cover every vertex")
-    for u, row in enumerate(out_rotation):
-        seen = set()
-        for v in row:
-            if not (0 <= v < n):
-                raise GraphFormatError(f"successor {v} of {u} out of range")
-            if v == u:
-                raise ParallelEdge(f"self-loop at {u}")
-            if v in seen:
-                raise ParallelEdge(f"parallel edge ({u}, {v})")
-            seen.add(v)
-
-
 def _topological_order(out_start, head, extra=None):
     """Kahn's topological order, last-ready-first, in O(n + m) time.
 
@@ -175,13 +157,18 @@ def _frontier_sweep(s, head, out_start, in_deg):
 
     The frontier holds the pending edges (tail placed, head not) from left
     to right as a doubly linked list over edge ids.  Each gap between two
-    adjacent frontier edges is an open inner face; ``rgap[f]`` names the
-    gap right of ``f`` by the corner ``e`` that opened it, between
-    out-edges ``e`` and ``e + 1``.  Placing ``v`` requires its incoming
-    edges to form one contiguous block, as long as its in-degree; the
-    block's two ends are the first and last in-edges of ``v``.  The gaps
-    inside the block close with sink ``v``, which decides their corner
-    directions; the out-edges of ``v`` replace the block.
+    adjacent frontier edges is an open inner face.  Placing ``v`` requires
+    its incoming edges to form one contiguous block, as long as its
+    in-degree; the block's two ends are the first and last in-edges of
+    ``v``.  The faces inside the block close with sink ``v``, and the
+    out-edges of ``v`` replace the block.
+
+    The directions are read off the block.  A face's left chain enters
+    its sink by an in-edge other than the last, its right chain by one
+    other than the first (:func:`_face_chains`).  So ``v`` is the sink of
+    the corner after each of its in-edges but the last (-1) and of the
+    corner before each but the first (+1).  Writes after a tail's last
+    out-edge hit no corner; those slots are reset to 0 after the sweep.
 
     Vertices are placed in a topological order: ``v`` is ready once its
     last in-edge reaches the frontier, and ready vertices are placed last
@@ -203,12 +190,10 @@ def _frontier_sweep(s, head, out_start, in_deg):
     = m - n + 2`` faces, as Euler's formula requires.
     """
     m = len(head)
-    # the out-edges of one tail start linked to each other and to their
-    # corner gaps; placing the tail only sets the two ends of the run.  The
-    # outer gap, right of the rightmost edge, is never closed or read.
+    # the out-edges of one tail start linked to each other; placing the
+    # tail only sets the two ends of the run
     nxt = list(range(1, m + 1))
     prv = list(range(-1, m - 1))
-    rgap = list(range(m))
     corner_dir = [0] * m
     first_in = [-1] * len(in_deg)
     last_in = first_in[:]
@@ -236,8 +221,9 @@ def _frontier_sweep(s, head, out_start, in_deg):
         k = 1
         right = nxt[lo]
         while right >= 0 and head[right] == v:
-            g = rgap[last]
-            corner_dir[g] = (head[g + 1] == v) - (head[g] == v)
+            # v is the sink of the corners after last and before right
+            corner_dir[last] = -1
+            corner_dir[right - 1] = 1
             k += 1
             last = right
             right = nxt[right]
@@ -249,13 +235,14 @@ def _frontier_sweep(s, head, out_start, in_deg):
         f0, f1 = out_start[v], out_start[v + 1] - 1
         if f0 <= f1:
             prv[f0], nxt[f1] = left, right
-            rgap[f1] = rgap[last]
             if left >= 0:
                 nxt[left] = f0
             if right >= 0:
                 prv[right] = f1
     if any(waiting):
         raise NotAcyclic("successor lists contain a directed cycle")
+    for e in out_start[1:]:
+        corner_dir[e - 1] = 0  # a tail's last out-edge has no corner after it
     return tuple(first_in), tuple(last_in), tuple(corner_dir)
 
 
@@ -267,16 +254,27 @@ def build_graph(n: int, s: VertexId, t: VertexId,
     Raises a specific :class:`StGraphError` subclass naming the first
     violated invariant.
     """
-    _check_basic(n, s, t, out_rotation)
-
+    if n < 2:
+        raise GraphFormatError("need at least 2 vertices")
+    if not (0 <= s < n and 0 <= t < n) or s == t:
+        raise GraphFormatError("invalid s/t")
+    if len(out_rotation) != n:
+        raise GraphFormatError("successor lists must cover every vertex")
     tail, head, out_start = [], [], [0]
+    in_deg, row_of = [0] * n, [-1] * n
     for u, row in enumerate(out_rotation):
+        for v in row:
+            if not (0 <= v < n):
+                raise GraphFormatError(f"successor {v} of {u} out of range")
+            if v == u:
+                raise ParallelEdge(f"self-loop at {u}")
+            if row_of[v] == u:  # the last row that named v
+                raise ParallelEdge(f"parallel edge ({u}, {v})")
+            row_of[v] = u
+            in_deg[v] += 1
         tail += repeat(u, len(row))
         head += row
         out_start.append(len(head))
-    in_deg = [0] * n
-    for v in head:
-        in_deg[v] += 1
 
     for v in range(n):
         if in_deg[v] == 0 and v != s:

@@ -101,8 +101,8 @@ def apply_splits(g: EmbeddedStGraph, plan: SplitPlan) -> EmbeddedStGraph:
     head, corner_dir = list(g.head), list(g.corner_dir)
     for i, e in enumerate(split):
         head[e] = n + i
-        # only u reaches d, so no corner path next to e runs into it; at
-        # e = 0, index -1 is the last edge's corner, which is always 0
+        # e is d's first and last in-edge, so no corner beside e has sink
+        # d; at e = 0, index -1 is the last edge's corner, which is always 0
         corner_dir[e - 1] = min(corner_dir[e - 1], 0)
         corner_dir[e] = max(corner_dir[e], 0)
     lower = dict(zip(split, range(m, m + k)))  # split edge -> (d, v)

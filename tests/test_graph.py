@@ -71,6 +71,29 @@ def test_rejects_parallel_and_loops():
         build_graph(3, 0, 2, [[1, 0], [2], []])
 
 
+def test_build_graph_names_the_first_fault():
+    # successors are checked row by row, each for range, self-loop and
+    # repeat in turn, all before sources and sinks
+    cases = [
+        ((3, 0, 2, [[1, 1], [9], []]), ParallelEdge, "parallel edge (0, 1)"),
+        ((3, 0, 2, [[9], [1], []]), GraphFormatError,
+         "successor 9 of 0 out of range"),
+        ((3, 0, 2, [[1, 1, 9], [9], []]), ParallelEdge,
+         "parallel edge (0, 1)"),
+        ((3, 0, 2, [[9, 1, 1], [9], []]), GraphFormatError,
+         "successor 9 of 0 out of range"),
+        ((3, 0, 2, [[0, 1, 1], [9], []]), ParallelEdge, "self-loop at 0"),
+        ((4, 0, 3, [[1, 2], [], [3, 3], []]), ParallelEdge,
+         "parallel edge (2, 3)"),
+        ((4, 0, 3, [[3], [3], [3, 3], []]), ParallelEdge,
+         "parallel edge (2, 3)"),
+    ]
+    for args, error, message in cases:
+        with pytest.raises(error) as info:
+            build_graph(*args)
+        assert type(info.value) is error and str(info.value) == message
+
+
 def test_rejects_extra_source_or_sink():
     with pytest.raises(MultipleSourcesOrSinks):
         build_graph(4, 0, 3, [[3], [3], [3], []])  # 1 and 2 are sources
@@ -136,6 +159,10 @@ def test_flat_arrays_of_f1(f1):
     assert pred_ltr(f1)[3] == [2, 0]
     assert f1.first_in == (-1, 0, 1, 5, 3)
     assert f1.last_in == (-1, 4, 1, 2, 6)
+    # 2 ~> 1 and 2 ~> 3 out of s's corners; no corner after a last out-edge
+    assert f1.corner_dir == (-1, 1, 0, 0, 0, 0, 0)
+    split = apply_splits(f1, minimum_split_plan(f1))
+    assert split.corner_dir == (-1, 0, 0, 0, 0, 0, 0, 0)
 
 
 def test_first_and_last_in_edges_end_the_in_order():
