@@ -1,20 +1,67 @@
 """Independent geometric verification of drawings.
 
-The checks here never reuse the layout machinery: each edge's pieces are
-built from its vertices' points and its bend, if it has one, upwardness
-is read off them directly, and planarity is decided by one plane sweep
-over exact integers, whatever the drawing's size.  The sweep sorts the
-grid points where pieces start or end once, in (y, x) order, and visits
-each once: it locates the point in the sweep status with one bisect on an
-orientation test, removes the pieces that end there and inserts those
-that start there as whole slices, and decides each pair of pieces that
-became neighbours with one more orientation test.  Every test is the
-sign of a cross product of the drawing's own coordinates.  A zero-length
-piece costs that lookup and nothing else.  Where exactly one piece ends,
-as at a bend or at a vertex of a path or a tree, the ending piece's
-status entry is already known, so the point needs no lookup: one piece
-starting there takes the entry over, and any other number replaces it in
-its block.
+The checks here never reuse the layout machinery: they read only the
+graph's arrays and the drawing, in exact integers.  Each bend is taken as
+a vertex of its edge, so a drawing is a straight-line drawing of the
+subdivided graph H, a planar st-graph with the graph's embedding and one
+piece per edge.  Distinct points and upwardness are read off the pieces
+directly.  Planarity is then certified from H's own faces in O(m) where
+it can be, and decided by one plane sweep otherwise.
+
+The face check walks every inner face once (``graph._face_chains``) and
+merges its left and right chain by y: every chain point strictly between
+the face's source and sink must lie strictly on its own side of the other
+chain's piece at that height, by one orientation test, or by an x
+comparison where the other chain has a point at the same height.
+
+Lemma.  If a straight-line drawing of a planar st-graph H has distinct
+points and strictly rising edges, and every inner face passes the face
+check, then no two edges meet except at an end they share.
+
+Proof.  In a face, x_R(y) - x_L(y) is linear between the heights of the
+chain points, zero at the source and the sink and, by the check, positive
+at every chain point in between; there is one, since H has no parallel
+edges.  So the left chain runs strictly left of the right one throughout.
+Now fix a height y0 and let S hold the vertices below y0, or those at or
+below it.  Edges rise, so S holds every predecessor of its vertices, and
+s but not t; the edges leaving S are the frontier of an st-sweep that has
+placed S (``graph._frontier_sweep``), so in embedding order each
+consecutive pair is the left and the right chain of one inner face with
+its source in S and its sink outside.  Read each such edge's x at y0:
+along the cut x never falls, and two consecutive edges tie only at their
+face's source or sink at height y0, an end they share there.  Suppose
+edges a and b meet at a point p at height y0 that is not an end they
+share; if they overlap, take p inside the overlap.  Points are distinct,
+so p is an end of at most one of them, and the other runs through p.
+Take S at or below y0 unless p is a head, below y0 if it is: then a and
+b both leave S with x = p.x at y0, so every edge between them in the cut
+has that x too, and each consecutive pair from a to b shares an end at
+height y0.  But the edge that runs through p has no end there.  Only
+consecutive edges of a cut are ever compared, and they bound an inner
+face, so the outer face needs no test.
+
+This is a linear-time check of a drawn subdivision in the sense of
+Devillers, Liotta, Preparata and Tamassia, "Checking the convexity of
+polytopes and the planarity of subdivisions" (Computational Geometry 11,
+1998), and a certifying check in the sense of McConnell, Mehlhorn, Naeher
+and Schweitzer, "Certifying algorithms" (Computer Science Review 5,
+2011).  It only ever certifies.  A drawing that fails it, with a downward
+piece, a shared point, a touch or a crossing, or planar but with a face
+drawn mirrored (another embedding), goes to the sweep, which decides the
+verdict and names the crossing pair.
+
+The sweep works on the pieces in edge order, each bent edge's two in its
+place.  It sorts the grid points where pieces start or end once, in
+(y, x) order, and visits each once: it locates the point in the sweep
+status with one bisect on an orientation test, removes the pieces that
+end there and inserts those that start there as whole slices, and
+decides each pair of pieces that became neighbours with one more
+orientation test.  Every test is the sign of a cross product of the
+drawing's own coordinates.  A zero-length piece costs that lookup and
+nothing else.  Where exactly one piece ends, as at a bend or at a vertex
+of a path or a tree, the ending piece's status entry is already known, so
+the point needs no lookup: one piece starting there takes the entry over,
+and any other number replaces it in its block.
 """
 
 from __future__ import annotations
@@ -27,7 +74,7 @@ from math import inf
 from operator import itemgetter, lt
 
 from .errors import MissingCoordinate
-from .graph import EmbeddedStGraph, _gather, _gc_paused
+from .graph import EmbeddedStGraph, _face_chains, _gather, _gc_paused
 from .layout import GridDrawing, _mismatch
 
 
@@ -66,6 +113,12 @@ def check_upward_planar(g: EmbeddedStGraph,
     """Every piece of every edge rises strictly, no two vertices or bends
     share a point, and no two pieces meet except at a shared endpoint.
 
+    When the points are distinct and every piece rises, the graph's faces
+    certify planarity in O(m) if each inner face's left chain runs
+    strictly left of its right chain (the lemma in the module docstring).
+    Only when they cannot does the plane sweep run, in O(m log m); it
+    alone finds a crossing and names the pair in the report.
+
     Raises :class:`MissingCoordinate` unless ``d`` has one point per vertex
     of ``g`` and ``g``'s edges.
     """
@@ -73,28 +126,17 @@ def check_upward_planar(g: EmbeddedStGraph,
         raise MissingCoordinate(why)
     violations = []
 
-    # node v lies at points[v], and piece i runs from node tails[i] to
-    # node heads[i]: the vertices and edges, and where edges are bent, the
-    # bends after the vertices and two pieces in each bent edge's place
-    points, tails, heads = d.coords, d.tail, d.head
-    if d.bend_points:
-        points = [*d.coords, *d.bends]
-        tails, heads, e0 = [], [], 0
-        for v, (e, _) in enumerate(d.bend_points, len(d.coords)):
-            tails += d.tail[e0:e]
-            tails += d.tail[e], v
-            heads += d.head[e0:e]
-            heads += v, d.head[e]
-            e0 = e + 1
-        tails += d.tail[e0:]
-        heads += d.head[e0:]
+    # node v lies at points[v]: the vertices, then the bends.  With each
+    # bend a vertex of its edge the drawing is a straight-line drawing of
+    # the subdivided graph, one piece per edge
+    points = [*d.coords, *d.bends] if d.bend_points else d.coords
+    tail, head, out_start, first_in, last_in = _subdivided(g, d)
     distinct = len(set(points)) == len(points)
     if not distinct:
         violations.append("two vertices or bends share a coordinate")
 
-    y = itemgetter(1)
-    upward = all(map(lt, map(y, _gather(points, tails)),
-                     map(y, _gather(points, heads))))
+    ys = list(map(itemgetter(1), points))
+    upward = all(map(lt, _gather(ys, tail), _gather(ys, head)))
     if not upward:  # one whole-list test; the loop words what failed
         for u, v, path in zip(g.tail, g.head, d.edge_paths):
             for a, b in pairwise(path):
@@ -103,13 +145,19 @@ def check_upward_planar(g: EmbeddedStGraph,
                                       f"not strictly upward")
                     break
 
-    crossing = _find_proper_intersection(points, tails, heads)
+    if distinct and upward and _faces_ordered(points, tail, head, out_start,
+                                              first_in, last_in):
+        crossing = None  # certified by the faces (module docstring)
+    else:
+        tails, heads = _pieces(d)
+        crossing = _find_proper_intersection(points, tails, heads)
+        if crossing is not None:
+            i, j = crossing
+            violations.append(
+                f"edge pieces {(points[tails[i]], points[heads[i]])} and "
+                f"{(points[tails[j]], points[heads[j]])} properly "
+                f"intersect")
     planar = crossing is None and distinct
-    if crossing is not None:
-        i, j = crossing
-        violations.append(
-            f"edge pieces {(points[tails[i]], points[heads[i]])} and "
-            f"{(points[tails[j]], points[heads[j]])} properly intersect")
 
     return ValidationReport(
         upward=upward,
@@ -139,6 +187,91 @@ def check_bounds(d: GridDrawing, n: int, mode: str) -> bool:
                 and d.height <= max(2 * n - 4, n - 1)
                 and bends <= max(n - 3, 0))
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _subdivided(g: EmbeddedStGraph, d: GridDrawing):
+    """The tail, head, out_start, first_in and last_in arrays of ``g`` with
+    each bend a vertex of its edge.  Bend ``k`` is node ``g.n + k``; a bent
+    edge keeps its id for its piece from its tail, and its piece from bend
+    ``k`` up is edge ``g.m + k``, so the edges stay numbered by tail and
+    then clockwise."""
+    if not d.bend_points:
+        return g.tail, g.head, g.out_start, g.first_in, g.last_in
+    n, m, k = g.n, g.m, len(d.bend_points)
+    bent = list(map(itemgetter(0), d.bend_points))
+    head = list(g.head)
+    for e, b in zip(bent, range(n, n + k)):
+        head[e] = b
+    head += _gather(g.head, bent)
+    upper = dict(zip(bent, range(m, m + k)))
+    return (g.tail + tuple(range(n, n + k)), head,
+            g.out_start + tuple(range(m + 1, m + k + 1)),
+            [*map(upper.get, g.first_in, g.first_in), *bent],
+            [*map(upper.get, g.last_in, g.last_in), *bent])
+
+
+def _faces_ordered(points, tail, head, out_start, first_in, last_in) -> bool:
+    """Whether every inner face's left chain runs strictly left of its right
+    chain at every height strictly between the face's source and sink, in
+    a straight-line drawing of the graph with these arrays whose nodes lie
+    at distinct ``points`` and whose edges rise.  O(m).
+
+    Each face's two chains are merged by y.  ``a`` and ``b`` are the last
+    points merged from the left and the right chain, ``l`` and ``r`` the
+    next ones.  A lower ``l`` must lie strictly left of the piece from
+    ``b`` to ``r``, a lower ``r`` strictly right of the piece from ``a`` to
+    ``l``; at equal heights ``l`` must lie left of ``r``, unless both are
+    the sink, the one point the chains share above the source.
+    """
+    at_head = _gather(points, head)
+    for c, left, right in _face_chains(tail, head, out_start, first_in,
+                                       last_in):
+        ax, ay = bx, by = points[tail[c]]
+        i = j = 0
+        lx, ly = at_head[left[0]]
+        rx, ry = at_head[right[0]]
+        while True:
+            if ly < ry:
+                if (rx - bx) * (ly - by) <= (ry - by) * (lx - bx):
+                    return False
+                ax, ay = lx, ly
+                i += 1
+                lx, ly = at_head[left[i]]
+            elif ry < ly:
+                if (lx - ax) * (ry - ay) >= (ly - ay) * (rx - ax):
+                    return False
+                bx, by = rx, ry
+                j += 1
+                rx, ry = at_head[right[j]]
+            elif lx < rx:
+                ax, ay, bx, by = lx, ly, rx, ry
+                i += 1
+                j += 1
+                lx, ly = at_head[left[i]]
+                rx, ry = at_head[right[j]]
+            elif lx == rx:  # the sink
+                break
+            else:
+                return False
+    return True
+
+
+def _pieces(d: GridDrawing):
+    """The tail and head node of every piece, in edge id order with each
+    bent edge's two pieces in its place; bend ``k`` is node
+    ``len(d.coords) + k``."""
+    if not d.bend_points:
+        return d.tail, d.head
+    tails, heads, e0 = [], [], 0
+    for v, (e, _) in enumerate(d.bend_points, len(d.coords)):
+        tails += d.tail[e0:e]
+        tails += d.tail[e], v
+        heads += d.head[e0:e]
+        heads += v, d.head[e]
+        e0 = e + 1
+    tails += d.tail[e0:]
+    heads += d.head[e0:]
+    return tails, heads
 
 
 _BLOCK = 256  # status block size; a block is split past twice this

@@ -13,14 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stlayout import (GeneratorConfig, GridDrawing, MissingCoordinate,
-                      build_graph, check_bounds, check_upward_planar,
-                      draw_polyline, drawing_from_text, find_bitonic_ordering,
-                      draw_straightline, generate_random_st_graph)
+                      RejectionWitness, apply_splits, build_graph,
+                      check_bounds, check_upward_planar, draw_polyline,
+                      drawing_from_text, find_bitonic_ordering,
+                      draw_straightline, generate_random_st_graph,
+                      minimum_split_plan)
 from stlayout import validate
 from stlayout.validate import _find_proper_intersection
 from conftest import LINEAR_GATE, comb_pieces, corpus, doubling_ratios, fan
 from oracles import (all_pairs_intersection, segments_properly_intersect,
                      sweep_input)
+from test_golden import golden_graphs, perturbed
 
 
 def test_report_fields(triangle):
@@ -373,3 +376,126 @@ def test_zero_length_pieces_validate_in_near_linear_time():
     ratios = doubling_ratios(lambda gd: check_upward_planar(*gd), drawings)
     medians = [median(r) for r in ratios]
     assert all(m <= LINEAR_GATE for m in medians), medians
+
+
+def test_valid_drawings_never_reach_the_sweep(monkeypatch):
+    # the faces certify every drawing the pipeline makes, fan(2000),
+    # zig(1001) and the 10k seed graph among them: the sweep is for
+    # drawings the faces cannot certify
+    def no_sweep(*args):
+        raise AssertionError("a valid drawing reached the crossing sweep")
+
+    monkeypatch.setattr(validate, "_find_proper_intersection", no_sweep)
+    graphs = golden_graphs()
+    assert {g.n for g in graphs} >= {2000, 1003, 10_000}
+    for g in graphs:
+        # the straight-line drawing of g, or of its minimum split graph
+        h, ord = g, find_bitonic_ordering(g)
+        if isinstance(ord, RejectionWitness):
+            h = apply_splits(g, minimum_split_plan(g))
+            ord = find_bitonic_ordering(h)
+        assert check_upward_planar(h, draw_straightline(h, ord)).ok
+        assert check_upward_planar(g, draw_polyline(g)).ok
+
+
+def test_planar_drawing_of_another_embedding_reaches_the_sweep(monkeypatch):
+    # the triangle's face has s -> 1 -> t on its left; drawn mirrored, with
+    # vertex 1 right of s -> t, the drawing is planar but not of this
+    # embedding, so the faces cannot certify it and the sweep decides
+    g = build_graph(3, 0, 2, [[1, 2], [2], []])
+    swept = []
+
+    def sweep(*args):
+        swept.append(args)
+        return _find_proper_intersection(*args)
+
+    monkeypatch.setattr(validate, "_find_proper_intersection", sweep)
+    for x, reaches in ((-1, False), (1, True)):
+        rep = check_upward_planar(g, drawing(g, ((0, 0), (x, 1), (0, 2))))
+        assert rep.ok and '"planar": true' in rep.to_json()
+        assert bool(swept) == reaches
+
+
+def _bends_moved(d, rng):
+    """``d`` with 1-3 of its bends moved by up to two units."""
+    bends = list(d.bend_points)
+    for k in rng.sample(range(len(bends)), min(len(bends),
+                                                rng.randint(1, 3))):
+        e, (x, y) = bends[k]
+        bends[k] = e, (x + rng.randint(-2, 2), y + rng.randint(-2, 2))
+    return replace(d, bend_points=tuple(bends))
+
+
+def _holds_to_oracles(monkeypatch, g, d):
+    """Where the face check applies to ``d`` (distinct points, rising
+    pieces) and certifies it, the all-pairs oracle finds no crossing, and
+    the report is the one the sweep alone gives.  Returns the check's
+    verdict (None where it does not apply) and the report."""
+    rep = check_upward_planar(g, d)
+    points = [*d.coords, *d.bends]
+    certified = None
+    if rep.upward and len(set(points)) == len(points):
+        certified = validate._faces_ordered(points,
+                                            *validate._subdivided(g, d))
+    if certified:
+        pieces = [piece for path in d.edge_paths
+                  for piece in pairwise(path)]
+        assert all_pairs_intersection(pieces) is None, d
+    with monkeypatch.context() as mp:
+        mp.setattr(validate, "_faces_ordered", lambda *args: False)
+        assert check_upward_planar(g, d) == rep, d
+    return certified, rep
+
+
+def test_face_check_is_sound_on_perturbed_drawings(monkeypatch):
+    # test_golden's perturbed poly-line drawings, and each again with some
+    # of its bends moved: points on other pieces, crossings, equal heights
+    # and faces drawn mirrored all occur
+    rng, bend_rng = random.Random(9), random.Random(10)
+    verdicts = Counter()
+    for g in golden_graphs():
+        if g.n > 100:
+            continue
+        poly = draw_polyline(g)
+        for _ in range(10):
+            moved = perturbed(g, poly, rng)
+            drawings = [moved]
+            if moved.bend_points:
+                drawings.append(_bends_moved(moved, bend_rng))
+            for d in drawings:
+                certified, rep = _holds_to_oracles(monkeypatch, g, d)
+                verdicts[certified, rep.planar] += 1
+    # both outcomes of the check occur, and planar drawings it cannot
+    # certify among them
+    assert verdicts[True, True] > 100 and verdicts[False, True] > 0
+    assert verdicts[False, False] > 100
+
+
+SMALL_CORPUS = corpus(sizes=(5, 8, 12, 20), seeds=range(3))
+
+
+@st.composite
+def moved_drawings(draw):
+    """A small corpus graph's poly-line drawing with up to three of its
+    vertices and bends moved by up to two units."""
+    g = draw(st.sampled_from(SMALL_CORPUS))
+    d = draw_polyline(g)
+    coords, bends = list(d.coords), list(d.bend_points)
+    step = st.integers(-2, 2)
+    for k in draw(st.lists(st.integers(0, g.n + len(bends) - 1),
+                           max_size=3)):
+        if k < g.n:
+            x, y = coords[k]
+            coords[k] = x + draw(step), y + draw(step)
+        else:
+            e, (x, y) = bends[k - g.n]
+            bends[k - g.n] = e, (x + draw(step), y + draw(step))
+    return g, replace(d, coords=tuple(coords), bend_points=tuple(bends))
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(moved_drawings())
+def test_face_check_is_sound_property(drawn):
+    g, d = drawn
+    with pytest.MonkeyPatch.context() as mp:
+        _holds_to_oracles(mp, g, d)
