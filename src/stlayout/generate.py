@@ -152,9 +152,7 @@ def add_random_chords(g: EmbeddedStGraph, count: int,
     # the inner faces in face-id order, which is the order of first darts
     inner = sorted((_face([tail[c], *map(head.__getitem__, left)],
                           [tail[c], *map(head.__getitem__, right)])
-                    for c, left, right in _face_chains(
-                        tail, head, starts, g.first_in, g.last_in)),
-                   key=first_dart)
+                    for c, left, right in _face_chains(g)), key=first_dart)
 
     for _ in range(count if inner else 0):
         for _attempt in range(8):

@@ -296,18 +296,17 @@ def build_graph(n: int, s: VertexId, t: VertexId,
     )
 
 
-def _face_chains(tail, head, out_start, first_in, last_in):
+def _face_chains(g: EmbeddedStGraph):
     """Yield ``(c, left, right)`` per inner face: its source corner, between
     out-edges ``c`` and ``c + 1``, and its two boundary chains of edge ids.
     The left chain is ``c`` and then each vertex's last out-edge, the right
     one ``c + 1`` and then each first out-edge.  A chain ends at the face's
     sink, the first vertex that it enters other than by that vertex's last
     (left chain) or first (right chain) in-edge.  O(m) in all.
-
-    The arrays are those of an :class:`EmbeddedStGraph`, or of any planar
-    st-graph stored the same way (edges numbered by tail, then clockwise).
     """
-    for c in compress(range(len(tail) - 1), map(eq, tail, tail[1:])):
+    tail, head, out_start = g.tail, g.head, g.out_start
+    first_in, last_in = g.first_in, g.last_in
+    for c in compress(range(g.m - 1), map(eq, tail, tail[1:])):
         left, e = [c], c
         while last_in[v := head[e]] == e:
             e = out_start[v + 1] - 1
@@ -331,8 +330,7 @@ def compute_faces(g: EmbeddedStGraph) -> FaceIndex:
     # a face is named by its source corner, the outer face by m
     face_of_dart = [m] * (2 * m)
     sink = [-1] * (m + 1)
-    for c, left, right in _face_chains(g.tail, head, g.out_start,
-                                       g.first_in, g.last_in):
+    for c, left, right in _face_chains(g):
         for e in left:
             face_of_dart[2 * e + 1] = c
         for e in right:

@@ -186,9 +186,12 @@ def draw_straightline(g: EmbeddedStGraph,
 
 @_gc_paused
 def draw_polyline(g: EmbeddedStGraph) -> GridDrawing:
-    """Split, order, draw, and fold each dummy vertex into a bend."""
-    plan = minimum_split_plan(g)
-    h = apply_splits(g, plan)
+    """Order, or if rejected split and order the split graph; draw, and
+    fold each dummy vertex into a bend."""
+    ord = find_bitonic_ordering(g)
+    if not isinstance(ord, RejectionWitness):
+        return draw_straightline(g, ord)  # its split plan is empty
+    h = apply_splits(g, plan := minimum_split_plan(g))
     ord = find_bitonic_ordering(h)
     if isinstance(ord, RejectionWitness):
         raise AssertionError("split graph unexpectedly rejected")

@@ -8,11 +8,16 @@ piece per edge.  Distinct points and upwardness are read off the pieces
 directly.  Planarity is then certified from H's own faces in O(m) where
 it can be, and decided by one plane sweep otherwise.
 
-The face check walks every inner face once (``graph._face_chains``) and
-merges its left and right chain by y: every chain point strictly between
-the face's source and sink must lie strictly on its own side of the other
-chain's piece at that height, by one orientation test, or by an x
-comparison where the other chain has a point at the same height.
+The face check reads only H's successor rows and the points.  An inner
+face's left chain is the left out-edge at its source corner and then
+each head's last out-edge, its right chain the right one and then each
+head's first.  The check merges them by y: every chain point strictly
+between the face's source and sink must lie strictly on its own side of
+the other chain's piece at that height, by one orientation test, or by
+an x comparison where the other chain has a point at the same height.
+The walks need no end test: each chain rises to the sink, the highest
+point of both and the one they share above the source, so the merge
+never advances a walk at the sink and stops when both reach it.
 
 Lemma.  If a straight-line drawing of a planar st-graph H has distinct
 points and strictly rising edges, and every inner face passes the face
@@ -69,12 +74,12 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
-from itertools import pairwise
+from itertools import compress, pairwise
 from math import inf
-from operator import itemgetter, lt
+from operator import eq, itemgetter, lt
 
 from .errors import MissingCoordinate
-from .graph import EmbeddedStGraph, _face_chains, _gather, _gc_paused
+from .graph import EmbeddedStGraph, _gather, _gc_paused
 from .layout import GridDrawing, _mismatch
 
 
@@ -113,9 +118,9 @@ def check_upward_planar(g: EmbeddedStGraph,
     """Every piece of every edge rises strictly, no two vertices or bends
     share a point, and no two pieces meet except at a shared endpoint.
 
-    When the points are distinct and every piece rises, the graph's faces
-    certify planarity in O(m) if each inner face's left chain runs
-    strictly left of its right chain (the lemma in the module docstring).
+    When the points are distinct and every piece rises, the faces read
+    off the successor rows certify planarity in O(m) if each inner face's
+    left chain runs strictly left of its right one (module docstring).
     Only when they cannot does the plane sweep run, in O(m log m); it
     alone finds a crossing and names the pair in the report.
 
@@ -130,7 +135,7 @@ def check_upward_planar(g: EmbeddedStGraph,
     # bend a vertex of its edge the drawing is a straight-line drawing of
     # the subdivided graph, one piece per edge
     points = [*d.coords, *d.bends] if d.bend_points else d.coords
-    tail, head, out_start, first_in, last_in = _subdivided(g, d)
+    tail, head, out_start = _subdivided(g, d)
     distinct = len(set(points)) == len(points)
     if not distinct:
         violations.append("two vertices or bends share a coordinate")
@@ -145,8 +150,7 @@ def check_upward_planar(g: EmbeddedStGraph,
                                       f"not strictly upward")
                     break
 
-    if distinct and upward and _faces_ordered(points, tail, head, out_start,
-                                              first_in, last_in):
+    if distinct and upward and _faces_ordered(points, tail, head, out_start):
         crossing = None  # certified by the faces (module docstring)
     else:
         tails, heads = _pieces(d)
@@ -190,65 +194,62 @@ def check_bounds(d: GridDrawing, n: int, mode: str) -> bool:
 
 
 def _subdivided(g: EmbeddedStGraph, d: GridDrawing):
-    """The tail, head, out_start, first_in and last_in arrays of ``g`` with
-    each bend a vertex of its edge.  Bend ``k`` is node ``g.n + k``; a bent
-    edge keeps its id for its piece from its tail, and its piece from bend
-    ``k`` up is edge ``g.m + k``, so the edges stay numbered by tail and
-    then clockwise."""
+    """The tail, head and out_start arrays of ``g`` with each bend a vertex
+    of its edge.  Bend ``k`` is node ``g.n + k``; a bent edge keeps its id
+    for its piece from its tail, and its piece from bend ``k`` up is edge
+    ``g.m + k``, so the edges stay numbered by tail and then clockwise."""
     if not d.bend_points:
-        return g.tail, g.head, g.out_start, g.first_in, g.last_in
+        return g.tail, g.head, g.out_start
     n, m, k = g.n, g.m, len(d.bend_points)
     bent = list(map(itemgetter(0), d.bend_points))
     head = list(g.head)
     for e, b in zip(bent, range(n, n + k)):
         head[e] = b
     head += _gather(g.head, bent)
-    upper = dict(zip(bent, range(m, m + k)))
     return (g.tail + tuple(range(n, n + k)), head,
-            g.out_start + tuple(range(m + 1, m + k + 1)),
-            [*map(upper.get, g.first_in, g.first_in), *bent],
-            [*map(upper.get, g.last_in, g.last_in), *bent])
+            g.out_start + tuple(range(m + 1, m + k + 1)))
 
 
-def _faces_ordered(points, tail, head, out_start, first_in, last_in) -> bool:
+def _faces_ordered(points, tail, head, out_start) -> bool:
     """Whether every inner face's left chain runs strictly left of its right
     chain at every height strictly between the face's source and sink, in
     a straight-line drawing of the graph with these arrays whose nodes lie
     at distinct ``points`` and whose edges rise.  O(m).
 
-    Each face's two chains are merged by y.  ``a`` and ``b`` are the last
-    points merged from the left and the right chain, ``l`` and ``r`` the
-    next ones.  A lower ``l`` must lie strictly left of the piece from
-    ``b`` to ``r``, a lower ``r`` strictly right of the piece from ``a`` to
-    ``l``; at equal heights ``l`` must lie left of ``r``, unless both are
-    the sink, the one point the chains share above the source.
+    Each face's chains are walked along ``lnext`` and ``rnext`` and merged
+    by y.  ``a`` and ``b`` are the last points merged from the left and
+    the right chain, ``l`` and ``r`` the next ones.  A lower ``l`` must lie
+    strictly left of the piece from ``b`` to ``r``, a lower ``r`` strictly
+    right of the piece from ``a`` to ``l``; at equal heights ``l`` must lie
+    left of ``r``, unless both are the sink, the one point the chains
+    share above the source.
     """
     at_head = _gather(points, head)
-    for c, left, right in _face_chains(tail, head, out_start, first_in,
-                                       last_in):
-        ax, ay = bx, by = points[tail[c]]
-        i = j = 0
-        lx, ly = at_head[left[0]]
-        rx, ry = at_head[right[0]]
+    lnext = _gather([b - 1 for b in out_start[1:]], head)
+    rnext = _gather(out_start, head)
+    for le in compress(range(len(tail) - 1), map(eq, tail, tail[1:])):
+        ax, ay = bx, by = points[tail[le]]
+        re = le + 1
+        lx, ly = at_head[le]
+        rx, ry = at_head[re]
         while True:
             if ly < ry:
                 if (rx - bx) * (ly - by) <= (ry - by) * (lx - bx):
                     return False
                 ax, ay = lx, ly
-                i += 1
-                lx, ly = at_head[left[i]]
+                le = lnext[le]
+                lx, ly = at_head[le]
             elif ry < ly:
                 if (lx - ax) * (ry - ay) >= (ly - ay) * (rx - ax):
                     return False
                 bx, by = rx, ry
-                j += 1
-                rx, ry = at_head[right[j]]
+                re = rnext[re]
+                rx, ry = at_head[re]
             elif lx < rx:
                 ax, ay, bx, by = lx, ly, rx, ry
-                i += 1
-                j += 1
-                lx, ly = at_head[left[i]]
-                rx, ry = at_head[right[j]]
+                le, re = lnext[le], rnext[re]
+                lx, ly = at_head[le]
+                rx, ry = at_head[re]
             elif lx == rx:  # the sink
                 break
             else:

@@ -23,6 +23,9 @@
 * ``all_pairs_intersection``: the first properly intersecting pair of
   pieces over all pairs, the reference for the validator's sweep.
 * ``sweep_input``: a list of point-pair pieces as the sweep's arguments.
+* ``faces_ordered_by_chains``: the validator's face check over listed
+  chains that end by the in-edge test, on the subdivided graph rebuilt by
+  ``build_graph``; the reference for ``validate._faces_ordered``.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from collections import deque
 from stlayout import (BitonicOrdering, EmbeddedStGraph, FaceIndex,
                       StGraphError, apply_splits, build_graph,
                       compute_faces, find_bitonic_ordering)
+from stlayout.graph import _face_chains
 from stlayout.splitting import SplitPlan
 
 
@@ -496,3 +500,53 @@ def sweep_input(pieces):
             node.setdefault(p, len(node))
     return (list(node), [node[a] for a, _ in pieces],
             [node[b] for _, b in pieces])
+
+
+def faces_ordered_by_chains(g: EmbeddedStGraph, d) -> bool:
+    """Reference for ``validate._faces_ordered`` on ``g`` drawn as ``d``,
+    for drawings with distinct points and rising pieces.
+
+    The subdivided graph, each bend ``k`` a vertex ``g.n + k`` of its
+    edge, is rebuilt by ``build_graph``, so its in-edge ends come from its
+    own sweep.  ``graph._face_chains`` lists each inner face's two chains,
+    ended at the sink by the in-edge test, and the lists are merged by y
+    with the same orientation tests, indexing each list front to back.
+    """
+    n = g.n
+    rows = [list(g.head[a:b]) for a, b in zip(g.out_start, g.out_start[1:])]
+    for v, (e, _) in enumerate(d.bend_points, n):
+        u = g.tail[e]
+        rows[u][e - g.out_start[u]] = v
+        rows.append([g.head[e]])
+    h = build_graph(len(rows), g.s, g.t, rows)
+    points = [*d.coords, *d.bends]
+    at_head = [points[v] for v in h.head]
+    for c, left, right in _face_chains(h):
+        ax, ay = bx, by = points[h.tail[c]]
+        i = j = 0
+        lx, ly = at_head[left[0]]
+        rx, ry = at_head[right[0]]
+        while True:
+            if ly < ry:
+                if (rx - bx) * (ly - by) <= (ry - by) * (lx - bx):
+                    return False
+                ax, ay = lx, ly
+                i += 1
+                lx, ly = at_head[left[i]]
+            elif ry < ly:
+                if (lx - ax) * (ry - ay) >= (ly - ay) * (rx - ax):
+                    return False
+                bx, by = rx, ry
+                j += 1
+                rx, ry = at_head[right[j]]
+            elif lx < rx:
+                ax, ay, bx, by = lx, ly, rx, ry
+                i += 1
+                j += 1
+                lx, ly = at_head[left[i]]
+                rx, ry = at_head[right[j]]
+            elif lx == rx:  # the sink
+                break
+            else:
+                return False
+    return True

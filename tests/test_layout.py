@@ -68,6 +68,24 @@ def test_polyline_corpus_valid_and_bounded():
         assert len(d.bend_points) <= max(g.n - 3, 0)
 
 
+def test_polyline_plans_no_splits_for_an_accepted_graph(monkeypatch):
+    # an accepted graph's split plan is empty, so drawing it plans none;
+    # its poly-line drawing is its straight-line drawing
+    import stlayout.layout
+
+    def no_plan(g):
+        raise AssertionError("planned splits for an accepted graph")
+
+    monkeypatch.setattr(stlayout.layout, "minimum_split_plan", no_plan)
+    drawn = 0
+    for g in corpus(sizes=(6, 12, 25, 50), seeds=range(8)):
+        ord = find_bitonic_ordering(g)
+        if not isinstance(ord, RejectionWitness):
+            assert draw_polyline(g) == draw_straightline(g, ord)
+            drawn += 1
+    assert drawn > 0
+
+
 def test_fan_family_bends():
     for k in range(4, 13):
         g = fan(k)

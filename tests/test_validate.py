@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import random
 from collections import Counter
 from dataclasses import replace
@@ -21,8 +22,8 @@ from stlayout import (GeneratorConfig, GridDrawing, MissingCoordinate,
 from stlayout import validate
 from stlayout.validate import _find_proper_intersection
 from conftest import LINEAR_GATE, comb_pieces, corpus, doubling_ratios, fan
-from oracles import (all_pairs_intersection, segments_properly_intersect,
-                     sweep_input)
+from oracles import (all_pairs_intersection, faces_ordered_by_chains,
+                     segments_properly_intersect, sweep_input)
 from test_golden import golden_graphs, perturbed
 
 
@@ -398,6 +399,15 @@ def test_valid_drawings_never_reach_the_sweep(monkeypatch):
         assert check_upward_planar(g, draw_polyline(g)).ok
 
 
+def test_validator_reads_only_the_rows_and_the_points():
+    # the face check walks the successor rows; the in-edge ends, the corner
+    # directions and the face walk all come from build_graph's own sweep,
+    # so a check that read them would not be independent of it
+    source = inspect.getsource(validate)
+    assert [name for name in ("first_in", "last_in", "corner_dir",
+                              "_face_chains") if name in source] == []
+
+
 def test_planar_drawing_of_another_embedding_reaches_the_sweep(monkeypatch):
     # the triangle's face has s -> 1 -> t on its left; drawn mirrored, with
     # vertex 1 right of s -> t, the drawing is planar but not of this
@@ -426,17 +436,49 @@ def _bends_moved(d, rng):
     return replace(d, bend_points=tuple(bends))
 
 
+def _face_check(g, d):
+    """The face check's verdict on ``d``, None where it does not apply (two
+    points shared, or a piece that does not rise); it must equal the
+    verdict of the merge over listed chains."""
+    points = [*d.coords, *d.bends]
+    if len(set(points)) < len(points) or any(
+            b[1] <= a[1] for path in d.edge_paths for a, b in pairwise(path)):
+        return None
+    verdict = validate._faces_ordered(points, *validate._subdivided(g, d))
+    assert verdict == faces_ordered_by_chains(g, d), d
+    return verdict
+
+
+def test_face_check_matches_the_chain_lists_on_golden_drawings():
+    # every drawing whose report the golden digests hold: each golden
+    # graph's straight-line drawing (of its minimum split graph if it is
+    # rejected), its poly-line drawing and, up to 100 vertices, three
+    # perturbed ones drawn as test_golden draws them
+    rng = random.Random(9)
+    verdicts = Counter()
+    for g in golden_graphs():
+        h, ord = g, find_bitonic_ordering(g)
+        if isinstance(ord, RejectionWitness):
+            h = apply_splits(g, minimum_split_plan(g))
+            ord = find_bitonic_ordering(h)
+        poly = draw_polyline(g)
+        drawn = [(h, draw_straightline(h, ord)), (g, poly)]
+        if g.n <= 100:
+            drawn += [(g, perturbed(g, poly, rng)) for _ in range(3)]
+        for gd, d in drawn:
+            verdicts[_face_check(gd, d)] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 0
+    assert verdicts[None] > 0
+
+
 def _holds_to_oracles(monkeypatch, g, d):
     """Where the face check applies to ``d`` (distinct points, rising
-    pieces) and certifies it, the all-pairs oracle finds no crossing, and
-    the report is the one the sweep alone gives.  Returns the check's
-    verdict (None where it does not apply) and the report."""
+    pieces), it agrees with the merge over listed chains; where it
+    certifies ``d``, the all-pairs oracle finds no crossing.  The report
+    is the one the sweep alone gives.  Returns the check's verdict (None
+    where it does not apply) and the report."""
     rep = check_upward_planar(g, d)
-    points = [*d.coords, *d.bends]
-    certified = None
-    if rep.upward and len(set(points)) == len(points):
-        certified = validate._faces_ordered(points,
-                                            *validate._subdivided(g, d))
+    certified = _face_check(g, d)
     if certified:
         pieces = [piece for path in d.edge_paths
                   for piece in pairwise(path)]
