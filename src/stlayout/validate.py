@@ -16,7 +16,7 @@ between the face's source and sink must lie strictly on its own side of
 the other chain's piece at that height, by one orientation test, or by
 an x comparison where the other chain has a point at the same height.
 The walks need no end test: each chain rises to the sink, the highest
-point of both and the one they share above the source, so the merge
+point of both and the only one they share above the source, so the merge
 never advances a walk at the sink and stops when both reach it.
 
 Lemma.  If a straight-line drawing of a planar st-graph H has distinct

@@ -71,12 +71,10 @@ def test_polyline_corpus_valid_and_bounded():
 def test_polyline_plans_no_splits_for_an_accepted_graph(monkeypatch):
     # an accepted graph's split plan is empty, so drawing it plans none;
     # its poly-line drawing is its straight-line drawing
-    import stlayout.layout
-
     def no_plan(g):
         raise AssertionError("planned splits for an accepted graph")
 
-    monkeypatch.setattr(stlayout.layout, "minimum_split_plan", no_plan)
+    monkeypatch.setattr("stlayout.layout.minimum_split_plan", no_plan)
     drawn = 0
     for g in corpus(sizes=(6, 12, 25, 50), seeds=range(8)):
         ord = find_bitonic_ordering(g)
