@@ -207,15 +207,18 @@ def draw_polyline(g: EmbeddedStGraph) -> GridDrawing:
 def emit_svg(d: GridDrawing, scale: int = 20) -> str:
     """Deterministic SVG: circles for vertices, squares for bends.
 
-    The y axis is flipped so ranks grow upward on screen.
+    The drawing's box is moved to the origin and the y axis is flipped so
+    ranks grow upward on screen.
     """
     if scale < 1:
         raise ValueError("scale must be >= 1")
     pad = scale
     h = d.height * scale + 2 * pad
+    x0 = min(map(itemgetter(0), chain(d.coords, d.bends)), default=0)
+    y0 = min(map(itemgetter(1), chain(d.coords, d.bends)), default=0)
 
     def pt(p: Point) -> tuple[int, int]:
-        return p[0] * scale + pad, h - (p[1] * scale + pad)
+        return (p[0] - x0) * scale + pad, h - ((p[1] - y0) * scale + pad)
 
     lines = []
     w = d.width * scale + 2 * pad

@@ -63,10 +63,8 @@ end there and inserts those that start there as whole slices, and
 decides each pair of pieces that became neighbours with one more
 orientation test.  Every test is the sign of a cross product of the
 drawing's own coordinates.  A zero-length piece costs that lookup and
-nothing else.  Where exactly one piece ends, as at a bend or at a vertex
-of a path or a tree, the ending piece's status entry is already known, so
-the point needs no lookup: one piece starting there takes the entry over,
-and any other number replaces it in its block.
+nothing else.  Every point takes this one path, whatever number of
+pieces end and start there.
 """
 
 from __future__ import annotations
@@ -278,16 +276,9 @@ def _pieces(d: GridDrawing):
 _BLOCK = 256  # status block size; a block is split past twice this
 
 
-def _chunks(records, home):
-    """records cut into blocks of ``_BLOCK``; home[slot] is set to the
-    block of each."""
-    blocks = []
-    for i in range(0, len(records), _BLOCK):
-        blk = records[i:i + _BLOCK]
-        for r in blk:
-            home[r[5]] = blk
-        blocks.append(blk)
-    return blocks
+def _chunks(records):
+    """records cut into blocks of ``_BLOCK``."""
+    return [records[i:i + _BLOCK] for i in range(0, len(records), _BLOCK)]
 
 
 def _overlap_pair(px, py, run, x0, K):
@@ -342,10 +333,10 @@ def _find_proper_intersection(points, tails, heads):
        interior and properly meets any piece with an end at p;
     3. the ties leave the status as one slice;
     4. the pieces starting at p enter it as one slice in left-to-right
-       order (two or three by their cross products, more by the exact
-       integer key dx*H*H // dy, H the y-range, horizontal pieces last),
-       and two equal directions there are a collinear overlap (which
-       pair of three or more is named is ``_overlap_pair``'s convention);
+       order, sorted by the exact integer key dx*H*H // dy, H the
+       y-range, horizontal pieces last, and two equal directions there
+       are a collinear overlap (which pair of three or more is named is
+       ``_overlap_pair``'s convention);
     5. the pieces either side of the removed ties, or of the inserted
        slice, are tested: with r left of s at p and q the first of their
        last ends, they meet properly iff q ends r and lies on or right of
@@ -360,33 +351,6 @@ def _find_proper_intersection(points, tails, heads):
     just before p, and the first proper intersection is either a crossing
     of two pieces that were neighbours since an earlier point, or a point
     p handled by steps 2 and 4.
-
-    Each status entry also links to its two neighbours, and steps 3 and 4
-    update the links around the slice they change.  A point p where
-    exactly one piece r of nonzero length ends needs neither step 1 nor
-    step 2, because r is the only piece through p.  Two entries are
-    tested when they become neighbours and again whenever one of them is
-    rewritten (pieces from one point aside, which meet nowhere else), and
-    the test reports r against any neighbour that runs on through r's
-    last end, which is p.  The pieces through p are consecutive in the
-    status, so if nothing was reported, r is the only one: steps 1 and 2
-    would find r as the only tie, and r's linked neighbours are the
-    pieces either side of it.  So:
-
-    - if exactly one piece q starts at p, q's values are written into
-      r's entry in place, its end is noted, and q is tested against the
-      entry's neighbours in step 5's order;
-    - otherwise steps 3 and 4 are one splice that puts the pieces
-      starting at p, if any, in r's place.  ``home[slot]`` is the block
-      that holds an entry, set wherever entries enter a block (that
-      splice, a block split and a rebuild across blocks), so one bisect
-      within r's block finds r.  The block's own index is needed only
-      when the block empties or splits; the bisect over the blocks finds
-      it then, before the splice.
-
-    Either way step 5 tests the pairs steps 1 to 4 would have, so the
-    same pair is reported.  On drawings of paths and fans this covers
-    almost every point.
 
     The status is a list of blocks of about ``_BLOCK`` pieces, so a slice
     removal or insertion moves O(block) entries, not O(status); a plain
@@ -435,140 +399,65 @@ def _find_proper_intersection(points, tails, heads):
         r = blk[-1]
         return r[1] * py - r[2] * px >= r[0]
 
-    # A record is [C, dx, dy, last end's rank, idx, slot], built when its
-    # piece starts.  slot is the idx the entry entered the status with;
-    # lft[slot] and rgt[slot] are its neighbours there (None at either
-    # end) and home[slot] is the block that holds it.  Keeping these out
-    # of the records keeps them free of reference cycles.  ending[j] is
-    # the record of the one piece of nonzero length that ends at point j
-    # (None until that piece starts, False if two or more end there).
-    lft, rgt = [None] * len(tails), [None] * len(tails)
-    home = [None] * len(tails)
-    ending = [None] * len(pts)
-    blocks = []
+    # A record is [C, dx, dy, last end's rank, idx], built when its piece
+    # starts.  Two sentinels bound the status: every point lies right of
+    # the first and left of the second, neither ever ends, and a test
+    # against either fails, so the status is never empty and every point
+    # has a piece either side
+    blocks = [[[inf, 0, 0, len(pts), -1], [-inf, 0, 0, len(pts), -1]]]
     for j, (px, py) in enumerate(pts):
-        r = ending[j]
+        bi = bisect_left(blocks, True, key=last_at_or_right)
+        blk = blocks[bi]
+        k = bisect_left(blk, True, key=at_or_right)
+        left = blk[k - 1] if k else blocks[bi - 1][-1]
+
+        bj, kj = bi, k  # end of the ties, the pieces through p
+        while True:
+            if kj == len(blk):
+                bj, kj = bj + 1, 0
+                blk = blocks[bj]
+            C, dx, dy, end, tie = blk[kj]
+            if dx * py - dy * px != C:
+                break
+            if end != j:
+                return pair(tie, next(
+                    e for e, ends in enumerate(zip(
+                        _gather(points, tails), _gather(points, heads)))
+                    if (px, py) in ends))
+            kj += 1
+        right = blk[kj]
+
+        new = []
         idx = top[j]
-        if r and idx >= 0 and nxt[idx] < 0:  # one piece ends, one starts
+        while idx >= 0:
             end = last[idx]
             qx, qy = pts[end]
             dx, dy = qx - px, qy - py
-            r[:5] = dx * py - dy * px, dx, dy, end, idx
-            ending[end] = r if ending[end] is None else False
-            pairs = (lft[r[5]], r), (r, rgt[r[5]])
-        else:
-            if r:  # one piece ends here, and none or two or more start
-                slot = r[5]
-                left, right, blk = lft[slot], rgt[slot], home[slot]
-                # r leaves; neither it nor its slot keeps it or a block alive
-                ending[j] = home[slot] = None
-                k = bisect_left(blk, True, key=at_or_right)
-                kj, bi = k + 1, None
-            else:
-                bi = k = 0
-                if blocks:
-                    bi = bisect_left(blocks, True, key=last_at_or_right)
-                    if bi == len(blocks):
-                        bi -= 1
-                        k = len(blocks[bi])
-                    else:
-                        k = bisect_left(blocks[bi], True, key=at_or_right)
-                left = (blocks[bi][k - 1] if k else
-                        blocks[bi - 1][-1] if bi else None)
+            new.append([dx * py - dy * px, dx, dy, end, idx])
+            idx = nxt[idx]
+        if len(new) > 1:
+            new.sort(key=lambda r: r[1] * slope_scale // r[2]
+                     if r[2] else inf)
+            for ra, rb in pairwise(new):
+                if ra[1] * rb[2] == rb[1] * ra[2]:
+                    return _overlap_pair(px, py, [
+                        r for r in new
+                        if r[1] * ra[2] == ra[1] * r[2]], x0, K)
 
-                bj, kj = bi, k  # end of the ties, the pieces through p
-                while bj < len(blocks):
-                    blk = blocks[bj]
-                    while kj < len(blk):
-                        C, dx, dy, end, tie, _ = blk[kj]
-                        if dx * py - dy * px != C:
-                            break
-                        if end != j:
-                            return pair(tie, next(
-                                e for e, ends in enumerate(zip(
-                                    _gather(points, tails),
-                                    _gather(points, heads)))
-                                if (px, py) in ends))
-                        kj += 1
-                    if kj < len(blk):
-                        break
-                    bj, kj = bj + 1, 0
-                right = blocks[bj][kj] if bj < len(blocks) else None
-                blk = blocks[bi] if bi == bj < len(blocks) else None
+        if bi == bj:
+            blk[k:kj] = new
+            if not blk:
+                del blocks[bi]
+            elif len(blk) > 2 * _BLOCK:
+                blocks[bi:bi + 1] = _chunks(blk)
+        else:  # the ties crossed a block end
+            blocks[bi:bj + 1] = _chunks(blocks[bi][:k] + new + blk[kj:])
 
-            new = []
-            while idx >= 0:
-                end = last[idx]
-                qx, qy = pts[end]
-                dx, dy = qx - px, qy - py
-                r = [dx * py - dy * px, dx, dy, end, idx, idx]
-                new.append(r)
-                ending[end] = r if ending[end] is None else False
-                idx = nxt[idx]
-            if len(new) == 2:  # the usual case, by one cross product
-                ra, rb = new
-                d = ra[1] * rb[2] - rb[1] * ra[2]
-                if d == 0:
-                    return pair(ra[4], rb[4])
-                if d > 0:
-                    new.reverse()
-            elif len(new) > 2:
-                ab = ac = bc = 0
-                if len(new) == 3:
-                    ra, rb, rc = new
-                    ab = ra[1] * rb[2] - rb[1] * ra[2]
-                    ac = ra[1] * rc[2] - rc[1] * ra[2]
-                    bc = rb[1] * rc[2] - rc[1] * rb[2]
-                if ab and ac and bc:  # three directions, ranked
-                    new[(ab > 0) + (ac > 0)] = ra
-                    new[(ab < 0) + (bc > 0)] = rb
-                    new[(ac < 0) + (bc < 0)] = rc
-                else:  # four or more, or equal directions among three
-                    new.sort(key=lambda r: r[1] * slope_scale // r[2]
-                             if r[2] else inf)
-                    for ra, rb in pairwise(new):
-                        if ra[1] * rb[2] == rb[1] * ra[2]:
-                            return _overlap_pair(px, py, [
-                                r for r in new
-                                if r[1] * ra[2] == ra[1] * r[2]], x0, K)
-
-            if blk is None:  # the ties crossed a block end, or no status
-                rest = (blocks[bi][:k] if blocks else []) + new
-                if bj < len(blocks):
-                    rest += blocks[bj][kj:]
-                blocks[bi:bj + 1] = _chunks(rest, home)
-            else:
-                size = len(blk) - (kj - k) + len(new)
-                if bi is None and not 0 < size <= 2 * _BLOCK:
-                    # the block empties or splits: find it, before the
-                    # splice, by its last entry
-                    bi = bisect_left(blocks, True, key=last_at_or_right)
-                blk[k:kj] = new
-                for r in new:
-                    home[r[5]] = blk
-                if not blk:
-                    del blocks[bi]
-                elif len(blk) > 2 * _BLOCK:
-                    blocks[bi:bi + 1] = _chunks(blk, home)
-
-            r = left  # link the new neighbours, or left and right
-            for s in new:
-                if r is not None:
-                    rgt[r[5]] = s
-                lft[s[5]] = r
-                r = s
-            if r is not None:
-                rgt[r[5]] = right
-            if right is not None:
-                lft[right[5]] = r
-            # a point with only zero-length pieces retests two neighbours;
-            # the test is exact at any point, so that cannot change the
-            # answer
-            pairs = ((left, new[0]), (r, right)) if new else ((left, right),)
-
+        # a point with only zero-length pieces retests two neighbours; the
+        # test is exact at any point, so that cannot change the answer
+        pairs = (((left, new[0]), (new[-1], right)) if new
+                 else ((left, right),))
         for r, s in pairs:
-            if r is None or s is None:
-                continue
             if r[3] < s[3]:  # r ends first, at q: is q on or right of s?
                 qx, qy = pts[r[3]]
                 if s[1] * qy - s[2] * qx <= s[0]:

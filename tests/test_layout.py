@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 from statistics import median
 
@@ -142,6 +143,26 @@ def test_svg_output(f1):
     assert svg.count("<polyline") == f1.m
     with pytest.raises(ValueError):
         emit_svg(d, scale=0)
+
+
+def test_svg_of_a_drawing_off_the_origin(triangle):
+    # a drawing read from text may start anywhere; its SVG is the one of
+    # the same drawing moved to the origin, every shape inside the canvas
+    text = "0 10 10\n1 9 11\n2 10 12\nbend 0 2 11 11\n"
+    svg = emit_svg(drawing_from_text(text, triangle))
+    assert svg == emit_svg(drawing_from_text(
+        "0 1 0\n1 0 1\n2 1 2\nbend 0 2 2 1\n", triangle))
+    w, h = map(int, re.search(r'width="(\d+)" height="(\d+)"', svg).groups())
+    xs = re.findall(r' (?:cx|x)="(-?\d+)"', svg)
+    ys = re.findall(r' (?:cy|y)="(-?\d+)"', svg)
+    for pts in re.findall(r'points="([^"]*)"', svg):
+        for p in pts.split():
+            x, y = p.split(",")
+            xs.append(x)
+            ys.append(y)
+    assert len(xs) == len(ys) == 3 + 1 + 7
+    assert all(0 <= int(x) <= w for x in xs)
+    assert all(0 <= int(y) <= h for y in ys)
 
 
 def test_drawing_is_deterministic(sixteen):

@@ -208,8 +208,8 @@ def _ends_and_starts(pieces):
 @pytest.mark.parametrize("block", [validate._BLOCK, 2],
                          ids=["real-block", "block-2"])
 def test_sweep_matches_bruteforce_on_lane_polylines(monkeypatch, block):
-    # most points continue a path in place; some pieces run through such
-    # a point or cross from the next lane
+    # at most points one piece ends and one starts; some pieces run
+    # through such a point or cross from the next lane
     monkeypatch.setattr(validate, "_BLOCK", block)
     rng = random.Random(7)
     verdicts, continued, points = set(), 0, 0
@@ -424,6 +424,18 @@ def test_planar_drawing_of_another_embedding_reaches_the_sweep(monkeypatch):
         rep = check_upward_planar(g, drawing(g, ((0, 0), (x, 1), (0, 2))))
         assert rep.ok and '"planar": true' in rep.to_json()
         assert bool(swept) == reaches
+    # mirrored (x -> -x), fan(2000) and the golden 10k seed graph are
+    # planar drawings of the mirrored embeddings, and their sweep status
+    # holds thousands of pieces, many blocks of _BLOCK
+    for g in (fan(2000), generate_random_st_graph(
+            GeneratorConfig(n_target=10_000, seed=1))):
+        d = draw_polyline(g)
+        swept.clear()
+        rep = check_upward_planar(g, replace(
+            d, coords=tuple((-x, y) for x, y in d.coords),
+            bend_points=tuple((e, (-x, y)) for e, (x, y) in d.bend_points)))
+        assert rep.ok and '"planar": true' in rep.to_json()
+        assert swept
 
 
 def _bends_moved(d, rng):
