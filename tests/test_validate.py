@@ -282,6 +282,20 @@ def test_sweep_reports_at_a_continued_point(pieces, hit):
     assert _find_proper_intersection(*sweep_input(pieces[:-1])) is None
 
 
+@pytest.mark.parametrize("side", [1, -1], ids=["left-ends", "right-ends"])
+def test_sweep_names_an_end_on_its_neighbour_at_once(side):
+    # piece 0 ends inside piece 1 at (2, 2), from its left or, mirrored,
+    # from its right; the pair is named where they become neighbours, at
+    # y = 0, before pieces 2 and 3 cross
+    pieces = [((0, 0), (2, 2)), ((2, 0), (2, 4)),
+              ((10, 1), (12, 3)), ((12, 1), (10, 3))]
+    pieces = [((side * ax, ay), (side * bx, by))
+              for (ax, ay), (bx, by) in pieces]
+    assert _find_proper_intersection(*sweep_input(pieces)) == (0, 1)
+    assert _find_proper_intersection(*sweep_input(pieces[:2])) == (0, 1)
+    assert _find_proper_intersection(*sweep_input(pieces[2:])) == (0, 1)
+
+
 GRID_POINT = st.tuples(st.integers(0, 5), st.integers(0, 5))
 
 
