@@ -8,9 +8,14 @@ each provably preserve the planar st-graph invariants:
   * chord insertion: the edge face-source -> face-sink where it is absent,
   * edge split: replace an edge by a length-2 path through a new vertex.
 
-Faces are tracked incrementally as (source, corner edges, sink) records,
-so generation is linear-ish in the target size.  The stream is Python's
-Mersenne Twister, fully determined by the seed.
+Each mutation costs O(1), so generation is linear in the target size.
+Faces are kept in four flat columns (source, left corner edge, right
+corner edge, sink), and each edge (u, v) is the integer key
+``u * n_target + v`` in one set, used to find an absent chord.  The
+growth state is freed before ``build_graph`` runs on the successor rows,
+so the two never take memory at once.  The stream is Python's Mersenne
+Twister, fully determined by the seed: one ``random()`` per step, then
+``randrange`` over the faces (up to 8 times for a chord) or the edges.
 """
 
 from __future__ import annotations
@@ -32,82 +37,98 @@ class GeneratorConfig:
     seed: int
 
     def __post_init__(self):
-        if self.n_target < 2:
-            raise ValueError("n_target must be >= 2")
+        n = self.n_target
+        # a bool is an int, but never >= 2
+        if not isinstance(n, int) or n < 2:
+            raise ValueError(f"n_target must be an int >= 2, got {n!r}")
 
 
 @_gc_paused
 def generate_random_st_graph(cfg: GeneratorConfig) -> EmbeddedStGraph:
+    return build_graph(*_grow(cfg))
+
+
+def _grow(cfg: GeneratorConfig) -> tuple[int, int, int, list[list[int]]]:
+    """Apply the mutations until ``cfg.n_target`` vertices exist and return
+    ``(n, s, t, rows)`` for ``build_graph``.  Everything else the growth
+    kept is freed on return, before ``build_graph`` allocates."""
     rng = random.Random(cfg.seed)
+    random_, randrange = rng.random, rng.randrange
+    big_n = cfg.n_target
     s, t = 0, 1
 
-    tail = [s]
-    head = [t]
+    tail, head = [s], [t]
     # clockwise out-edge rotations as singly linked lists: first[u] is the
     # first edge id of u, nxt[e] the edge after e (-1 ends the list), so
     # inserting after a known edge is O(1) even at the high-degree source
-    first = [0, -1]
-    nxt = [-1]
-    edge_set = {(s, t)}
-    # face record: [source, left corner edge, right corner edge, sink];
-    # faces[0] is the outer face (wrap-around corner of s)
-    faces: list[list[int]] = [[s, 0, 0, t]]
-
-    def new_edge(u, v):
-        e = len(tail)
-        tail.append(u)
-        head.append(v)
-        nxt.append(-1)
-        edge_set.add((u, v))
-        return e
-
-    def insert_after(el, e):
-        nxt[e] = nxt[el]
-        nxt[el] = e
-
-    def split_face(f, mid_edge):
-        """Replace face f by its two halves on either side of mid_edge."""
-        u, el, er, z = faces[f]
-        if f == 0:
-            faces[0] = [u, mid_edge, er, z]
-            faces.append([u, el, mid_edge, z])
-        else:
-            faces[f] = [u, el, mid_edge, z]
-            faces.append([u, mid_edge, er, z])
+    first, nxt = [0, -1], [-1]
+    # edge (u, v) as u * big_n + v: every vertex id is below big_n
+    keys = {s * big_n + t}
+    # face f is (src[f], left[f], right[f], snk[f]): its source, left and
+    # right corner edges and sink; face 0 is the outer face, whose corner
+    # at s wraps around
+    src, left, right, snk = [s], [0], [0], [t]
 
     n = 2
-    while n < cfg.n_target:
-        roll = rng.random()
-        if roll < P_VERTEX:
-            f = rng.randrange(len(faces))
-            u, el, er, z = faces[f]
-            w = n
-            n += 1
-            e1 = new_edge(u, w)
-            e2 = new_edge(w, z)
-            insert_after(el, e1)
-            first.append(e2)
-            split_face(f, e1)
-        elif roll < P_VERTEX + P_CHORD:
-            # a few tries to find a face whose source->sink chord is absent
-            for _ in range(8):
-                f = rng.randrange(len(faces))
-                u, el, er, z = faces[f]
-                if (u, z) not in edge_set:
-                    e = new_edge(u, z)
-                    insert_after(el, e)
-                    split_face(f, e)
-                    break
+    while n < big_n:
+        roll = random_()
+        if roll < P_VERTEX + P_CHORD:
+            if roll < P_VERTEX:
+                # vertex insertion: the path u -> w -> z through new w
+                f = randrange(len(src))
+                u, z = src[f], snk[f]
+                w = n
+                n += 1
+            else:
+                # chord insertion: a few tries to find a face whose
+                # source -> sink edge is absent
+                for _ in range(8):
+                    f = randrange(len(src))
+                    u, z = src[f], snk[f]
+                    if u * big_n + z not in keys:
+                        break
+                else:
+                    continue
+                w = z  # the new edge is the chord itself
+            # the edge u -> w goes after the face's left corner edge at u
+            # and splits the face in two
+            e = len(tail)
+            tail.append(u)
+            head.append(w)
+            keys.add(u * big_n + w)
+            el = left[f]
+            nxt.append(nxt[el])
+            nxt[el] = e
+            if w != z:  # and w -> z, the first out-edge of w
+                tail.append(w)
+                head.append(z)
+                nxt.append(-1)
+                keys.add(w * big_n + z)
+                first.append(e + 1)
+            src.append(u)
+            snk.append(z)
+            if f:
+                left.append(e)
+                right.append(right[f])
+                right[f] = e
+            else:  # face 0 keeps the half that stays outer
+                left.append(el)
+                right.append(right[0])
+                left[0] = e
         else:
-            e = rng.randrange(len(tail))
+            # edge split: u -> v becomes u -> w -> v through new w
+            e = randrange(len(tail))
             v = head[e]
-            w = n
+            head[e] = n
+            key = tail[e] * big_n
+            keys.discard(key + v)
+            keys.add(key + n)
+            first.append(len(tail))
+            tail.append(n)
+            head.append(v)
+            nxt.append(-1)
+            keys.add(n * big_n + v)
             n += 1
-            head[e] = w
-            edge_set.discard((tail[e], v))
-            edge_set.add((tail[e], w))
-            e2 = new_edge(w, v)
-            first.append(e2)
 
     rows = []
     for e in first:
@@ -116,7 +137,7 @@ def generate_random_st_graph(cfg: GeneratorConfig) -> EmbeddedStGraph:
             row.append(head[e])
             e = nxt[e]
         rows.append(row)
-    return build_graph(n, s, t, rows)
+    return n, s, t, rows
 
 
 @_gc_paused

@@ -17,6 +17,8 @@
   ``corner_pos_at``: per-query helpers, and ``augmented_graph`` and
   ``add_random_chords``, the references built on them that rebuild a
   graph per inserted edge.
+* ``generate_random_st_graph``: the seed generator's growth loop as first
+  written, the reference for the columnar one.
 * ``orientation``, ``on_segment`` and ``segments_properly_intersect``:
   exact integer predicates for segments on the grid, with no floating
   point in any decision.
@@ -37,6 +39,7 @@ from collections import deque
 from stlayout import (BitonicOrdering, EmbeddedStGraph, FaceIndex,
                       StGraphError, apply_splits, build_graph,
                       compute_faces, find_bitonic_ordering)
+from stlayout.generate import P_CHORD, P_VERTEX, GeneratorConfig
 from stlayout.graph import _face_chains
 from stlayout.splitting import SplitPlan
 
@@ -326,6 +329,91 @@ def augmented_graph(g: EmbeddedStGraph,
         for pos, y in sorted(ins, reverse=True):
             rows[x].insert(pos, y)
     return build_graph(g.n, g.s, g.t, rows)
+
+
+def generate_random_st_graph(cfg: GeneratorConfig) -> EmbeddedStGraph:
+    """Reference for ``stlayout.generate.generate_random_st_graph``: the
+    growth loop as first written, with one list per face, one tuple per
+    edge in ``edge_set`` and closures for each mutation."""
+    rng = random.Random(cfg.seed)
+    s, t = 0, 1
+
+    tail = [s]
+    head = [t]
+    # clockwise out-edge rotations as singly linked lists: first[u] is the
+    # first edge id of u, nxt[e] the edge after e (-1 ends the list), so
+    # inserting after a known edge is O(1) even at the high-degree source
+    first = [0, -1]
+    nxt = [-1]
+    edge_set = {(s, t)}
+    # face record: [source, left corner edge, right corner edge, sink];
+    # faces[0] is the outer face (wrap-around corner of s)
+    faces: list[list[int]] = [[s, 0, 0, t]]
+
+    def new_edge(u, v):
+        e = len(tail)
+        tail.append(u)
+        head.append(v)
+        nxt.append(-1)
+        edge_set.add((u, v))
+        return e
+
+    def insert_after(el, e):
+        nxt[e] = nxt[el]
+        nxt[el] = e
+
+    def split_face(f, mid_edge):
+        """Replace face f by its two halves on either side of mid_edge."""
+        u, el, er, z = faces[f]
+        if f == 0:
+            faces[0] = [u, mid_edge, er, z]
+            faces.append([u, el, mid_edge, z])
+        else:
+            faces[f] = [u, el, mid_edge, z]
+            faces.append([u, mid_edge, er, z])
+
+    n = 2
+    while n < cfg.n_target:
+        roll = rng.random()
+        if roll < P_VERTEX:
+            f = rng.randrange(len(faces))
+            u, el, er, z = faces[f]
+            w = n
+            n += 1
+            e1 = new_edge(u, w)
+            e2 = new_edge(w, z)
+            insert_after(el, e1)
+            first.append(e2)
+            split_face(f, e1)
+        elif roll < P_VERTEX + P_CHORD:
+            # a few tries to find a face whose source->sink chord is absent
+            for _ in range(8):
+                f = rng.randrange(len(faces))
+                u, el, er, z = faces[f]
+                if (u, z) not in edge_set:
+                    e = new_edge(u, z)
+                    insert_after(el, e)
+                    split_face(f, e)
+                    break
+        else:
+            e = rng.randrange(len(tail))
+            v = head[e]
+            w = n
+            n += 1
+            head[e] = w
+            edge_set.discard((tail[e], v))
+            edge_set.add((tail[e], w))
+            e2 = new_edge(w, v)
+            first.append(e2)
+
+    rows = []
+    for e in first:
+        row = []
+        while e >= 0:
+            row.append(head[e])
+            e = nxt[e]
+        rows.append(row)
+    return build_graph(n, s, t, rows)
 
 
 def add_random_chords(g: EmbeddedStGraph, count: int,

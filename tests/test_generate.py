@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 import oracles
@@ -42,8 +44,42 @@ def test_target_size_reached():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        GeneratorConfig(n_target=1, seed=0)
+    # only an int of at least 2: a float or a str would not end in the
+    # requested n
+    for n_target in (1, 0, -3, 2.5, 2.0, "5", None, True, False):
+        with pytest.raises(ValueError):
+            GeneratorConfig(n_target=n_target, seed=0)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 8, 13, 30, 100, 1000))
+def test_generator_matches_the_reference(n):
+    for seed in range(20):
+        cfg = GeneratorConfig(n_target=n, seed=seed)
+        assert (graph_to_text(generate_random_st_graph(cfg))
+                == graph_to_text(oracles.generate_random_st_graph(cfg))), seed
+
+
+@pytest.mark.parametrize("seed", (1, 2))
+def test_generator_matches_the_reference_at_40k(seed):
+    # seed 1 is the benchmark's seed-bulk input
+    cfg = GeneratorConfig(n_target=40_000, seed=seed)
+    assert (graph_to_text(generate_random_st_graph(cfg))
+            == graph_to_text(oracles.generate_random_st_graph(cfg)))
+
+
+def test_growth_state_is_freed_before_build_graph():
+    # build_graph's arrays take about the size of the graph it returns;
+    # growth state still alive beside them takes the peak past 4x that
+    cfg = GeneratorConfig(n_target=20_000, seed=1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = generate_random_st_graph(cfg)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.n == 20_000
+    assert peak - base <= 3.0 * (size - base), (peak - base) / (size - base)
 
 
 def test_pure_mutations_never_need_splits():
