@@ -1,9 +1,9 @@
 """From rejected graph to poly-line drawing.
 
 When a graph has no bitonic st-ordering, splitting a minimum set of edges
-through dummy vertices always produces one.  Drawing the split graph
-straight-line and folding each dummy back into its original edge yields an
-upward planar poly-line drawing with at most one bend per edge.  This demo
+through dummy vertices always produces one.  The straight-line drawing of
+the split graph is an upward planar poly-line drawing of the original
+graph, each dummy the one bend of its edge.  This demo
 runs the full pipeline on the 3-fan and on a family of graphs that needs
 the worst-case number of bends, and writes SVG files next to this script.
 """
@@ -43,6 +43,10 @@ print("split graph drawn on a", d_split.width, "x", d_split.height, "grid")
 d = draw_polyline(f1)
 print("poly-line drawing bends:",
       [(f1.tail[e], f1.head[e], p) for e, p in d.bend_points])
+# a drawing is a node table: vertices 0..n-1, then one bend per bent edge,
+# numbered as the split graph numbers its dummies
+print("same points as the split graph's drawing:",
+      (d.x, d.y) == (d_split.x, d_split.y))
 print("valid:", check_upward_planar(f1, d).ok)
 (HERE / "f1.svg").write_text(emit_svg(d, scale=40))
 

@@ -97,7 +97,7 @@ def _cmd_bench(args) -> int:
         t2 = time.perf_counter()
         if not ok:
             failed.append(str(n))
-        bends = len(d.bend_points)  # one per split edge
+        bends = len(d.bent)  # one per split edge
         rows.append(f"{n},{g.m},{bends},{bends},{d.width},{d.height},"
                     f"{(t1 - t0) * 1000.0:.1f},{(t2 - t1) * 1000.0:.1f}\n")
     sys.stdout.write("n,edges,splits,bends,width,height,ms_total,"

@@ -9,13 +9,15 @@ JSON mirror: ``{"n": ..., "s": ..., "t": ..., "succ": [[...], ...]}``.
 Both formats round-trip bit-exactly through parse/emit.
 
 Drawing text format: one ``v x y`` line per vertex, then ``bend u v x y``
-lines for the bent edges.
+lines for the bent edges.  They are read into and written from the
+drawing's columns, one node per line.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain, compress, repeat
+from operator import le
 
 from .errors import GraphFormatError
 from .graph import EmbeddedStGraph, _gather, _gc_paused, build_graph
@@ -142,41 +144,53 @@ def drawing_to_text(g: EmbeddedStGraph, d: GridDrawing) -> str:
     """The drawing text of ``d``; ``ValueError`` unless it draws ``g``."""
     if why := _mismatch(d, g):
         raise ValueError(why)
-    lines = [f"{v} {x} {y}" for v, (x, y) in enumerate(d.coords)]
+    n, xs, ys = g.n, d.x, d.y
+    lines = [f"{v} {x} {y}" for v, x, y in zip(range(n), xs, ys)]
     tail, head = g.tail, g.head
     lines += [f"bend {tail[e]} {head[e]} {x} {y}"
-              for e, (x, y) in d.bend_points]
+              for e, x, y in zip(d.bent, xs[n:], ys[n:])]
     return "\n".join(lines) + "\n"
 
 
 @_gc_paused
 def drawing_from_text(text: str, g: EmbeddedStGraph) -> GridDrawing:
-    coords: dict[int, tuple[int, int]] = {}
-    bends: dict[tuple[int, int], tuple[int, int]] = {}
+    xs: dict[int, int] = {}
+    ys: dict[int, int] = {}
+    bxs, bys = [], []  # the bends' points, in line order
+    bend_at: dict[tuple[int, int], int] = {}  # (u, v) -> its index there
     for lineno, line in _content_lines(text):
         parts = line.split()
         try:
             if parts[0] == "bend":
                 u, v, x, y = map(int, parts[1:])
-                key, seen, what = (u, v), bends, "bend on"
+                bend = u, v
             else:
                 v, x, y = map(int, parts)
-                key, seen, what = v, coords, "vertex"
+                bend = None
         except ValueError:
             raise GraphFormatError(f"line {lineno}: bad drawing line") from None
-        if key in seen:
-            raise GraphFormatError(f"line {lineno}: duplicate {what} {key}")
-        seen[key] = (x, y)
+        if bend is None:
+            if v in xs:
+                raise GraphFormatError(f"line {lineno}: duplicate vertex {v}")
+            xs[v], ys[v] = x, y
+        elif bend in bend_at:
+            raise GraphFormatError(f"line {lineno}: duplicate bend on {bend}")
+        else:
+            bend_at[bend] = len(bxs)
+            bxs.append(x)
+            bys.append(y)
     # the keys are distinct, so n of them within 0..n-1 are all of them
-    if len(coords) != g.n or min(coords) < 0 or max(coords) >= g.n:
+    if len(xs) != g.n or min(xs) < 0 or max(xs) >= g.n:
         raise GraphFormatError("drawing must assign every vertex exactly once")
-    bend_points = ()
-    if bends:
-        bend_of = list(map(bends.pop, zip(g.tail, g.head), repeat(None)))
-        if bends:
-            u, v = next(iter(bends))
+    vertices = range(g.n)
+    x, y, bent = _gather(xs, vertices), _gather(ys, vertices), ()
+    if bend_at:
+        k_of = list(map(bend_at.pop, zip(g.tail, g.head), repeat(-1)))
+        if bend_at:
+            u, v = next(iter(bend_at))
             raise GraphFormatError(f"bend on ({u}, {v}), which is not an edge")
-        bent = list(compress(range(g.m), bend_of))
-        bend_points = tuple(zip(bent, _gather(bend_of, bent)))
-    return GridDrawing(coords=_gather(coords, range(g.n)), tail=g.tail,
-                       head=g.head, bend_points=bend_points)
+        bent = list(compress(range(g.m), map(le, repeat(0), k_of)))
+        ks = _gather(k_of, bent)
+        x += _gather(bxs, ks)
+        y += _gather(bys, ks)
+    return GridDrawing(x=x, y=y, tail=g.tail, head=g.head, bent=bent)

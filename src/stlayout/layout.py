@@ -3,18 +3,20 @@
 Straight-line drawing: incremental contour construction with two sentinel
 vertices that stay left- and rightmost on every contour, relative x-offsets
 along the contour, and a shift tree resolved by two final accumulation
-passes.  Poly-line drawing: split conflicting edges first, draw the split
-graph straight-line, then turn each dummy vertex into one bend.  A
-drawing stores its vertex points and one bend per bent edge, nothing
-per straight edge; every other view of it is derived.
+passes.  Poly-line drawing: split conflicting edges first and draw the
+split graph straight-line; each dummy vertex is one bend.  A drawing is
+a node table, two coordinate columns over the vertices and then one
+bend per bent edge, nothing per straight edge, so the split graph's
+drawing is the poly-line drawing as it is; every other view of it is
+derived.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
-from operator import itemgetter, lt, sub
+from itertools import repeat, starmap
+from operator import lt, sub
 
 from .errors import OrderingInvalid
 from .graph import EmbeddedStGraph, _gather, _gc_paused
@@ -27,65 +29,85 @@ Point = tuple[int, int]
 
 @dataclass(frozen=True)
 class GridDrawing:
-    """Integer coordinates of an upward planar grid drawing.
+    """Integer coordinates of an upward planar grid drawing, as a node table.
 
-    ``coords[v]`` is vertex ``v``'s point.  ``tail`` and ``head`` are the
-    drawn graph's own edge arrays, shared with it, not copied.
-    ``bend_points`` holds ``(e, p)`` for each bent edge ``e``, in strictly
-    increasing ``e``: ``p`` is that edge's one bend.  A straight-line
-    drawing has none; a poly-line drawing is the straight-line drawing of
-    the split graph folded back onto the original edges, one bend per
-    split edge.  Each edge's path, the split edges, the bends and the box
-    (over vertices and bends alike) are derived on first use.
+    ``x[v]`` and ``y[v]`` are the point of node ``v``.  Nodes ``0..n-1``
+    are the vertices; node ``n + i`` is the one bend of edge ``bent[i]``,
+    whose ids increase strictly, so ``n = len(x) - len(bent)``.  This is
+    the numbering of the split graph: a poly-line drawing is the
+    straight-line drawing of the split graph, its columns shared, with
+    each dummy read as the bend of its split edge.  ``tail`` and ``head``
+    are the drawn graph's own edge arrays, shared with it, not copied.
+    Each edge's path, the vertex points, the bends, the split edges and
+    the box are derived on first use.
     """
 
-    coords: tuple[Point, ...]
+    x: tuple[int, ...]
+    y: tuple[int, ...]
     tail: tuple[int, ...]
     head: tuple[int, ...]
-    bend_points: tuple[tuple[int, Point], ...] = ()
+    bent: tuple[int, ...] = ()
 
     def __post_init__(self):
-        ids = [-1, *map(itemgetter(0), self.bend_points), len(self.tail)]
+        object.__setattr__(self, "bent", tuple(self.bent))
+        if len(self.x) != len(self.y):
+            raise ValueError(f"drawing has {len(self.x)} x and "
+                             f"{len(self.y)} y coordinates")
+        ids = [-1, *self.bent, len(self.tail)]
         if not all(map(lt, ids, ids[1:])):
             raise ValueError(f"bend edge ids must increase strictly and "
                              f"lie in 0..{len(self.tail) - 1}")
+        if len(self.x) < len(self.bent):
+            raise ValueError(f"drawing has {len(self.x)} points for "
+                             f"{len(self.bent)} bends")
+
+    @cached_property
+    def coords(self) -> tuple[Point, ...]:
+        """The point of each vertex."""
+        n = len(self.x) - len(self.bent)
+        return tuple(zip(self.x[:n], self.y[:n]))
+
+    @cached_property
+    def bends(self) -> list[Point]:
+        """The point of each bend, in :attr:`bent` order."""
+        n = len(self.x) - len(self.bent)
+        return list(zip(self.x[n:], self.y[n:]))
+
+    @cached_property
+    def bend_points(self) -> tuple[tuple[int, Point], ...]:
+        """``(e, p)`` for each bent edge ``e`` and its bend ``p``."""
+        return tuple(zip(self.bent, self.bends))
 
     @cached_property
     def edge_paths(self) -> tuple[tuple[Point, ...], ...]:
         """Each edge's path: tail point, bend if it has one, head point."""
-        paths = list(zip(_gather(self.coords, self.tail),
-                         _gather(self.coords, self.head)))
-        for e, p in self.bend_points:
+        coords = self.coords
+        paths = list(zip(_gather(coords, self.tail),
+                         _gather(coords, self.head)))
+        for e, p in zip(self.bent, self.bends):
             paths[e] = paths[e][0], p, paths[e][1]
         return tuple(paths)
 
     @cached_property
     def splits(self) -> tuple[tuple[int, int], ...]:
         """``(u, v)`` of each bent edge, in edge id order."""
-        tail, head = self.tail, self.head
-        return tuple((tail[e], head[e]) for e, _ in self.bend_points)
-
-    @cached_property
-    def bends(self) -> list[Point]:
-        """The points of :attr:`bend_points`."""
-        return list(map(itemgetter(1), self.bend_points))
+        return tuple(zip(_gather(self.tail, self.bent),
+                         _gather(self.head, self.bent)))
 
     @cached_property
     def width(self) -> int:
-        xs = list(map(itemgetter(0), chain(self.coords, self.bends)))
-        return max(xs) - min(xs) if xs else 0
+        return max(self.x) - min(self.x) if self.x else 0
 
     @cached_property
     def height(self) -> int:
-        ys = list(map(itemgetter(1), chain(self.coords, self.bends)))
-        return max(ys) - min(ys) if ys else 0
+        return max(self.y) - min(self.y) if self.y else 0
 
 
 def _mismatch(d: GridDrawing, g: EmbeddedStGraph) -> str | None:
     """Why ``d`` is not a drawing of ``g`` (a point per vertex and ``g``'s
     edges, the same tuples or else equal ones), or None."""
-    if len(d.coords) != g.n:
-        return f"drawing has {len(d.coords)} coordinates for {g.n} vertices"
+    if (n := len(d.x) - len(d.bent)) != g.n:
+        return f"drawing has {n} coordinates for {g.n} vertices"
     if not ((d.tail is g.tail or d.tail == g.tail)
             and (d.head is g.head or d.head == g.head)):
         return "drawing is of another graph: its edges differ"
@@ -175,19 +197,23 @@ def draw_straightline(g: EmbeddedStGraph,
         if parent[k] != -1:
             xabs[k] = xoff[k] + xabs[parent[k]]
 
-    # points in rank order, then each vertex picks its own; slot 0 is the
-    # left sentinel's, which no vertex picks
+    # each vertex picks its rank's column entries; slot 0 is the left
+    # sentinel's, which no vertex picks
     dx, dy = min(xabs[1:n + 1]), min(yabs[1:n + 1])
-    points = tuple(zip(map(sub, xabs, repeat(dx, n + 1)),
-                       map(sub, yabs, repeat(dy, n + 1))))
-    coords = _gather(points, pi)
-    return GridDrawing(coords=coords, tail=g.tail, head=g.head)
+    xs = list(map(sub, xabs, repeat(dx, n + 1)))
+    ys = list(map(sub, yabs, repeat(dy, n + 1)))
+    return GridDrawing(x=_gather(xs, pi), y=_gather(ys, pi), tail=g.tail,
+                       head=g.head)
 
 
 @_gc_paused
 def draw_polyline(g: EmbeddedStGraph) -> GridDrawing:
-    """Order, or if rejected split and order the split graph; draw, and
-    fold each dummy vertex into a bend."""
+    """Order, or if rejected split and order the split graph, and draw.
+
+    The split graph's drawing is the poly-line drawing: the ``i``-th split
+    edge keeps its id and ends at dummy ``g.n + i``, and node ``g.n + i``
+    of a drawing is the bend of its ``i``-th bent edge, so the columns
+    are shared as they are."""
     ord = find_bitonic_ordering(g)
     if not isinstance(ord, RejectionWitness):
         return draw_straightline(g, ord)  # its split plan is empty
@@ -196,12 +222,8 @@ def draw_polyline(g: EmbeddedStGraph) -> GridDrawing:
     if isinstance(ord, RejectionWitness):
         raise AssertionError("split graph unexpectedly rejected")
     base = draw_straightline(h, ord)
-
-    # the i-th split edge keeps its id and ends at dummy g.n + i, whose
-    # point is its bend
-    return GridDrawing(coords=base.coords[:g.n], tail=g.tail, head=g.head,
-                       bend_points=tuple(zip(plan.split_edges,
-                                             base.coords[g.n:])))
+    return GridDrawing(x=base.x, y=base.y, tail=g.tail, head=g.head,
+                       bent=plan.split_edges)
 
 
 def emit_svg(d: GridDrawing, scale: int = 20) -> str:
@@ -214,11 +236,10 @@ def emit_svg(d: GridDrawing, scale: int = 20) -> str:
         raise ValueError("scale must be >= 1")
     pad = scale
     h = d.height * scale + 2 * pad
-    x0 = min(map(itemgetter(0), chain(d.coords, d.bends)), default=0)
-    y0 = min(map(itemgetter(1), chain(d.coords, d.bends)), default=0)
+    x0, y0 = min(d.x, default=0), min(d.y, default=0)
 
-    def pt(p: Point) -> tuple[int, int]:
-        return (p[0] - x0) * scale + pad, h - ((p[1] - y0) * scale + pad)
+    def pt(x: int, y: int) -> tuple[int, int]:
+        return (x - x0) * scale + pad, h - ((y - y0) * scale + pad)
 
     lines = []
     w = d.width * scale + 2 * pad
@@ -226,15 +247,14 @@ def emit_svg(d: GridDrawing, scale: int = 20) -> str:
                  f'width="{w}" height="{h}" viewBox="0 0 {w} {h}">')
     r = max(2, scale // 5)
     for path in d.edge_paths:
-        pts = " ".join(f"{x},{y}" for x, y in map(pt, path))
+        pts = " ".join(f"{x},{y}" for x, y in starmap(pt, path))
         lines.append(f'<polyline points="{pts}" fill="none" '
                      f'stroke="black" stroke-width="1"/>')
-    for p in d.bends:
-        x, y = pt(p)
+    n = len(d.x) - len(d.bent)
+    for x, y in map(pt, d.x[n:], d.y[n:]):
         lines.append(f'<rect x="{x - r}" y="{y - r}" width="{2 * r}" '
                      f'height="{2 * r}" fill="white" stroke="black"/>')
-    for p in d.coords:
-        x, y = pt(p)
+    for x, y in map(pt, d.x[:n], d.y[:n]):
         lines.append(f'<circle cx="{x}" cy="{y}" r="{r}" '
                      f'fill="white" stroke="black"/>')
     lines.append("</svg>")

@@ -24,11 +24,14 @@ class SplitPlan:
     that :func:`minimum_split_plan` chose (0 for vertices without
     successors); :func:`transitive_split_plan` picks no apex, so its
     ``apex`` is all 0.  ``split_edges`` holds the ids of the edges to
-    split, in increasing order.
+    split, in increasing order, as a tuple whatever sequence was given.
     """
 
     apex: tuple[int, ...]
     split_edges: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "split_edges", tuple(self.split_edges))
 
 
 def minimum_split_plan(g: EmbeddedStGraph) -> SplitPlan:
@@ -61,7 +64,7 @@ def minimum_split_plan(g: EmbeddedStGraph) -> SplitPlan:
         for e in range(top + 1, e1):
             if corner_dir[e - 1] > 0:
                 split.append(e)
-    return SplitPlan(apex=tuple(apex), split_edges=tuple(split))
+    return SplitPlan(apex=tuple(apex), split_edges=split)
 
 
 def transitive_split_plan(g: EmbeddedStGraph) -> SplitPlan:

@@ -1,9 +1,10 @@
 """Independent geometric verification of drawings.
 
 The checks here never reuse the layout machinery: they read only the
-graph's arrays and the drawing, in exact integers.  Each bend is taken as
-a vertex of its edge, so a drawing is a straight-line drawing of the
-subdivided graph H, a planar st-graph with the graph's embedding and one
+graph's arrays and the drawing's coordinate columns, in exact integers.
+Each bend is taken as a vertex of its edge, the node the drawing already
+numbers it as, so a drawing is a straight-line drawing of the subdivided
+graph H, a planar st-graph with the graph's embedding and one
 piece per edge.  Distinct points and upwardness are read off the pieces
 directly.  Planarity is then certified from H's own faces in O(m) where
 it can be, and decided by one plane sweep otherwise.
@@ -72,9 +73,9 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
-from itertools import compress, pairwise
+from itertools import compress, pairwise, repeat
 from math import inf
-from operator import eq, itemgetter, lt
+from operator import add, eq, itemgetter, lt, mul
 
 from .errors import MissingCoordinate
 from .graph import EmbeddedStGraph, _gather, _gc_paused
@@ -129,17 +130,18 @@ def check_upward_planar(g: EmbeddedStGraph,
         raise MissingCoordinate(why)
     violations = []
 
-    # node v lies at points[v]: the vertices, then the bends.  With each
-    # bend a vertex of its edge the drawing is a straight-line drawing of
-    # the subdivided graph, one piece per edge
-    points = [*d.coords, *d.bends] if d.bend_points else d.coords
+    # node v lies at (X[v], Y[v]): the vertices, then the bends.  With
+    # each bend a vertex of its edge the drawing is a straight-line
+    # drawing of the subdivided graph, one piece per edge
+    X, Y = d.x, d.y
     tail, head, out_start = _subdivided(g, d)
-    distinct = len(set(points)) == len(points)
+    # the x values span fewer than K, so y*K + x names each point once
+    K = d.width + 1
+    distinct = len(set(map(add, map(mul, Y, repeat(K)), X))) == len(X)
     if not distinct:
         violations.append("two vertices or bends share a coordinate")
 
-    ys = list(map(itemgetter(1), points))
-    upward = all(map(lt, _gather(ys, tail), _gather(ys, head)))
+    upward = all(map(lt, _gather(Y, tail), _gather(Y, head)))
     if not upward:  # one whole-list test; the loop words what failed
         for u, v, path in zip(g.tail, g.head, d.edge_paths):
             for a, b in pairwise(path):
@@ -148,9 +150,10 @@ def check_upward_planar(g: EmbeddedStGraph,
                                       f"not strictly upward")
                     break
 
-    if distinct and upward and _faces_ordered(points, tail, head, out_start):
+    if distinct and upward and _faces_ordered(X, Y, tail, head, out_start):
         crossing = None  # certified by the faces (module docstring)
     else:
+        points = list(zip(X, Y))
         tails, heads = _pieces(d)
         crossing = _find_proper_intersection(points, tails, heads)
         if crossing is not None:
@@ -166,8 +169,8 @@ def check_upward_planar(g: EmbeddedStGraph,
         planar=planar,
         width=d.width,
         height=d.height,
-        bends_total=len(d.bend_points),
-        bends_max_per_edge=1 if d.bend_points else 0,
+        bends_total=len(d.bent),
+        bends_max_per_edge=1 if d.bent else 0,
         violations=violations,
     )
 
@@ -180,7 +183,7 @@ def check_bounds(d: GridDrawing, n: int, mode: str) -> bool:
     no edge is ever split.  One bend per edge is the drawing type's own
     invariant.
     """
-    bends = len(d.bend_points)
+    bends = len(d.bent)
     if mode == "straightline":
         return (not bends and d.width <= 2 * n - 2
                 and d.height <= n - 1)
@@ -193,13 +196,14 @@ def check_bounds(d: GridDrawing, n: int, mode: str) -> bool:
 
 def _subdivided(g: EmbeddedStGraph, d: GridDrawing):
     """The tail, head and out_start arrays of ``g`` with each bend a vertex
-    of its edge.  Bend ``k`` is node ``g.n + k``; a bent edge keeps its id
-    for its piece from its tail, and its piece from bend ``k`` up is edge
-    ``g.m + k``, so the edges stay numbered by tail and then clockwise."""
-    if not d.bend_points:
+    of its edge.  Bend ``k`` is node ``g.n + k``, as in ``d``; a bent edge
+    keeps its id for its piece from its tail, and its piece from bend
+    ``k`` up is edge ``g.m + k``, so the edges stay numbered by tail and
+    then clockwise."""
+    bent = d.bent
+    if not bent:
         return g.tail, g.head, g.out_start
-    n, m, k = g.n, g.m, len(d.bend_points)
-    bent = list(map(itemgetter(0), d.bend_points))
+    n, m, k = g.n, g.m, len(bent)
     head = list(g.head)
     for e, b in zip(bent, range(n, n + k)):
         head[e] = b
@@ -208,11 +212,11 @@ def _subdivided(g: EmbeddedStGraph, d: GridDrawing):
             g.out_start + tuple(range(m + 1, m + k + 1)))
 
 
-def _faces_ordered(points, tail, head, out_start) -> bool:
+def _faces_ordered(X, Y, tail, head, out_start) -> bool:
     """Whether every inner face's left chain runs strictly left of its right
     chain at every height strictly between the face's source and sink, in
     a straight-line drawing of the graph with these arrays whose nodes lie
-    at distinct ``points`` and whose edges rise.  O(m).
+    at distinct points ``(X[v], Y[v])`` and whose edges rise.  O(m).
 
     Each face's chains are walked along ``lnext`` and ``rnext`` and merged
     by y.  ``a`` and ``b`` are the last points merged from the left and
@@ -222,32 +226,33 @@ def _faces_ordered(points, tail, head, out_start) -> bool:
     left of ``r``, unless both are the sink, the one point the chains
     share above the source.
     """
-    at_head = _gather(points, head)
+    hx, hy = _gather(X, head), _gather(Y, head)
     lnext = _gather([b - 1 for b in out_start[1:]], head)
     rnext = _gather(out_start, head)
     for le in compress(range(len(tail) - 1), map(eq, tail, tail[1:])):
-        ax, ay = bx, by = points[tail[le]]
+        ax = bx = X[tail[le]]
+        ay = by = Y[tail[le]]
         re = le + 1
-        lx, ly = at_head[le]
-        rx, ry = at_head[re]
+        lx, ly = hx[le], hy[le]
+        rx, ry = hx[re], hy[re]
         while True:
             if ly < ry:
                 if (rx - bx) * (ly - by) <= (ry - by) * (lx - bx):
                     return False
                 ax, ay = lx, ly
                 le = lnext[le]
-                lx, ly = at_head[le]
+                lx, ly = hx[le], hy[le]
             elif ry < ly:
                 if (lx - ax) * (ry - ay) >= (ly - ay) * (rx - ax):
                     return False
                 bx, by = rx, ry
                 re = rnext[re]
-                rx, ry = at_head[re]
+                rx, ry = hx[re], hy[re]
             elif lx < rx:
                 ax, ay, bx, by = lx, ly, rx, ry
                 le, re = lnext[le], rnext[re]
-                lx, ly = at_head[le]
-                rx, ry = at_head[re]
+                lx, ly = hx[le], hy[le]
+                rx, ry = hx[re], hy[re]
             elif lx == rx:  # the sink
                 break
             else:
@@ -258,11 +263,11 @@ def _faces_ordered(points, tail, head, out_start) -> bool:
 def _pieces(d: GridDrawing):
     """The tail and head node of every piece, in edge id order with each
     bent edge's two pieces in its place; bend ``k`` is node
-    ``len(d.coords) + k``."""
-    if not d.bend_points:
+    ``len(d.x) - len(d.bent) + k``."""
+    if not d.bent:
         return d.tail, d.head
     tails, heads, e0 = [], [], 0
-    for v, (e, _) in enumerate(d.bend_points, len(d.coords)):
+    for v, e in enumerate(d.bent, len(d.x) - len(d.bent)):
         tails += d.tail[e0:e]
         tails += d.tail[e], v
         heads += d.head[e0:e]

@@ -28,6 +28,8 @@
 * ``faces_ordered_by_chains``: the validator's face check over listed
   chains that end by the in-edge test, on the subdivided graph rebuilt by
   ``build_graph``; the reference for ``validate._faces_ordered``.
+* ``drawing_of``: a drawing built from its vertex points and ``(e, p)``
+  bends, the one way tests build a drawing by hand.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import random
 from collections import deque
 
 from stlayout import (BitonicOrdering, EmbeddedStGraph, FaceIndex,
-                      StGraphError, apply_splits, build_graph,
+                      GridDrawing, StGraphError, apply_splits, build_graph,
                       compute_faces, find_bitonic_ordering)
 from stlayout.generate import P_CHORD, P_VERTEX, GeneratorConfig
 from stlayout.graph import _face_chains
@@ -638,3 +640,14 @@ def faces_ordered_by_chains(g: EmbeddedStGraph, d) -> bool:
             else:
                 return False
     return True
+
+
+def drawing_of(g, coords, bend_points=()) -> GridDrawing:
+    """The drawing of ``g``'s edges (``g`` a graph or a drawing) with
+    vertex ``v`` at ``coords[v]`` and, for each ``(e, p)`` of
+    ``bend_points`` in increasing ``e``, one bend of edge ``e`` at ``p``:
+    the node table of those points, the bends after the vertices."""
+    points = [*coords, *(p for _, p in bend_points)]
+    return GridDrawing(x=tuple(x for x, _ in points),
+                       y=tuple(y for _, y in points), tail=g.tail,
+                       head=g.head, bent=tuple(e for e, _ in bend_points))

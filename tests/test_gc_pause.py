@@ -10,14 +10,14 @@ import gc
 
 import pytest
 
-from stlayout import (GeneratorConfig, GridDrawing, NotAcyclic, build_graph,
+from stlayout import (GeneratorConfig, NotAcyclic, build_graph,
                       check_bounds, check_upward_planar, draw_polyline,
                       drawing_from_text, drawing_to_text,
                       generate_random_st_graph, graph_from_json,
                       graph_from_text, graph_to_json, graph_to_text)
 from stlayout.generate import add_random_chords
 from conftest import fan
-from oracles import succ
+from oracles import drawing_of, succ
 
 CYCLIC = (4, 0, 3, [[1], [2, 3], [1], []])
 
@@ -99,8 +99,7 @@ def swapped(g, d):
     coords = list(d.coords)
     u, v = g.n // 4, g.n // 2
     coords[u], coords[v] = coords[v], coords[u]
-    return GridDrawing(coords=tuple(coords), tail=d.tail, head=d.head,
-                       bend_points=d.bend_points)
+    return drawing_of(d, coords, d.bend_points)
 
 
 def test_pipeline_leaves_no_cycles(collector_off):

@@ -16,7 +16,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
 
-from stlayout import (GeneratorConfig, GridDrawing, RejectionWitness,
+from stlayout import (GeneratorConfig, RejectionWitness,
                       apply_splits, check_bounds, check_upward_planar,
                       compute_faces,
                       draw_polyline,
@@ -29,7 +29,7 @@ from stlayout.ordering import ordering_to_text, witness_to_text
 from stlayout.splitting import plan_to_text
 from stlayout.validate import _find_proper_intersection
 from conftest import all_fixture_graphs, comb_pieces, corpus, fan, zig
-from oracles import gap_faces, split_dummies, sweep_input
+from oracles import drawing_of, gap_faces, split_dummies, sweep_input
 
 GOLDEN = Path(__file__).with_name("golden.json")
 FAMILIES = ("graph", "ordering", "plan", "split", "faces", "straightline",
@@ -119,8 +119,7 @@ def perturbed(g, d, rng):
     for v in rng.sample(range(g.n), min(g.n, rng.randint(1, 3))):
         x, y = coords[v]
         coords[v] = (x + rng.randint(-3, 3), y + rng.randint(-3, 3))
-    return GridDrawing(coords=tuple(coords), tail=d.tail, head=d.head,
-                       bend_points=d.bend_points)
+    return drawing_of(d, coords, d.bend_points)
 
 
 def bounds_text(d, n):

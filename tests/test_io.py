@@ -15,6 +15,7 @@ from stlayout import (GraphFormatError, StGraphError, build_graph,
                       graph_from_text, graph_to_json, graph_to_text,
                       load_graph)
 from conftest import LINEAR_GATE, corpus, doubling_ratios, fan, zig
+from oracles import drawing_of
 
 
 def test_text_roundtrip(f1):
@@ -108,7 +109,7 @@ def test_drawing_text_refuses_paths_it_cannot_hold(triangle):
     for coords in (d.coords + ((9, 9),), d.coords[:2]):
         with pytest.raises(ValueError, match=r"^drawing has [24] "
                                              r"coordinates for 3 vertices$"):
-            drawing_to_text(triangle, replace(d, coords=coords))
+            drawing_to_text(triangle, drawing_of(d, coords))
     path = build_graph(3, 0, 2, [[1], [2], []])
     with pytest.raises(ValueError, match="^drawing is of another graph"):
         drawing_to_text(path, d)

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import re
-from dataclasses import replace
+import tracemalloc
 from statistics import median
 
 import pytest
@@ -15,6 +16,7 @@ from stlayout import (BitonicOrdering, EmbeddedStGraph, GridDrawing,
                       find_bitonic_ordering, graph_from_json,
                       graph_from_text, graph_to_json, graph_to_text)
 from conftest import LINEAR_GATE, corpus, doubling_ratios, fan, zig
+from oracles import drawing_of
 
 
 def test_triangle_coordinates(triangle):
@@ -124,6 +126,45 @@ def test_draw_path_never_builds_edge_paths(monkeypatch, f1):
         assert check_upward_planar(g, d).ok and check_upward_planar(g, d2).ok
 
 
+def test_pipeline_builds_no_per_point_view(monkeypatch, f1):
+    # a drawing is a node table: drawing, writing, reading, validating and
+    # bounds checking a valid drawing read its columns, and none of them
+    # builds a tuple per vertex or bend
+    def no_view(d):
+        raise AssertionError("the pipeline built a per-point view")
+
+    for name in ("coords", "bend_points", "bends", "edge_paths"):
+        monkeypatch.setattr(GridDrawing, name, property(no_view))
+    chorded = corpus(sizes=(50,), seeds=(1,))[0]
+    for g in (f1, fan(50), chorded):
+        d = draw_polyline(g)
+        d2 = drawing_from_text(drawing_to_text(g, d), g)
+        assert d2.bent and check_upward_planar(g, d2).ok
+        assert check_bounds(d2, g.n, "polyline")
+
+
+def test_drawing_holds_less_than_its_graph():
+    # a poly-line drawing of fan(2000) is two columns over its vertices
+    # and bends and the ids of its bent edges; its edge arrays are the
+    # graph's own.  Measured by allocation, so no clock is involved
+    text = graph_to_text(fan(2000))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        g = graph_from_text(text)
+        gc.collect()
+        parsed = tracemalloc.get_traced_memory()[0]
+        d = draw_polyline(g)
+        gc.collect()
+        drawn = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert drawn - parsed <= 1.3 * (parsed - start), (drawn - parsed,
+                                                      parsed - start)
+    assert len(d.splits) == g.n - 3
+
+
 def test_drawing_holds_at_most_one_bend_per_edge(f1):
     d = draw_polyline(f1)
     (e, p), = d.bend_points
@@ -131,7 +172,15 @@ def test_drawing_holds_at_most_one_bend_per_edge(f1):
                   ((f1.m, p),), ((-1, p),)):
         with pytest.raises(ValueError, match="^bend edge ids must increase "
                                              "strictly and lie in 0..6$"):
-            replace(d, bend_points=bends)
+            drawing_of(d, d.coords, bends)
+
+
+def test_drawing_keeps_its_bent_edges_as_a_tuple(f1):
+    d = draw_polyline(f1)
+    listed = GridDrawing(x=d.x, y=d.y, tail=d.tail, head=d.head,
+                         bent=list(d.bent))
+    assert listed == d and listed.bent == (2,)
+    assert drawing_to_text(f1, listed) == drawing_to_text(f1, d)
 
 
 def test_svg_output(f1):

@@ -41,6 +41,15 @@ def test_apply_splits_f1(f1):
     assert isinstance(find_bitonic_ordering(h), BitonicOrdering)
 
 
+def test_a_plan_keeps_its_split_edges_as_a_tuple(f1):
+    # a plan's ids may be given in a list; apply_splits concatenates
+    # tuples, so the plan keeps them as one
+    p = minimum_split_plan(f1)
+    listed = SplitPlan(apex=p.apex, split_edges=[2])
+    assert listed == p and listed.split_edges == (2,)
+    assert apply_splits(f1, listed) == apply_splits(f1, p)
+
+
 def test_apply_splits_missing_edge(triangle):
     # the triangle has edges 0..2: an id past the last one, a negative id,
     # a repeated id and a decreasing pair

@@ -5,7 +5,6 @@ from __future__ import annotations
 import inspect
 import random
 from collections import Counter
-from dataclasses import replace
 from itertools import pairwise
 from statistics import median
 
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stlayout import (GeneratorConfig, GridDrawing, MissingCoordinate,
+from stlayout import (GeneratorConfig, MissingCoordinate,
                       RejectionWitness, apply_splits, build_graph,
                       check_bounds, check_upward_planar, draw_polyline,
                       drawing_from_text, find_bitonic_ordering,
@@ -22,8 +21,9 @@ from stlayout import (GeneratorConfig, GridDrawing, MissingCoordinate,
 from stlayout import validate
 from stlayout.validate import _find_proper_intersection
 from conftest import LINEAR_GATE, comb_pieces, corpus, doubling_ratios, fan
-from oracles import (all_pairs_intersection, faces_ordered_by_chains,
-                     segments_properly_intersect, sweep_input)
+from oracles import (all_pairs_intersection, drawing_of,
+                     faces_ordered_by_chains, segments_properly_intersect,
+                     sweep_input)
 from test_golden import golden_graphs, perturbed
 
 
@@ -43,7 +43,7 @@ def test_missing_coordinate(triangle, f1):
     for coords in (d.coords + ((9, 9),), d.coords[:2]):
         with pytest.raises(MissingCoordinate,
                            match=r"^drawing has [24] coordinates for 3"):
-            check_upward_planar(triangle, replace(d, coords=coords))
+            check_upward_planar(triangle, drawing_of(d, coords))
     with pytest.raises(MissingCoordinate, match="5 coordinates for 3"):
         check_upward_planar(triangle, draw_polyline(f1))
     path = build_graph(3, 0, 2, [[1], [2], []])
@@ -51,14 +51,9 @@ def test_missing_coordinate(triangle, f1):
         check_upward_planar(path, d)
 
 
-def drawing(g, coords):
-    """The straight-line drawing of ``g`` with these vertex points."""
-    return GridDrawing(coords=tuple(coords), tail=g.tail, head=g.head)
-
-
 def test_detects_downward_edge(triangle):
     rep = check_upward_planar(triangle,
-                              drawing(triangle, ((0, 2), (1, 1), (2, 3))))
+                              drawing_of(triangle, ((0, 2), (1, 1), (2, 3))))
     assert not rep.upward
     assert not rep.ok
     # a bend below its tail makes a downward piece
@@ -74,13 +69,13 @@ def test_detects_crossing(f1):
     coords = list(d.coords)
     # swap two vertices to force a crossing or duplicate geometry
     coords[1], coords[3] = coords[3], coords[1]
-    rep = check_upward_planar(f1, replace(d, coords=tuple(coords)))
+    rep = check_upward_planar(f1, drawing_of(d, coords, d.bend_points))
     assert not rep.ok
 
 
 def test_detects_coincident_vertices(triangle):
     rep = check_upward_planar(triangle,
-                              drawing(triangle, ((0, 0), (1, 1), (1, 1))))
+                              drawing_of(triangle, ((0, 0), (1, 1), (1, 1))))
     assert not rep.planar
     assert any("share" in v for v in rep.violations)
     # a bend on its tail's own point: a zero-length piece
@@ -338,8 +333,7 @@ def small_drawings(draw):
     bent = dict(bends)
     for e in draw(st.lists(st.integers(0, g.m - 1), max_size=3)):
         bent[e] = draw(point)
-    return g, GridDrawing(coords=tuple(coords), tail=g.tail, head=g.head,
-                          bend_points=tuple(sorted(bent.items())))
+    return g, drawing_of(g, coords, sorted(bent.items()))
 
 
 @settings(derandomize=True, database=None, max_examples=400)
@@ -384,7 +378,7 @@ def test_zero_length_pieces_validate_in_near_linear_time():
         g = generate_random_st_graph(GeneratorConfig(n_target=n, seed=1))
         d = draw_polyline(g)
         bent = tuple((e, d.coords[g.tail[e]]) for e in range(0, g.m, 2))
-        drawings.append((g, replace(d, bend_points=bent)))
+        drawings.append((g, drawing_of(d, d.coords, bent)))
     rep = check_upward_planar(*drawings[0])
     assert not rep.planar
     assert any("share a coordinate" in v for v in rep.violations)
@@ -435,7 +429,7 @@ def test_planar_drawing_of_another_embedding_reaches_the_sweep(monkeypatch):
 
     monkeypatch.setattr(validate, "_find_proper_intersection", sweep)
     for x, reaches in ((-1, False), (1, True)):
-        rep = check_upward_planar(g, drawing(g, ((0, 0), (x, 1), (0, 2))))
+        rep = check_upward_planar(g, drawing_of(g, ((0, 0), (x, 1), (0, 2))))
         assert rep.ok and '"planar": true' in rep.to_json()
         assert bool(swept) == reaches
     # mirrored (x -> -x), fan(2000) and the golden 10k seed graph are
@@ -445,9 +439,9 @@ def test_planar_drawing_of_another_embedding_reaches_the_sweep(monkeypatch):
             GeneratorConfig(n_target=10_000, seed=1))):
         d = draw_polyline(g)
         swept.clear()
-        rep = check_upward_planar(g, replace(
-            d, coords=tuple((-x, y) for x, y in d.coords),
-            bend_points=tuple((e, (-x, y)) for e, (x, y) in d.bend_points)))
+        rep = check_upward_planar(g, drawing_of(
+            d, [(-x, y) for x, y in d.coords],
+            [(e, (-x, y)) for e, (x, y) in d.bend_points]))
         assert rep.ok and '"planar": true' in rep.to_json()
         assert swept
 
@@ -459,7 +453,7 @@ def _bends_moved(d, rng):
                                                 rng.randint(1, 3))):
         e, (x, y) = bends[k]
         bends[k] = e, (x + rng.randint(-2, 2), y + rng.randint(-2, 2))
-    return replace(d, bend_points=tuple(bends))
+    return drawing_of(d, d.coords, bends)
 
 
 def _face_check(g, d):
@@ -470,7 +464,7 @@ def _face_check(g, d):
     if len(set(points)) < len(points) or any(
             b[1] <= a[1] for path in d.edge_paths for a, b in pairwise(path)):
         return None
-    verdict = validate._faces_ordered(points, *validate._subdivided(g, d))
+    verdict = validate._faces_ordered(d.x, d.y, *validate._subdivided(g, d))
     assert verdict == faces_ordered_by_chains(g, d), d
     return verdict
 
@@ -558,7 +552,7 @@ def moved_drawings(draw):
         else:
             e, (x, y) = bends[k - g.n]
             bends[k - g.n] = e, (x + draw(step), y + draw(step))
-    return g, replace(d, coords=tuple(coords), bend_points=tuple(bends))
+    return g, drawing_of(d, coords, bends)
 
 
 @settings(derandomize=True, database=None, max_examples=300)
