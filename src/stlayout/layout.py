@@ -58,8 +58,8 @@ class GridDrawing:
             raise ValueError(f"bend edge ids must increase strictly and "
                              f"lie in 0..{len(self.tail) - 1}")
         if len(self.x) < len(self.bent):
-            raise ValueError(f"drawing has {len(self.x)} points for "
-                             f"{len(self.bent)} bends")
+            raise ValueError(f"drawing has more bends ({len(self.bent)}) "
+                             f"than points ({len(self.x)})")
 
     @cached_property
     def coords(self) -> tuple[Point, ...]:

@@ -175,12 +175,18 @@ def test_drawing_holds_at_most_one_bend_per_edge(f1):
             drawing_of(d, d.coords, bends)
 
 
-def test_drawing_keeps_its_bent_edges_as_a_tuple(f1):
+def test_drawing_checks_its_columns(f1):
+    # bent edge ids given in a list are kept as a tuple; the two columns
+    # have one entry per node, and there are at least as many as bends
     d = draw_polyline(f1)
     listed = GridDrawing(x=d.x, y=d.y, tail=d.tail, head=d.head,
                          bent=list(d.bent))
     assert listed == d and listed.bent == (2,)
     assert drawing_to_text(f1, listed) == drawing_to_text(f1, d)
+    with pytest.raises(ValueError, match="^drawing has 6 x and 5 y "):
+        GridDrawing(x=d.x, y=d.y[:5], tail=d.tail, head=d.head, bent=(2,))
+    with pytest.raises(ValueError, match=r"^drawing has more bends \(2\) "):
+        GridDrawing(x=(0,), y=(0,), tail=d.tail, head=d.head, bent=(1, 2))
 
 
 def test_svg_output(f1):
