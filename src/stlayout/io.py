@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from itertools import chain, compress, repeat
-from operator import le
 
 from .errors import GraphFormatError
 from .graph import EmbeddedStGraph, _gather, _gc_paused, build_graph
@@ -156,7 +155,7 @@ def drawing_to_text(g: EmbeddedStGraph, d: GridDrawing) -> str:
 def drawing_from_text(text: str, g: EmbeddedStGraph) -> GridDrawing:
     xs: dict[int, int] = {}
     ys: dict[int, int] = {}
-    bxs, bys = [], []  # the bends' points, in line order
+    bxs, bys = [None], [None]  # the bends' points, in line order from 1
     bend_at: dict[tuple[int, int], int] = {}  # (u, v) -> its index there
     for lineno, line in _content_lines(text):
         parts = line.split()
@@ -185,11 +184,11 @@ def drawing_from_text(text: str, g: EmbeddedStGraph) -> GridDrawing:
     vertices = range(g.n)
     x, y, bent = _gather(xs, vertices), _gather(ys, vertices), ()
     if bend_at:
-        k_of = list(map(bend_at.pop, zip(g.tail, g.head), repeat(-1)))
+        k_of = list(map(bend_at.pop, zip(g.tail, g.head), repeat(0)))
         if bend_at:
             u, v = next(iter(bend_at))
             raise GraphFormatError(f"bend on ({u}, {v}), which is not an edge")
-        bent = list(compress(range(g.m), map(le, repeat(0), k_of)))
+        bent = list(compress(range(g.m), k_of))
         ks = _gather(k_of, bent)
         x += _gather(bxs, ks)
         y += _gather(bys, ks)
