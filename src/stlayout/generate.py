@@ -9,13 +9,14 @@ each provably preserve the planar st-graph invariants:
   * edge split: replace an edge by a length-2 path through a new vertex.
 
 Each mutation costs O(1), so generation is linear in the target size.
-Faces are kept in four flat columns (source, left corner edge, right
-corner edge, sink), and each edge (u, v) is the integer key
-``u * n_target + v`` in one set, used to find an absent chord.  The
-growth state is freed before ``build_graph`` runs on the successor rows,
-so the two never take memory at once.  The stream is Python's Mersenne
-Twister, fully determined by the seed: one ``random()`` per step, then
-``randrange`` over the faces (up to 8 times for a chord) or the edges.
+Every face runs from ``s`` to ``t``, since both halves of a split face
+keep its source and sink, so a face is kept as its left corner edge at
+``s``, in one flat column, and one flag tells whether the only chord,
+``(s, t)``, is absent.  The growth state is freed before ``build_graph``
+runs on the successor rows, so the two never take memory at once.  The
+stream is Python's Mersenne Twister, fully determined by the seed: one
+``random()`` per step, then ``randrange`` over the faces (up to 8 times
+for a chord) or the edges.
 """
 
 from __future__ import annotations
@@ -62,72 +63,57 @@ def _grow(cfg: GeneratorConfig) -> tuple[int, int, int, list[list[int]]]:
     # first edge id of u, nxt[e] the edge after e (-1 ends the list), so
     # inserting after a known edge is O(1) even at the high-degree source
     first, nxt = [0, -1], [-1]
-    # edge (u, v) as u * big_n + v: every vertex id is below big_n
-    keys = {s * big_n + t}
-    # face f is (src[f], left[f], right[f], snk[f]): its source, left and
-    # right corner edges and sink; face 0 is the outer face, whose corner
-    # at s wraps around
-    src, left, right, snk = [s], [0], [0], [t]
+    st = True  # whether the edge (s, t) exists
+    # left[f] is face f's left corner edge at s, after which insertions go;
+    # face 0 is the outer face, whose corner at s wraps around
+    left = [0]
 
     n = 2
     while n < big_n:
         roll = random_()
         if roll < P_VERTEX + P_CHORD:
             if roll < P_VERTEX:
-                # vertex insertion: the path u -> w -> z through new w
-                f = randrange(len(src))
-                u, z = src[f], snk[f]
-                w = n
-                n += 1
+                # vertex insertion: the path s -> w -> t through new w
+                f = randrange(len(left))
+                w, n = n, n + 1
             else:
-                # chord insertion: a few tries to find a face whose
-                # source -> sink edge is absent
+                # chord s -> t: 8 face draws, or 1 where the edge is absent
                 for _ in range(8):
-                    f = randrange(len(src))
-                    u, z = src[f], snk[f]
-                    if u * big_n + z not in keys:
+                    f = randrange(len(left))
+                    if not st:
                         break
                 else:
                     continue
-                w = z  # the new edge is the chord itself
-            # the edge u -> w goes after the face's left corner edge at u
+                w = t  # the new edge is the chord itself
+                st = True
+            # the edge s -> w goes after the face's left corner edge at s
             # and splits the face in two
             e = len(tail)
-            tail.append(u)
+            tail.append(s)
             head.append(w)
-            keys.add(u * big_n + w)
             el = left[f]
             nxt.append(nxt[el])
             nxt[el] = e
-            if w != z:  # and w -> z, the first out-edge of w
+            if w != t:  # and w -> t, the first out-edge of w
                 tail.append(w)
-                head.append(z)
+                head.append(t)
                 nxt.append(-1)
-                keys.add(w * big_n + z)
                 first.append(e + 1)
-            src.append(u)
-            snk.append(z)
-            if f:
+            if f:  # the half right of e is the new face
                 left.append(e)
-                right.append(right[f])
-                right[f] = e
             else:  # face 0 keeps the half that stays outer
                 left.append(el)
-                right.append(right[0])
                 left[0] = e
         else:
             # edge split: u -> v becomes u -> w -> v through new w
             e = randrange(len(tail))
             v = head[e]
             head[e] = n
-            key = tail[e] * big_n
-            keys.discard(key + v)
-            keys.add(key + n)
+            st = st and not (tail[e] == s and v == t)
             first.append(len(tail))
             tail.append(n)
             head.append(v)
             nxt.append(-1)
-            keys.add(n * big_n + v)
             n += 1
 
     rows = []

@@ -3,12 +3,12 @@
 Straight-line drawing: incremental contour construction with two sentinel
 vertices that stay left- and rightmost on every contour, relative x-offsets
 along the contour, and a shift tree resolved by two final accumulation
-passes.  Poly-line drawing: split conflicting edges first and draw the
-split graph straight-line; each dummy vertex is one bend.  A drawing is
-a node table, two coordinate columns over the vertices and then one
-bend per bent edge, nothing per straight edge, so the split graph's
-drawing is the poly-line drawing as it is; every other view of it is
-derived.
+passes.  Poly-line drawing: one scan of the graph plans the splits and
+orients the split graph's gap edges, and the split graph is drawn
+straight-line; each dummy vertex is one bend.  A drawing is a node
+table, two coordinate columns over the vertices and then one bend per
+bent edge, nothing per straight edge, so the split graph's drawing is
+the poly-line drawing as it is; every other view of it is derived.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from itertools import repeat, starmap
 from operator import lt, sub
 
 from .errors import OrderingInvalid
-from .graph import EmbeddedStGraph, _gather, _gc_paused
-from .ordering import (BitonicOrdering, RejectionWitness, _edge_ranks,
-                       find_bitonic_ordering)
-from .splitting import apply_splits, minimum_split_plan
+from .graph import (EmbeddedStGraph, _gather, _gc_paused,
+                    _topological_order)
+from .ordering import BitonicOrdering, _edge_ranks, _row_scan
+from .splitting import SplitPlan, apply_splits
 
 Point = tuple[int, int]
 
@@ -208,22 +208,18 @@ def draw_straightline(g: EmbeddedStGraph,
 
 @_gc_paused
 def draw_polyline(g: EmbeddedStGraph) -> GridDrawing:
-    """Order, or if rejected split and order the split graph, and draw.
+    """Scan ``g`` once, split the planned edges and draw the split graph.
 
-    The split graph's drawing is the poly-line drawing: the ``i``-th split
-    edge keeps its id and ends at dummy ``g.n + i``, and node ``g.n + i``
-    of a drawing is the bend of its ``i``-th bent edge, so the columns
-    are shared as they are."""
-    ord = find_bitonic_ordering(g)
-    if not isinstance(ord, RejectionWitness):
-        return draw_straightline(g, ord)  # its split plan is empty
-    h = apply_splits(g, plan := minimum_split_plan(g))
-    ord = find_bitonic_ordering(h)
-    if isinstance(ord, RejectionWitness):
-        raise AssertionError("split graph unexpectedly rejected")
-    base = draw_straightline(h, ord)
-    return GridDrawing(x=base.x, y=base.y, tail=g.tail, head=g.head,
-                       bent=plan.split_edges)
+    The scan's gap edges order the split graph, so it is never recognized.
+    Dummy ``g.n + i`` ends the ``i``-th split edge, and node ``g.n + i`` of
+    a drawing is its ``i``-th bend: the split graph's columns are shared."""
+    _, apex, split, aug, extra = _row_scan(g)
+    h = apply_splits(g, SplitPlan(tuple(apex), split)) if split else g
+    ord = BitonicOrdering(_topological_order(h.out_start, h.head, extra),
+                          tuple(aug))
+    del apex, aug, extra  # freed before the contour runs
+    d = draw_straightline(h, ord)
+    return d if h is g else GridDrawing(d.x, d.y, g.tail, g.head, split)
 
 
 def emit_svg(d: GridDrawing, scale: int = 20) -> str:

@@ -1,11 +1,11 @@
-"""Recognition of bitonic st-orderings and their computation.
+"""Recognition of bitonic st-orderings, their computation and split plans.
 
-The recognition pass walks every successor list once, reading the path
-direction between consecutive successors from the graph's ``corner_dir``.
-Its gap edges make every successor list bitonic under any topological
-order of the augmented graph; Kahn's sort on a ready stack ranks the
-vertices in linear time.  A graph is rejected exactly when some successor
-list contains a right-to-left path followed by a left-to-right path.
+One scan walks every successor list once, reading the path direction
+across each corner from ``corner_dir``.  A graph is rejected exactly when
+some list has a right-to-left path followed by a left-to-right one; the
+scan splits each such list as the minimum plan does.  Its gap edges make
+every list of the split graph bitonic under any topological order of the
+augmented graph; Kahn's sort on a ready stack ranks in linear time.
 """
 
 from __future__ import annotations
@@ -52,25 +52,26 @@ class RejectionWitness:
     j: int
 
 
-def find_bitonic_ordering(g: EmbeddedStGraph):
-    """Recognize and order: returns a BitonicOrdering or RejectionWitness.
+def _row_scan(g: EmbeddedStGraph):
+    """``(witness, apex, split, aug, extra)``, walking a bitonic row once.
 
-    In O(n + m).  Ranks follow Kahn's sort of ``g`` plus its gap edges on a
-    ready stack: the vertex readied last is ranked next, with each vertex's
-    successors taken clockwise and then its gap edges.
-    """
-    corner_dir, head, starts = g.corner_dir, g.head, g.out_start
-
-    aug: list[tuple[int, int]] = []
-    extra: dict[int, list[int]] = {}  # the gap edges, by tail
-    for u in range(g.n):
+    The first conflict or None; the minimum split plan's apex and split
+    edges, as lists; the split graph's gap edges in edge id order and by
+    tail, dummy ``g.n + i`` being the head of the ``i``-th split edge."""
+    corner_dir, head, starts, n = g.corner_dir, g.head, g.out_start, g.n
+    witness, apex, split, aug, extra = None, [1] * n, [], [], {}
+    apex[g.t] = 0  # the one empty row
+    for u in range(n):
         e0, e1 = starts[u], starts[u + 1]
+        if e1 - e0 < 2:
+            continue  # no corner
         first_desc = 0  # 1-based position of the first descent, if any
         for e in range(e0, e1 - 1):
             d = corner_dir[e]
             if d > 0:
                 if first_desc:
-                    return RejectionWitness(u=u, i=first_desc, j=e - e0 + 1)
+                    break
+                apex[u] = e - e0 + 2  # after the last rise, if bitonic
             elif d < 0:
                 if not first_desc:
                     first_desc = e - e0 + 1
@@ -79,8 +80,48 @@ def find_bitonic_ordering(g: EmbeddedStGraph):
                 a, b = (vnext, vi) if first_desc else (vi, vnext)
                 aug.append((a, b))
                 extra.setdefault(a, []).append(b)
-    return BitonicOrdering(order=_topological_order(starts, head, extra),
-                           augment_edges=tuple(aug))
+        else:
+            continue
+        # a descent, then a rise: take the row's gap edges back and split it
+        witness = witness or RejectionWitness(u, first_desc, e - e0 + 1)
+        for _ in range(corner_dir[e0:e].count(0) if e - e0 > 1 else 0):
+            extra[aug.pop()[0]].pop()
+        # the apex: the first position at the minimum of descents less rises
+        top, c, c_min = e0, 0, 0
+        for e in range(e0, e1 - 1):
+            c -= corner_dir[e]
+            if c < c_min:
+                c_min, top = c, e + 1
+        apex[u] = top - e0 + 1
+        # split the edge before each descent left of the apex and the one
+        # after each rise right of it; a split clears the rise into it and
+        # the descent out of it.  File towards the first descent kept
+        desc = False
+        for e in range(e0, e1):
+            d, b = corner_dir[e - 1], head[e]
+            if corner_dir[e] < 0 if e < top else e > top and d > 0:
+                b = n + len(split)
+                split.append(e)
+            if e == e0 or d > 0 and b < n or d < 0 and a < n:  # kept
+                desc = desc or d < 0
+            else:
+                x, y = (b, a) if desc else (a, b)
+                aug.append((x, y))
+                extra.setdefault(x, []).append(y)
+            a = b
+    return witness, apex, split, aug, extra
+
+
+def find_bitonic_ordering(g: EmbeddedStGraph):
+    """Recognize and order: returns a BitonicOrdering or RejectionWitness.
+
+    In O(n + m).  Ranks follow Kahn's sort of ``g`` plus its gap edges on a
+    ready stack: the vertex readied last is ranked next, with each vertex's
+    successors taken clockwise and then its gap edges.
+    """
+    witness, _, _, aug, extra = _row_scan(g)
+    return witness or BitonicOrdering(
+        _topological_order(g.out_start, g.head, extra), tuple(aug))
 
 
 def _edge_ranks(g: EmbeddedStGraph, ord: BitonicOrdering):

@@ -1,10 +1,10 @@
 """Minimum edge splitting to enable a bitonic st-ordering.
 
-For each vertex independently, an apex position is chosen among its
-successors so that the number of conflicting paths (those directed away
-from the apex) is minimized; the conflicting out-edges are then split by
-inserting one dummy vertex each.  Splitting never changes reachability
-between original vertices, so the per-vertex choices are globally optimal.
+For each vertex independently, the row scan of :mod:`stlayout.ordering`
+picks the apex that minimizes the conflicting paths (those directed away
+from it) and splits each conflicting out-edge by one dummy vertex.
+Splitting never changes reachability between original vertices, so the
+per-vertex choices are globally optimal.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from operator import lt
 
 from .errors import EdgeNotFound
 from .graph import EmbeddedStGraph, _gather
+from .ordering import _row_scan
 
 
 @dataclass(frozen=True)
@@ -37,33 +38,9 @@ class SplitPlan:
 def minimum_split_plan(g: EmbeddedStGraph) -> SplitPlan:
     """Smallest set of edges whose splitting admits a bitonic st-ordering.
 
-    Per vertex, a running counter over the consecutive-successor path
-    directions picks the apex (first position achieving the minimum), then
-    the out-edges conflicting with that apex are collected.
-    """
-    corner_dir = g.corner_dir
-    starts = g.out_start
-    apex = [0] * g.n
-    split: list[int] = []
-    for u in range(g.n):
-        e0, e1 = starts[u], starts[u + 1]
-        if e0 == e1:
-            continue
-        # the counter rises on right-to-left paths, falls on left-to-right
-        top = e0
-        c = c_min = 0
-        for e in range(e0, e1 - 1):
-            c -= corner_dir[e]
-            if c < c_min:
-                c_min = c
-                top = e + 1
-        apex[u] = top - e0 + 1
-        for e in range(e0, top):
-            if corner_dir[e] < 0:
-                split.append(e)
-        for e in range(top + 1, e1):
-            if corner_dir[e - 1] > 0:
-                split.append(e)
+    Per row, the scan puts the apex at the first minimum of descents less
+    rises and splits the out-edges whose paths run away from it."""
+    _, apex, split, _, _ = _row_scan(g)
     return SplitPlan(apex=tuple(apex), split_edges=split)
 
 

@@ -30,6 +30,9 @@
   ``build_graph``; the reference for ``validate._faces_ordered``.
 * ``drawing_of``: a drawing built from its vertex points and ``(e, p)``
   bends, the one way tests build a drawing by hand.
+* ``first_conflict`` and ``counter_split_plan``: recognition up to the
+  first conflict and the per-row counter plan, each its own walk over the
+  corners as first written; the references for the row scan.
 """
 
 from __future__ import annotations
@@ -39,8 +42,9 @@ import random
 from collections import deque
 
 from stlayout import (BitonicOrdering, EmbeddedStGraph, FaceIndex,
-                      GridDrawing, StGraphError, apply_splits, build_graph,
-                      compute_faces, find_bitonic_ordering)
+                      GridDrawing, RejectionWitness, StGraphError,
+                      apply_splits, build_graph, compute_faces,
+                      find_bitonic_ordering)
 from stlayout.generate import P_CHORD, P_VERTEX, GeneratorConfig
 from stlayout.graph import _face_chains
 from stlayout.splitting import SplitPlan
@@ -651,3 +655,38 @@ def drawing_of(g, coords, bend_points=()) -> GridDrawing:
     return GridDrawing(x=tuple(x for x, _ in points),
                        y=tuple(y for _, y in points), tail=g.tail,
                        head=g.head, bent=tuple(e for e, _ in bend_points))
+
+
+def first_conflict(g: EmbeddedStGraph):
+    """The first descent followed by a rise in any row, as a witness, or
+    None when every row is bitonic."""
+    for u in range(g.n):
+        e0, e1 = g.out_start[u], g.out_start[u + 1]
+        first_desc = 0
+        for e in range(e0, e1 - 1):
+            if g.corner_dir[e] > 0 and first_desc:
+                return RejectionWitness(u=u, i=first_desc, j=e - e0 + 1)
+            if g.corner_dir[e] < 0 and not first_desc:
+                first_desc = e - e0 + 1
+    return None
+
+
+def counter_split_plan(g: EmbeddedStGraph) -> SplitPlan:
+    """Per row, the apex at the first minimum of a counter that falls on
+    each rise and rises on each descent, and the edges whose paths run
+    away from it."""
+    cd = g.corner_dir
+    apex = [0] * g.n
+    split = []
+    for u in range(g.n):
+        e0, e1 = g.out_start[u], g.out_start[u + 1]
+        if e0 == e1:
+            continue
+        counts = list(itertools.accumulate(-cd[e] for e in range(e0, e1 - 1)))
+        top = e0
+        if counts and min(counts) < 0:
+            top = e0 + counts.index(min(counts)) + 1
+        apex[u] = top - e0 + 1
+        split += [e for e in range(e0, top) if cd[e] < 0]
+        split += [e for e in range(top + 1, e1) if cd[e - 1] > 0]
+    return SplitPlan(apex=tuple(apex), split_edges=split)

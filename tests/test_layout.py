@@ -9,12 +9,14 @@ from statistics import median
 
 import pytest
 
+import stlayout
 from stlayout import (BitonicOrdering, EmbeddedStGraph, GridDrawing,
                       OrderingInvalid, RejectionWitness, check_bounds,
                       check_upward_planar, draw_polyline, draw_straightline,
                       drawing_from_text, drawing_to_text, emit_svg,
                       find_bitonic_ordering, graph_from_json,
-                      graph_from_text, graph_to_json, graph_to_text)
+                      graph_from_text, graph_to_json, graph_to_text,
+                      minimum_split_plan)
 from conftest import LINEAR_GATE, corpus, doubling_ratios, fan, zig
 from oracles import drawing_of
 
@@ -72,12 +74,12 @@ def test_polyline_corpus_valid_and_bounded():
 
 
 def test_polyline_plans_no_splits_for_an_accepted_graph(monkeypatch):
-    # an accepted graph's split plan is empty, so drawing it plans none;
-    # its poly-line drawing is its straight-line drawing
-    def no_plan(g):
-        raise AssertionError("planned splits for an accepted graph")
+    # an accepted graph's split plan is empty, so drawing it splits
+    # nothing; its poly-line drawing is its straight-line drawing
+    def no_split(g, plan):
+        raise AssertionError("split edges of an accepted graph")
 
-    monkeypatch.setattr("stlayout.layout.minimum_split_plan", no_plan)
+    monkeypatch.setattr("stlayout.layout.apply_splits", no_split)
     drawn = 0
     for g in corpus(sizes=(6, 12, 25, 50), seeds=range(8)):
         ord = find_bitonic_ordering(g)
@@ -85,6 +87,28 @@ def test_polyline_plans_no_splits_for_an_accepted_graph(monkeypatch):
             assert draw_polyline(g) == draw_straightline(g, ord)
             drawn += 1
     assert drawn > 0
+
+
+def test_draw_polyline_scans_each_graph_once(monkeypatch):
+    # one row scan plans the splits and orders the split graph, so drawing
+    # neither recognizes a graph nor plans its splits by the public calls
+    graphs = [fan(2000), zig(1001)] + corpus(sizes=(6, 12, 25, 50),
+                                             seeds=range(8))
+    expected = [len(minimum_split_plan(g).split_edges) for g in graphs]
+
+    def rescanned(*args):
+        raise AssertionError("draw_polyline scanned a graph again")
+
+    for module in (stlayout, stlayout.layout, stlayout.ordering,
+                   stlayout.splitting):
+        for name in ("find_bitonic_ordering", "minimum_split_plan"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, rescanned)
+    for g, k in zip(graphs, expected):
+        d = draw_polyline(g)
+        assert len(d.bent) == k
+        assert check_upward_planar(g, d).ok
+    assert expected[:2] == [1997, 500]
 
 
 def test_fan_family_bends():

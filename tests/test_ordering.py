@@ -8,15 +8,19 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from stlayout import (BitonicOrdering, OrderingInvalid, RejectionWitness,
-                      apply_splits, build_graph, compute_faces,
-                      draw_straightline, find_bitonic_ordering,
+from stlayout import (BitonicOrdering, GeneratorConfig, OrderingInvalid,
+                      RejectionWitness, StGraphError, apply_splits,
+                      build_graph, compute_faces, draw_straightline,
+                      find_bitonic_ordering, generate_random_st_graph,
                       minimum_split_plan, verify_bitonic_ordering)
-from stlayout.ordering import ordering_to_text, witness_to_text
-from conftest import corpus, fan
+from stlayout.generate import add_random_chords
+from stlayout.ordering import _row_scan, ordering_to_text, witness_to_text
+from conftest import corpus, fan, zig
 from oracles import (TooLarge, augmented_graph, corner_pos_at,
-                     exists_bitonic_bruteforce, inner_faces, is_bitonic,
-                     reachable, succ)
+                     counter_split_plan, exists_bitonic_bruteforce,
+                     first_conflict, inner_faces, is_bitonic, reachable,
+                     succ)
+from test_faces import random_dag
 
 
 def test_is_bitonic_basics():
@@ -81,6 +85,44 @@ def test_oracle_agreement_fixtures(triangle, f1, split_f1, seven,
     for g in (triangle, f1, split_f1, seven, single_edge):
         got = isinstance(find_bitonic_ordering(g), BitonicOrdering)
         assert got == exists_bitonic_bruteforce(g)
+
+
+def scan_inputs():
+    """The corpora, fans, zigs, the small-chorded batches at seeds 1 and 2
+    and the small random embeddings that build."""
+    graphs = corpus(sizes=(6, 12, 25, 50), seeds=range(8))
+    graphs += corpus(sizes=(6, 12, 25, 50), seeds=range(8), chords=False)
+    graphs += [fan(k) for k in (4, 5, 50, 2000)]
+    graphs += [zig(k) for k in (3, 5, 9, 101, 1001)]
+    for seed in range(40, 120):
+        g = generate_random_st_graph(GeneratorConfig(n_target=100,
+                                                     seed=seed))
+        graphs.append(add_random_chords(g, 100, seed + 1))
+    rng = random.Random(7)
+    for _ in range(1500):
+        try:
+            graphs.append(build_graph(*random_dag(rng)))
+        except StGraphError:
+            pass
+    return graphs
+
+
+def test_row_scan_matches_the_separate_walks():
+    # one scan per row gives the first conflict, the minimum plan, and the
+    # gap edges that recognizing the split graph would file, in order
+    rejected = 0
+    for g in scan_inputs():
+        witness, apex, split, aug, extra = _row_scan(g)
+        assert witness == first_conflict(g)
+        plan = counter_split_plan(g)
+        assert (tuple(apex), tuple(split)) == (plan.apex, plan.split_edges)
+        assert minimum_split_plan(g) == plan
+        ord = find_bitonic_ordering(apply_splits(g, plan))
+        assert tuple(aug) == ord.augment_edges
+        assert sorted(aug) == sorted((a, b) for a, bs in extra.items()
+                                     for b in bs)
+        rejected += witness is not None
+    assert rejected > 100
 
 
 def test_oracle_guard():
