@@ -210,15 +210,14 @@ def draw_straightline(g: EmbeddedStGraph,
 def draw_polyline(g: EmbeddedStGraph) -> GridDrawing:
     """Scan ``g`` once, split the planned edges and draw the split graph.
 
-    The scan's gap edges order the split graph, so it is never recognized.
-    Dummy ``g.n + i`` ends the ``i``-th split edge, and node ``g.n + i`` of
-    a drawing is its ``i``-th bend: the split graph's columns are shared."""
-    _, apex, split, aug, extra = _row_scan(g)
+    The split graph is ordered by the scan's gap edges, never recognized,
+    and drawn from the order alone.  Dummy ``g.n + i`` ends the ``i``-th
+    split edge, and node ``g.n + i`` of a drawing is its ``i``-th bend."""
+    _, apex, split, extra = _row_scan(g)[:4]  # aug, unread, is freed
     h = apply_splits(g, SplitPlan(tuple(apex), split)) if split else g
-    ord = BitonicOrdering(_topological_order(h.out_start, h.head, extra),
-                          tuple(aug))
-    del apex, aug, extra  # freed before the contour runs
-    d = draw_straightline(h, ord)
+    order = _topological_order(h.out_start, h.head, extra)
+    del apex, extra  # freed before the contour runs
+    d = draw_straightline(h, BitonicOrdering(order, ()))
     return d if h is g else GridDrawing(d.x, d.y, g.tail, g.head, split)
 
 

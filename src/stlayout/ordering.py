@@ -53,11 +53,11 @@ class RejectionWitness:
 
 
 def _row_scan(g: EmbeddedStGraph):
-    """``(witness, apex, split, aug, extra)``, walking a bitonic row once.
+    """``(witness, apex, split, extra, aug)``, walking a bitonic row once.
 
     The first conflict or None; the minimum split plan's apex and split
-    edges, as lists; the split graph's gap edges in edge id order and by
-    tail, dummy ``g.n + i`` being the head of the ``i``-th split edge."""
+    edges, as lists; the split graph's gap edges by tail and in edge id
+    order, dummy ``g.n + i`` being the head of the ``i``-th split edge."""
     corner_dir, head, starts, n = g.corner_dir, g.head, g.out_start, g.n
     witness, apex, split, aug, extra = None, [1] * n, [], [], {}
     apex[g.t] = 0  # the one empty row
@@ -84,8 +84,9 @@ def _row_scan(g: EmbeddedStGraph):
             continue
         # a descent, then a rise: take the row's gap edges back and split it
         witness = witness or RejectionWitness(u, first_desc, e - e0 + 1)
-        for _ in range(corner_dir[e0:e].count(0) if e - e0 > 1 else 0):
-            extra[aug.pop()[0]].pop()
+        if e - e0 > 1:
+            for _ in range(corner_dir[e0:e].count(0)):
+                extra[aug.pop()[0]].pop()
         # the apex: the first position at the minimum of descents less rises
         top, c, c_min = e0, 0, 0
         for e in range(e0, e1 - 1):
@@ -109,7 +110,7 @@ def _row_scan(g: EmbeddedStGraph):
                 aug.append((x, y))
                 extra.setdefault(x, []).append(y)
             a = b
-    return witness, apex, split, aug, extra
+    return witness, apex, split, extra, aug
 
 
 def find_bitonic_ordering(g: EmbeddedStGraph):
@@ -119,7 +120,7 @@ def find_bitonic_ordering(g: EmbeddedStGraph):
     ready stack: the vertex readied last is ranked next, with each vertex's
     successors taken clockwise and then its gap edges.
     """
-    witness, _, _, aug, extra = _row_scan(g)
+    witness, _, _, extra, aug = _row_scan(g)
     return witness or BitonicOrdering(
         _topological_order(g.out_start, g.head, extra), tuple(aug))
 

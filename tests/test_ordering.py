@@ -112,7 +112,7 @@ def test_row_scan_matches_the_separate_walks():
     # gap edges that recognizing the split graph would file, in order
     rejected = 0
     for g in scan_inputs():
-        witness, apex, split, aug, extra = _row_scan(g)
+        witness, apex, split, extra, aug = _row_scan(g)
         assert witness == first_conflict(g)
         plan = counter_split_plan(g)
         assert (tuple(apex), tuple(split)) == (plan.apex, plan.split_edges)
