@@ -59,7 +59,7 @@ def _row_scan(g: EmbeddedStGraph):
     edges, as lists; the split graph's gap edges by tail and in edge id
     order, dummy ``g.n + i`` being the head of the ``i``-th split edge."""
     corner_dir, head, starts, n = g.corner_dir, g.head, g.out_start, g.n
-    witness, apex, split, aug, extra = None, [1] * n, [], [], {}
+    witness, apex, split, extra, aug = None, [1] * n, [], {}, []
     apex[g.t] = 0  # the one empty row
     for u in range(n):
         e0, e1 = starts[u], starts[u + 1]
