@@ -30,9 +30,10 @@
   ``build_graph``; the reference for ``validate._faces_ordered``.
 * ``drawing_of``: a drawing built from its vertex points and ``(e, p)``
   bends, the one way tests build a drawing by hand.
-* ``first_conflict`` and ``counter_split_plan``: recognition up to the
-  first conflict and the per-row counter plan, each its own walk over the
-  corners as first written; the references for the row scan.
+* ``first_conflict``, ``first_descent_gap_edges`` and
+  ``counter_split_plan``: recognition up to the first conflict, the gap
+  edges of an accepted graph and the per-row counter plan, each its own
+  walk over the corners; the references for the row scan.
 """
 
 from __future__ import annotations
@@ -669,6 +670,21 @@ def first_conflict(g: EmbeddedStGraph):
             if g.corner_dir[e] < 0 and not first_desc:
                 first_desc = e - e0 + 1
     return None
+
+
+def first_descent_gap_edges(g: EmbeddedStGraph) -> tuple:
+    """The gap edges of a graph whose rows are all bitonic, in edge id
+    order: each zero corner points right before its row's first descent
+    and left after it."""
+    aug = []
+    for u in range(g.n):
+        seen_desc = False
+        for e in range(g.out_start[u], g.out_start[u + 1] - 1):
+            seen_desc = seen_desc or g.corner_dir[e] < 0
+            if g.corner_dir[e] == 0:
+                a, b = g.head[e], g.head[e + 1]
+                aug.append((b, a) if seen_desc else (a, b))
+    return tuple(aug)
 
 
 def counter_split_plan(g: EmbeddedStGraph) -> SplitPlan:

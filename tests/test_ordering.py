@@ -18,8 +18,8 @@ from stlayout.ordering import _row_scan, ordering_to_text, witness_to_text
 from conftest import corpus, fan, zig
 from oracles import (TooLarge, augmented_graph, corner_pos_at,
                      counter_split_plan, exists_bitonic_bruteforce,
-                     first_conflict, inner_faces, is_bitonic, reachable,
-                     succ)
+                     first_conflict, first_descent_gap_edges, inner_faces,
+                     is_bitonic, reachable, succ)
 from test_faces import random_dag
 
 
@@ -117,8 +117,9 @@ def test_row_scan_matches_the_separate_walks():
         plan = counter_split_plan(g)
         assert (tuple(apex), tuple(split)) == (plan.apex, plan.split_edges)
         assert minimum_split_plan(g) == plan
-        ord = find_bitonic_ordering(apply_splits(g, plan))
-        assert tuple(aug) == ord.augment_edges
+        h = apply_splits(g, plan)
+        assert (tuple(aug) == first_descent_gap_edges(h)
+                == find_bitonic_ordering(h).augment_edges)
         assert sorted(aug) == sorted((a, b) for a, bs in extra.items()
                                      for b in bs)
         rejected += witness is not None
