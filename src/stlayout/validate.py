@@ -56,8 +56,10 @@ piece, a shared point, a touch or a crossing, or planar but with a face
 drawn mirrored (another embedding), goes to the sweep, which decides the
 verdict and names the crossing pair.
 
-The sweep works on the pieces in edge order, each bent edge's two in its
-place.  It sorts the grid points where pieces start or end once, in
+The sweep reads the same arrays of H, so each piece is named by its edge
+of H: piece ``i < m`` runs from edge ``i``'s tail to its head, or to its
+bend if it has one, and piece ``m + k`` from bend ``k`` to the head of
+its edge.  It sorts the grid points where pieces start or end once, in
 (y, x) order, and visits each once: it locates the point in the sweep
 status with one bisect on an orientation test, removes the pieces that
 end there and inserts those that start there as whole slices, and
@@ -154,13 +156,12 @@ def check_upward_planar(g: EmbeddedStGraph,
         crossing = None  # certified by the faces (module docstring)
     else:
         points = list(zip(X, Y))
-        tails, heads = _pieces(d)
-        crossing = _find_proper_intersection(points, tails, heads)
+        crossing = _find_proper_intersection(points, tail, head)
         if crossing is not None:
             i, j = crossing
             violations.append(
-                f"edge pieces {(points[tails[i]], points[heads[i]])} and "
-                f"{(points[tails[j]], points[heads[j]])} properly "
+                f"edge pieces {(points[tail[i]], points[head[i]])} and "
+                f"{(points[tail[j]], points[head[j]])} properly "
                 f"intersect")
     planar = crossing is None and distinct
 
@@ -260,45 +261,12 @@ def _faces_ordered(X, Y, tail, head, out_start) -> bool:
     return True
 
 
-def _pieces(d: GridDrawing):
-    """The tail and head node of every piece, in edge id order with each
-    bent edge's two pieces in its place; bend ``k`` is node
-    ``len(d.x) - len(d.bent) + k``."""
-    if not d.bent:
-        return d.tail, d.head
-    tails, heads, e0 = [], [], 0
-    for v, e in enumerate(d.bent, len(d.x) - len(d.bent)):
-        tails += d.tail[e0:e]
-        tails += d.tail[e], v
-        heads += d.head[e0:e]
-        heads += v, d.head[e]
-        e0 = e + 1
-    tails += d.tail[e0:]
-    heads += d.head[e0:]
-    return tails, heads
-
-
 _BLOCK = 256  # status block size; a block is split past twice this
 
 
 def _chunks(records):
     """records cut into blocks of ``_BLOCK``."""
     return [records[i:i + _BLOCK] for i in range(0, len(records), _BLOCK)]
-
-
-def _overlap_pair(px, py, run, x0, K):
-    """The index pair named among the records in ``run``, pieces that start
-    at (px, py) in one direction, any two of which overlap.
-
-    The choice is a fixed convention, kept so that the reported pair never
-    moves: the first two by (K*(p x e) + x0*dx, dx, K*dy + dx, index),
-    with e = (dx, dy) a piece's extent, x0 the least x and K the x-range
-    plus one.
-    """
-    ra, rb = sorted(run, key=lambda r: (K * (px * r[2] - py * r[1])
-                                        + x0 * r[1], r[1],
-                                        K * r[2] + r[1], r[4]))[:2]
-    return (ra[4], rb[4]) if ra[4] < rb[4] else (rb[4], ra[4])
 
 
 def _find_proper_intersection(points, tails, heads):
@@ -339,9 +307,10 @@ def _find_proper_intersection(points, tails, heads):
     3. the ties leave the status as one slice;
     4. the pieces starting at p enter it as one slice in left-to-right
        order, sorted by the exact integer key dx*H*H // dy, H the
-       y-range, horizontal pieces last, and two equal directions there
-       are a collinear overlap (which pair of three or more is named is
-       ``_overlap_pair``'s convention);
+       y-range, horizontal pieces last.  Equal directions sort next to
+       each other, in index order since the sort is stable, and two of
+       them are a collinear overlap: the first two the sort meets are
+       the pair named;
     5. the pieces either side of the removed ties, or of the inserted
        slice, are tested: with r left of s at p and q the first of their
        last ends, they meet properly iff q ends r and lies on or right of
@@ -367,8 +336,7 @@ def _find_proper_intersection(points, tails, heads):
     # y*K + x, K wider than the x-range, which order them by (y, x); a
     # node's rank is its point's place there
     xs = list(map(itemgetter(0), points))
-    x0 = min(xs)
-    K = max(xs) - x0 + 1
+    K = max(xs) - min(xs) + 1
     del xs
     keys = [y * K + x for x, y in points]
     at_key = dict(zip(keys, points))
@@ -445,9 +413,7 @@ def _find_proper_intersection(points, tails, heads):
                      if r[2] else inf)
             for ra, rb in pairwise(new):
                 if ra[1] * rb[2] == rb[1] * ra[2]:
-                    return _overlap_pair(px, py, [
-                        r for r in new
-                        if r[1] * ra[2] == ra[1] * r[2]], x0, K)
+                    return pair(ra[4], rb[4])
 
         if bi == bj:
             blk[k:kj] = new

@@ -2,8 +2,8 @@
 
 A change meant to keep every output byte-identical must leave each digest
 in ``golden.json`` as it is.  A change that alters outputs on purpose
-regenerates the file with ``PYTHONPATH=src python tests/test_golden.py``
-and says which families moved and why.
+regenerates the file with ``PYTHONPATH=src python tests/test_golden.py``,
+which prints each family whose digest moved, and says which moved and why.
 """
 
 from __future__ import annotations
@@ -220,4 +220,9 @@ def test_outputs_match_golden_digests():
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(digests(), indent=2) + "\n")
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    new = digests()
+    for family in FAMILIES:
+        if new[family] != old.get(family):
+            print(f"{family}: {old.get(family)} -> {new[family]}")
+    GOLDEN.write_text(json.dumps(new, indent=2) + "\n")

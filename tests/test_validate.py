@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import inspect
 import random
+import re
 from collections import Counter
 from itertools import pairwise
 from statistics import median
@@ -291,6 +293,13 @@ def test_sweep_names_an_end_on_its_neighbour_at_once(side):
     assert _find_proper_intersection(*sweep_input(pieces[2:])) == (0, 1)
 
 
+def test_sweep_names_the_first_two_overlapping_pieces_by_index():
+    # three pieces up from one point: the first two in index order are
+    # named, whatever their lengths
+    pieces = [((0, 0), (0, 3)), ((0, 0), (0, 1)), ((0, 0), (0, 2))]
+    assert _find_proper_intersection(*sweep_input(pieces)) == (0, 1)
+
+
 GRID_POINT = st.tuples(st.integers(0, 5), st.integers(0, 5))
 
 
@@ -348,6 +357,14 @@ def test_validator_verdicts_match_bruteforce_property(drawn):
     assert rep.upward == all(a[1] < b[1] for a, b in pieces)
     assert rep.planar == (all_pairs_intersection(pieces) is None
                           and len(set(points)) == len(points))
+    # a named pair holds two pieces of the drawing's own paths, upper
+    # pieces of bent edges among them, and they do properly intersect
+    for v in rep.violations:
+        if named := re.fullmatch(r"edge pieces (.*) and (.*) properly "
+                                 r"intersect", v):
+            p, q = map(ast.literal_eval, named.groups())
+            assert p in pieces and q in pieces, (v, d)
+            assert segments_properly_intersect(*p, *q), (v, d)
 
 
 def test_sweep_path_on_large_drawing():
