@@ -3,7 +3,7 @@
 A change meant to keep every output byte-identical must leave each digest
 in ``golden.json`` as it is.  A change that alters outputs on purpose
 regenerates the file with ``PYTHONPATH=src python tests/test_golden.py``,
-which prints each family whose digest moved, and says which moved and why.
+which prints each family whose digest moved, and says why they moved.
 """
 
 from __future__ import annotations
@@ -220,9 +220,8 @@ def test_outputs_match_golden_digests():
 
 
 if __name__ == "__main__":
-    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    new = digests()
+    old, new = json.loads(GOLDEN.read_text()), digests()
     for family in FAMILIES:
-        if new[family] != old.get(family):
-            print(f"{family}: {old.get(family)} -> {new[family]}")
+        if new[family] != old[family]:
+            print(f"{family}: {old[family]} -> {new[family]}")
     GOLDEN.write_text(json.dumps(new, indent=2) + "\n")
