@@ -28,8 +28,8 @@ for seed in range(40):
 print(f"n=30 corpus: {accepted} accepted, {rejected} need splits")
 
 # Every drawing is checked: distinct grid points, strictly rising edges,
-# no crossings (an exact sweep on the raw integer coordinates), and the
-# area bounds.
+# a planar drawing of the graph's own embedding (each face checked in
+# exact integers on the raw coordinates), and the area bounds.
 for seed in range(5):
     g = generate_random_st_graph(GeneratorConfig(n_target=400, seed=seed))
     g = add_random_chords(g, 400, seed + 1)

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import gc
 import time
-from itertools import islice
 
 import pytest
 
@@ -74,44 +73,6 @@ def zig(k: int) -> EmbeddedStGraph:
     for i in range(1, k + 1):
         succ[i] = [i - 1, i + 1] if i % 2 == 0 else [t]
     return build_graph(k + 2, 0, t, succ)
-
-
-def comb_pieces(rng, width, levels, collinear=0, through=0, wild=0.0):
-    """Pieces of a forest grown one grid row at a time, shuffled.
-
-    Every node above the roots has exactly one piece ending at it, and
-    0, 1, 2, 3 or more start there.  Children get distinct x in
-    0 .. width-1 on the next row, in their parents' order, so the forest
-    alone is crossing-free.  Then ``collinear`` nodes each start 2-4
-    pieces of one slope (overlaps), ``through`` pieces run through the
-    middle of a node, and a ``wild`` share of children lands anywhere on
-    its row.  About a third of the pieces are given end first.
-    """
-    roots = min(width, rng.randint(1, 3))
-    frontier = sorted(rng.sample(range(width), roots))
-    pieces, nodes = [], []
-    for y in range(levels):
-        kids = [rng.choice((0, 0, 1, 2, 2, 3, 3, 4, 6)) for _ in frontier]
-        xs = iter(sorted(rng.sample(range(width), min(sum(kids), width))))
-        row = []
-        for x, k in zip(frontier, kids):
-            for c in islice(xs, k):
-                if rng.random() < wild:
-                    c = rng.randrange(width)
-                pieces.append(((x, y), (c, y + 1)))
-                row.append(c)
-        frontier = sorted(set(row))
-        nodes += [(c, y + 1) for c in frontier]
-    for _ in range(collinear if nodes else 0):
-        (x, y), dx = rng.choice(nodes), rng.randint(-2, 2)
-        pieces += [((x, y), (x + dx * j, y + j))
-                   for j in range(1, rng.randint(3, 5))]
-    for _ in range(through if nodes else 0):
-        (x, y), d = rng.choice(nodes), rng.randint(-2, 2)
-        pieces.append(((x - d, y - 1), (x + d, y + 1)))
-    pieces = [(b, a) if rng.random() < 1 / 3 else (a, b) for a, b in pieces]
-    rng.shuffle(pieces)
-    return pieces
 
 
 @pytest.fixture

@@ -23,11 +23,14 @@
   exact integer predicates for segments on the grid, with no floating
   point in any decision.
 * ``all_pairs_intersection``: the first properly intersecting pair of
-  pieces over all pairs, the reference for the validator's sweep.
-* ``sweep_input``: a list of point-pair pieces as the sweep's arguments.
-* ``faces_ordered_by_chains``: the validator's face check over listed
-  chains that end by the in-edge test, on the subdivided graph rebuilt by
-  ``build_graph``; the reference for ``validate._faces_ordered``.
+  pieces over all pairs, the crossing oracle for the validator.
+* ``drawn_rotation_matches``: whether every vertex's out-pieces turn
+  strictly clockwise in successor order, the embedding oracle for the
+  validator.
+* ``listed_face_chains`` and ``faces_ordered_by_chains``: each inner
+  face's chains listed to the in-edge test, on the subdivided graph
+  rebuilt by ``build_graph``, and the validator's face check merged over
+  them; the reference for ``validate._misordered_face``.
 * ``drawing_of``: a drawing built from its vertex points and ``(e, p)``
   bends, the one way tests build a drawing by hand.
 * ``first_conflict``, ``first_descent_gap_edges`` and
@@ -584,28 +587,28 @@ def all_pairs_intersection(pieces):
     return None
 
 
-def sweep_input(pieces):
-    """``(points, tails, heads)`` for ``validate._find_proper_intersection``
-    from pieces given as point pairs: one node per distinct point, in
-    order of first appearance, and piece ``i`` from the node of its first
-    point to the node of its second."""
-    node = {}
-    for seg in pieces:
-        for p in seg:
-            node.setdefault(p, len(node))
-    return (list(node), [node[a] for a, _ in pieces],
-            [node[b] for _, b in pieces])
+def drawn_rotation_matches(g: EmbeddedStGraph, d) -> bool:
+    """Whether ``d`` draws every row of ``g`` clockwise: on the subdivided
+    graph, each bend a vertex of its edge, ``orientation(p_u, p_head(e),
+    p_head(e + 1)) < 0`` for every two consecutive out-edges ``e`` and
+    ``e + 1`` of a vertex ``u``.  For rising pieces, clockwise is left to
+    right."""
+    first = [path[1] for path in d.edge_paths]  # a bend, or the head
+    coords = d.coords
+    return all(orientation(coords[u], first[e], first[e + 1]) < 0
+               for e, u in enumerate(g.tail[:-1]) if u == g.tail[e + 1])
 
 
-def faces_ordered_by_chains(g: EmbeddedStGraph, d) -> bool:
-    """Reference for ``validate._faces_ordered`` on ``g`` drawn as ``d``,
-    for drawings with distinct points and rising pieces.
+def listed_face_chains(g: EmbeddedStGraph, d):
+    """``(c, source, left, right)`` per inner face of ``g`` drawn as ``d``,
+    with each bend ``k`` a vertex ``g.n + k`` of its edge: the face's
+    source corner, between out-edges ``c`` and ``c + 1``, its source's
+    point and the points its two chains enter, from the source's
+    successors up to the sink.
 
-    The subdivided graph, each bend ``k`` a vertex ``g.n + k`` of its
-    edge, is rebuilt by ``build_graph``, so its in-edge ends come from its
-    own sweep.  ``graph._face_chains`` lists each inner face's two chains,
-    ended at the sink by the in-edge test, and the lists are merged by y
-    with the same orientation tests, indexing each list front to back.
+    The subdivided graph is rebuilt by ``build_graph``, so its in-edge
+    ends come from its own sweep, and ``graph._face_chains`` lists the
+    chains, ended at the sink by the in-edge test.
     """
     n = g.n
     rows = [list(g.head[a:b]) for a, b in zip(g.out_start, g.out_start[1:])]
@@ -617,29 +620,40 @@ def faces_ordered_by_chains(g: EmbeddedStGraph, d) -> bool:
     points = [*d.coords, *d.bends]
     at_head = [points[v] for v in h.head]
     for c, left, right in _face_chains(h):
-        ax, ay = bx, by = points[h.tail[c]]
+        yield (c, points[h.tail[c]], [at_head[e] for e in left],
+               [at_head[e] for e in right])
+
+
+def faces_ordered_by_chains(g: EmbeddedStGraph, d) -> bool:
+    """Reference for ``validate._misordered_face`` on ``g`` drawn as ``d``,
+    for drawings with distinct points and rising pieces: the chains of
+    ``listed_face_chains`` merged by y with the same orientation tests,
+    indexing each list front to back.  True when every face passes.
+    """
+    for _, (ax, ay), left, right in listed_face_chains(g, d):
+        bx, by = ax, ay
         i = j = 0
-        lx, ly = at_head[left[0]]
-        rx, ry = at_head[right[0]]
+        lx, ly = left[0]
+        rx, ry = right[0]
         while True:
             if ly < ry:
                 if (rx - bx) * (ly - by) <= (ry - by) * (lx - bx):
                     return False
                 ax, ay = lx, ly
                 i += 1
-                lx, ly = at_head[left[i]]
+                lx, ly = left[i]
             elif ry < ly:
                 if (lx - ax) * (ry - ay) >= (ly - ay) * (rx - ax):
                     return False
                 bx, by = rx, ry
                 j += 1
-                rx, ry = at_head[right[j]]
+                rx, ry = right[j]
             elif lx < rx:
                 ax, ay, bx, by = lx, ly, rx, ry
                 i += 1
                 j += 1
-                lx, ly = at_head[left[i]]
-                rx, ry = at_head[right[j]]
+                lx, ly = left[i]
+                rx, ry = right[j]
             elif lx == rx:  # the sink
                 break
             else:

@@ -115,6 +115,23 @@ def test_validate_json_report(tri_file, tmp_path, capsys):
     assert '"upward": true' in capsys.readouterr().out
 
 
+def test_validate_mirrored_drawing_fails_its_face(tri_file, tmp_path,
+                                                  capsys):
+    # vertex 1 right of s -> t: a planar drawing of the mirrored embedding
+    d = tmp_path / "d.txt"
+    d.write_text("0 0 0\n1 1 1\n2 0 2\n")
+    assert cli_main(["validate", tri_file, str(d)]) == 1
+    out = capsys.readouterr().out
+    assert "upward   ok\nplanar   FAIL\n" in out
+    assert out.endswith("violation: face at vertex 0 between edges 0->1 "
+                        "and 0->2: point (1, 1) of its left chain is not "
+                        "left of its right chain\n")
+    assert cli_main(["validate", tri_file, str(d), "--json"]) == 1
+    out = capsys.readouterr().out
+    assert '"upward": true' in out and '"planar": false' in out
+    assert "face at vertex 0 between edges 0->1 and 0->2" in out
+
+
 def test_gen_deterministic(capsys):
     assert cli_main(["gen", "--n", "12", "--seed", "7"]) == 0
     a = capsys.readouterr().out
