@@ -304,8 +304,8 @@ def _holds_to_oracles(g, d):
     is named by a point of its chains.  Returns the check's verdict and
     the crossing oracle's, both None where the check does not apply."""
     rep = check_upward_planar(g, d)
-    certified = crossing_free = None
-    if (certified := _face_check(g, d)) is not None:
+    certified, crossing_free = _face_check(g, d), None
+    if certified is not None:
         pieces, _ = _pieces_and_points(d)
         crossing_free = all_pairs_intersection(pieces) is None
     assert rep.planar == (bool(crossing_free)
