@@ -52,12 +52,14 @@ class RejectionWitness:
     j: int
 
 
-def _row_scan(g: EmbeddedStGraph):
+def _row_scan(g: EmbeddedStGraph, stop: bool = False):
     """``(witness, apex, split, extra, aug)``, walking a bitonic row once.
 
     The first conflict or None; the minimum split plan's apex and split
     edges, as lists; the split graph's gap edges by tail and in edge id
-    order, dummy ``g.n + i`` being the head of the ``i``-th split edge."""
+    order, dummy ``g.n + i`` being the head of the ``i``-th split edge.
+    With ``stop`` the scan returns at the first conflict, and only the
+    witness is then complete."""
     corner_dir, head, starts, n = g.corner_dir, g.head, g.out_start, g.n
     witness, apex, split, extra, aug = None, [1] * n, [], {}, []
     apex[g.t] = 0  # the one empty row
@@ -84,6 +86,8 @@ def _row_scan(g: EmbeddedStGraph):
             continue
         # a descent, then a rise: take the row's gap edges back and split it
         witness = witness or RejectionWitness(u, first_desc, e - e0 + 1)
+        if stop:
+            break
         if e - e0 > 1:
             for _ in range(corner_dir[e0:e].count(0)):
                 extra[aug.pop()[0]].pop()
@@ -116,11 +120,12 @@ def _row_scan(g: EmbeddedStGraph):
 def find_bitonic_ordering(g: EmbeddedStGraph):
     """Recognize and order: returns a BitonicOrdering or RejectionWitness.
 
-    In O(n + m).  Ranks follow Kahn's sort of ``g`` plus its gap edges on a
-    ready stack: the vertex readied last is ranked next, with each vertex's
-    successors taken clockwise and then its gap edges.
+    In O(n + m); a rejection returns at the first conflicting row, with
+    no row after it scanned.  Ranks follow Kahn's sort of ``g`` plus its
+    gap edges on a ready stack: the vertex readied last is ranked next,
+    with each vertex's successors taken clockwise and then its gap edges.
     """
-    witness, _, _, extra, aug = _row_scan(g)
+    witness, _, _, extra, aug = _row_scan(g, stop=True)
     return witness or BitonicOrdering(
         _topological_order(g.out_start, g.head, extra), tuple(aug))
 

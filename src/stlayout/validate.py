@@ -166,7 +166,8 @@ def check_upward_planar(g: EmbeddedStGraph,
     if not distinct:
         violations.append("two vertices or bends share a coordinate")
 
-    upward = all(map(lt, _gather(Y, tail), _gather(Y, head)))
+    hy = _gather(Y, head)  # each piece's upper y, read by both tests
+    upward = all(map(lt, _gather(Y, tail), hy))
     if not upward:  # one whole-list test; the loop words what failed
         for u, v, path in zip(g.tail, g.head, d.edge_paths):
             for a, b in pairwise(path):
@@ -177,7 +178,7 @@ def check_upward_planar(g: EmbeddedStGraph,
 
     planar = False
     if distinct and upward:
-        failed = _misordered_face(X, Y, tail, head, out_start)
+        failed = _misordered_face(X, Y, hy, tail, head, out_start)
         planar = failed is None
         if failed:
             c, v, side = failed
@@ -235,15 +236,16 @@ def _subdivided(g: EmbeddedStGraph, d: GridDrawing):
             g.out_start + tuple(range(m + 1, m + k + 1)))
 
 
-def _misordered_face(X, Y, tail, head, out_start):
+def _misordered_face(X, Y, hy, tail, head, out_start):
     """The first inner face whose left chain does not run strictly left of
     its right chain at every height strictly between the face's source and
     sink, or None, in a straight-line drawing of the graph with these
     arrays whose nodes lie at distinct points ``(X[v], Y[v])`` and whose
-    edges rise.  O(m).  A face is returned as ``(c, v, side)``: its source
-    corner, between out-edges ``c`` and ``c + 1``, and the node ``v`` of
-    its ``side`` chain, ``"left"`` or ``"right"``, that lies on the wrong
-    side of the other chain.
+    edges rise; ``hy`` is ``Y`` gathered by ``head``.  O(m).  A face is
+    returned as ``(c, v, side)``: its source corner, between out-edges
+    ``c`` and ``c + 1``, and the node ``v`` of its ``side`` chain,
+    ``"left"`` or ``"right"``, that lies on the wrong side of the other
+    chain.
 
     Each face's chains are walked along ``lnext`` and ``rnext`` and merged
     by y.  ``a`` and ``b`` are the last points merged from the left and
@@ -253,7 +255,7 @@ def _misordered_face(X, Y, tail, head, out_start):
     left of ``r``, unless both are the sink, the one point the chains
     share above the source.
     """
-    hx, hy = _gather(X, head), _gather(Y, head)
+    hx = _gather(X, head)
     lnext = _gather([b - 1 for b in out_start[1:]], head)
     rnext = _gather(out_start, head)
     for c in compress(range(len(tail) - 1), map(eq, tail, tail[1:])):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 from statistics import median
 
@@ -9,11 +10,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stlayout import (GraphFormatError, StGraphError, build_graph,
+from stlayout import (BitonicOrdering, GraphFormatError, StGraphError,
+                      build_graph,
                       check_bounds, check_upward_planar, draw_polyline,
-                      drawing_from_text, drawing_to_text, graph_from_json,
+                      draw_straightline, drawing_from_text, drawing_to_text,
+                      find_bitonic_ordering, graph_from_json,
                       graph_from_text, graph_to_json, graph_to_text,
                       load_graph)
+from stlayout import io
 from conftest import LINEAR_GATE, corpus, doubling_ratios, fan, zig
 from oracles import drawing_of
 
@@ -254,6 +258,127 @@ def test_text_tested_once_parses_as_line_by_line(text):
     # a whole; a last line "#" is blank once cut, so it changes no result,
     # and it sends the text down the line-by-line path
     assert parse_outcome(text) == parse_outcome(text + "\n#")
+
+
+def read_outcome(read, text, g):
+    """The drawing ``read`` makes of ``text``, with its bent edges, or the
+    type and message of what it raised."""
+    try:
+        d = read(text, g)
+    except StGraphError as exc:
+        return type(exc), str(exc)
+    return d, d.bent
+
+
+def swap_lines(rng, lines, g):
+    i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+    lines[i], lines[j] = lines[j], lines[i]
+
+
+def crlf(rng, lines, g):
+    """A CRLF line break after one line or after every line."""
+    for i in [rng.randrange(len(lines))] if rng.random() < 0.5 \
+            else range(len(lines)):
+        lines[i] += "\r"
+
+
+def comment(rng, lines, g):
+    i = rng.randrange(len(lines))
+    if rng.random() < 0.5:
+        lines.insert(i, "# note")
+    else:
+        lines[i] += " # note"
+
+
+def respace(rng, lines, g):
+    i = rng.randrange(len(lines))
+    lines[i] = lines[i].replace(" ", rng.choice(["  ", "\t", " \t"]), 1)
+
+
+def retoken(rng, lines, g):
+    """A leading zero or a minus sign on one number of one line."""
+    i = rng.randrange(len(lines))
+    tokens = lines[i].split(" ")
+    j = rng.randrange(tokens[0] == "bend", len(tokens))
+    if rng.random() < 0.5:
+        tokens[j] = tokens[j].replace("-", "-0") if "-" in tokens[j] \
+            else "0" + tokens[j]
+    else:
+        tokens[j] = "-" + tokens[j]
+    lines[i] = " ".join(tokens)
+
+
+def duplicate_line(rng, lines, g):
+    lines.insert(rng.randrange(len(lines) + 1), rng.choice(lines))
+
+
+def foreign_bend(rng, lines, g):
+    u, v = rng.randrange(-1, g.n + 1), rng.randrange(-1, g.n + 1)
+    lines.insert(rng.randrange(len(lines) + 1), f"bend {u} {v} 3 3")
+
+
+def delete_line(rng, lines, g):
+    del lines[rng.randrange(len(lines))]
+
+
+MUTATIONS = (swap_lines, crlf, comment, respace, retoken, duplicate_line,
+             foreign_bend, delete_line)
+
+
+@pytest.mark.parametrize("chunk", [io._CHUNK, 20])
+def test_mutated_written_texts_read_as_line_by_line(monkeypatch, chunk):
+    # a drawing text as drawing_to_text writes it, changed in one to three
+    # ways, its final newline sometimes dropped: the bulk read gives the
+    # line reader's drawing or, through the line reader, its error, word
+    # for word, whether the text is split whole or a few lines at a time
+    monkeypatch.setattr(io, "_CHUNK", chunk)
+    graphs = [TRIANGLE, fan(6), fan(9), zig(9)]
+    graphs += corpus(sizes=(12, 25), seeds=range(3))
+    written = [(g, drawing_to_text(g, draw_polyline(g)).splitlines())
+               for g in graphs]
+    bulk, read_in_bulk = [], io._written_drawing
+
+    def logged_bulk_read(text, g):
+        bulk.append(read_in_bulk(text, g))
+        return bulk[-1]
+
+    monkeypatch.setattr(io, "_written_drawing", logged_bulk_read)
+    rng, raised = random.Random(34), 0
+    for _ in range(3000):
+        g, lines = rng.choice(written)
+        lines = list(lines)
+        for mutate in rng.choices(MUTATIONS, k=rng.randint(1, 3)):
+            mutate(rng, lines, g)
+        text = "\n".join(lines) + rng.choice(["\n"] * 7 + [""])
+        outcome = read_outcome(drawing_from_text, text, g)
+        assert outcome == read_outcome(io._drawing_from_lines, text, g), text
+        raised += isinstance(outcome[0], type)
+    # each reader made drawings, and the line reader raised
+    taken = sum(d is not None for d in bulk)
+    assert taken > 100 and raised > 1000 and 3000 - taken - raised > 1000
+
+
+@pytest.mark.parametrize("chunk", [io._CHUNK, 1])
+def test_written_drawings_take_the_bulk_path(monkeypatch, chunk):
+    # every text drawing_to_text writes is read in bulk, split a chunk of
+    # whole lines at a time: a change to the writer cannot fall back to
+    # the line reader unseen
+    def by_line(text, g):
+        raise AssertionError("read line by line")
+
+    monkeypatch.setattr(io, "_drawing_from_lines", by_line)
+    monkeypatch.setattr(io, "_CHUNK", chunk)
+    graphs = corpus(sizes=(6, 12, 25, 50), seeds=range(4))
+    graphs += corpus(sizes=(6, 12, 25, 50), seeds=range(4), chords=False)
+    graphs += [fan(50), fan(2000)] + [zig(k) for k in (3, 9, 101, 1001)]
+    drawings = [(g, draw_polyline(g)) for g in graphs]
+    orders = [(g, find_bitonic_ordering(g)) for g in graphs]
+    drawings += [(g, draw_straightline(g, o)) for g, o in orders
+                 if isinstance(o, BitonicOrdering)]
+    bent = sum(bool(d.bent) for _, d in drawings)
+    assert bent > 10 and len(drawings) - len(graphs) > 10
+    for g, d in drawings:
+        assert drawing_from_text(drawing_to_text(g, d), g) == d
 
 
 def test_drawing_from_text_many_bends_at_one_vertex_linear():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -123,6 +124,40 @@ def test_row_scan_matches_the_separate_walks():
         assert sorted(aug) == sorted((a, b) for a, bs in extra.items()
                                      for b in bs)
         rejected += witness is not None
+    assert rejected > 100
+
+
+class ReadLog(tuple):
+    """A tuple that records each index and slice read from it."""
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return tuple.__getitem__(self, i)
+
+
+def logged(seq):
+    out = ReadLog(seq)
+    out.reads = []
+    return out
+
+
+def test_rejection_scans_no_row_after_the_witness_row():
+    # find_bitonic_ordering returns at the first conflict: on a rejected
+    # graph it reads no row offset past the witness row's end and no
+    # corner of a later row, and it names the full scan's witness
+    rejected = 0
+    for g in scan_inputs():
+        witness = _row_scan(g)[0]
+        if witness is None:
+            continue
+        starts, dirs = logged(g.out_start), logged(g.corner_dir)
+        h = replace(g, out_start=starts, corner_dir=dirs)
+        assert find_bitonic_ordering(h) == witness
+        end = g.out_start[witness.u + 1]
+        assert max(starts.reads) == witness.u + 1
+        assert all((i.stop if isinstance(i, slice) else i + 1) <= end
+                   for i in dirs.reads)
+        rejected += 1
     assert rejected > 100
 
 

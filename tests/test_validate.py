@@ -268,8 +268,9 @@ def _face_check(g, d):
     if len(set(points)) < len(points) or any(b[1] <= a[1]
                                              for a, b in pieces):
         return None
+    tail, head, out_start = validate._subdivided(g, d)
     verdict = validate._misordered_face(
-        d.x, d.y, *validate._subdivided(g, d)) is None
+        d.x, d.y, [d.y[v] for v in head], tail, head, out_start) is None
     assert verdict == faces_ordered_by_chains(g, d), d
     return verdict
 
